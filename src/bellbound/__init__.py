@@ -7,7 +7,6 @@ from .fock import (
     CollapseError,
     DensityMatrix,
     FockOperator,
-    PhasePoint,
     bell_pair_state,
     displacement,
     displacement_element,

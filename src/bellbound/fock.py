@@ -21,7 +21,6 @@ __all__ = [
     "CollapseError",
     "FockOperator",
     "DensityMatrix",
-    "PhasePoint",
     "bell_pair_state",
     "displacement",
     "displacement_element",
@@ -37,9 +36,6 @@ __all__ = [
 # Below this outcome probability a collapse is treated as impossible instead
 # of dividing by a denormal.
 PROBABILITY_FLOOR = 1e-12
-
-PhasePoint = complex
-
 
 class CollapseError(ValueError):
     """Measurement outcome with probability at or below the floor."""
@@ -247,14 +243,19 @@ def tensor(a, b):
     )
 
 
+def _pair_vector(dim):
+    """(|0>|1> - |1>|0>)/sqrt(2) on the two-mode basis, n2 fastest."""
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[0 * dim + 1] = 1.0 / math.sqrt(2)
+    vec[1 * dim + 0] = -1.0 / math.sqrt(2)
+    return vec
+
+
 def bell_pair_state(dim):
     """(|0>|1> - |1>|0>)/sqrt(2) as a two-mode density matrix."""
     if dim < 2:
         raise ValueError("need at least two levels per mode")
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[0 * dim + 1] = 1.0 / math.sqrt(2)
-    vec[1 * dim + 0] = -1.0 / math.sqrt(2)
-    return DensityMatrix.from_state(vec, modes=2)
+    return DensityMatrix.from_state(_pair_vector(dim), modes=2)
 
 
 def trace_product(a, b):

@@ -17,7 +17,6 @@ import numpy as np
 from .fock import (
     CollapseError,
     FockOperator,
-    identity,
     luders_collapse,
     tensor,
     trace_product,

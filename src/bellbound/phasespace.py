@@ -11,11 +11,11 @@ and all integrals over phase space carry d^2 alpha.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import DensityMatrix, bell_pair_state, displacement
+from .fock import DensityMatrix, _pair_vector, bell_pair_state, displacement
 from .hvbound import BellReport
 from .quad import (
     IntegrationSpec,
@@ -72,17 +72,13 @@ class SingleParticleCase:
     the discontinuity as a panel edge.
     """
 
-    symbol: RadialSymbol = None
-    state: DensityMatrix = None
-    spec: IntegrationSpec = None
+    symbol: RadialSymbol = field(default_factory=lambda: sign_step(0.5))
+    state: DensityMatrix = field(
+        default_factory=lambda: _first_excited(_DEFAULT_SP_DIM)
+    )
+    spec: IntegrationSpec = field(default_factory=IntegrationSpec)
 
     def __post_init__(self):
-        if self.symbol is None:
-            object.__setattr__(self, "symbol", sign_step(0.5))
-        if self.state is None:
-            object.__setattr__(self, "state", _first_excited(_DEFAULT_SP_DIM))
-        if self.spec is None:
-            object.__setattr__(self, "spec", IntegrationSpec())
         if self.state.modes != 1:
             raise ValueError("single-particle case needs a single-mode state")
         object.__setattr__(self, "spec", _merge_jump_splits(self.spec, self.symbol))
@@ -97,17 +93,15 @@ class BipartiteCase:
     1e-12 in tr(rho^2): the reduced bound formulas project onto one vector.
     """
 
-    symbol: RadialSymbol = None
-    state: DensityMatrix = None
-    spec: IntegrationSpec = None
+    symbol: RadialSymbol = field(
+        default_factory=lambda: sign_step(SEPARATION_STEP)
+    )
+    state: DensityMatrix = field(
+        default_factory=lambda: bell_pair_state(_DEFAULT_BP_DIM)
+    )
+    spec: IntegrationSpec = field(default_factory=IntegrationSpec)
 
     def __post_init__(self):
-        if self.symbol is None:
-            object.__setattr__(self, "symbol", sign_step(SEPARATION_STEP))
-        if self.state is None:
-            object.__setattr__(self, "state", bell_pair_state(_DEFAULT_BP_DIM))
-        if self.spec is None:
-            object.__setattr__(self, "spec", IntegrationSpec())
         if self.state.modes != 2:
             raise ValueError("bi-partite case needs a two-mode state")
         ent = self.state.entries
@@ -197,7 +191,7 @@ def _step_radius(symbol):
 # single particle
 
 
-def _excited_kernel(r1, r2, psi, d):
+def _excited_kernel(r1, d):
     # collapse sum for the first excited state in closed form: the state
     # side enters through its radius r1, the symbol side only through the
     # separation d
@@ -515,10 +509,7 @@ def coarse_parity_bound(rho, symbol, spec=None):
 
 
 def _pair_state_checked(case):
-    dim = case.state.dim
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[0 * dim + 1] = 1.0 / math.sqrt(2)
-    vec[1 * dim + 0] = -1.0 / math.sqrt(2)
+    vec = _pair_vector(case.state.dim)
     overlap = float(np.real(vec.conj() @ case.state.entries @ vec))
     if abs(overlap - 1.0) > 1e-9:
         raise ValueError(
@@ -652,7 +643,7 @@ def _sigma_point(case, j, s, index, mode):
     return scale * res.value, scale * res.error_estimate
 
 
-def sigma_curve(case, extend_to=None, mode="full"):
+def sigma_curve(case, mode="full"):
     """The reduced integrand f(|sigma|) on the uniform grid, by Monte Carlo.
 
     One stratified six-dimensional MC integral per grid point, streams
@@ -660,7 +651,6 @@ def sigma_curve(case, extend_to=None, mode="full"):
     given IntegrationSpec. f(0) vanishes with the phase-space measure and
     is set exactly.
 
-    extend_to pushes the grid end beyond spec.sigma_max with the same step.
     mode is a validation hook: "disc_unit" and "unit_unit" replace the two
     symbol factors by pairs whose curve is known in closed form
     (4 C s exp(-s^2) with C the inner-disc moment, and 2 s exp(-s^2)).
@@ -678,8 +668,7 @@ def sigma_curve(case, extend_to=None, mode="full"):
         if j is None:
             raise ValueError("sigma reduction needs the sign-step profile")
     spec = case.spec
-    smax = spec.sigma_max if extend_to is None else float(extend_to)
-    n = int(math.floor(smax / spec.sigma_step + 1e-9))
+    n = int(math.floor(spec.sigma_max / spec.sigma_step + 1e-9))
     pts = spec.sigma_step * np.arange(n + 1)
     values = np.empty(pts.size)
     errors = np.empty(pts.size)

@@ -1,9 +1,16 @@
 """Integration engines.
 
 Adaptive 1D Gauss-Legendre quadrature with registered discontinuities,
-iterated radial-radial-angular quadrature for phase-space double integrals,
-and seeded chunked Monte Carlo for the high-dimensional remainders. Every
-routine is deterministic given the same IntegrationSpec.
+iterated radial quadrature for phase-space double integrals, and seeded
+chunked Monte Carlo for the high-dimensional remainders. Every routine is
+deterministic given the same IntegrationSpec.
+
+Each engine takes one vectorized integrand shape:
+
+- integrate_1d: f(x) maps an array of nodes to an array of the same shape;
+- integrate_radial_pair: f(r1, d) of the state-side radius and the
+  separation, on arrays that broadcast against each other;
+- mc_integrate: f(x) maps an (n, dims) array of points to n values.
 """
 
 import heapq
@@ -40,10 +47,12 @@ class IntegrationSpec:
     split_points: tuple = ()
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("r_max", "abs_tol", "rel_tol", "sigma_step", "sigma_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be at least 10^4")
         object.__setattr__(
@@ -69,13 +78,12 @@ _BUDGET_1D = 1_000_000
 
 
 def _eval_vec(f, xs):
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape == xs.shape:
-            return ys
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(x)) for x in xs])
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(
+            f"integrand returned shape {ys.shape} for nodes of shape {xs.shape}"
+        )
+    return ys
 
 
 def _panel(f, a, b):
@@ -89,9 +97,11 @@ def _panel(f, a, b):
 def integrate_1d(f, a, b, spec):
     """Adaptive quadrature of f on [a, b] honoring spec.split_points.
 
-    Each panel carries a 21-point Gauss-Legendre value and the difference
-    against a 10-point rule as its error; the worst panel is bisected until
-    the summed error reaches spec.abs_tol or the evaluation budget runs out.
+    f maps an array of nodes to an array of values of the same shape; any
+    other result raises ValueError. Each panel carries a 21-point
+    Gauss-Legendre value and the difference against a 10-point rule as its
+    error; the worst panel is bisected until the summed error reaches
+    spec.abs_tol or the evaluation budget runs out.
     """
     a = float(a)
     b = float(b)
@@ -140,35 +150,34 @@ def _gl_segmented(a, b, n, splits):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+# (n1, n2, n_ang) per refinement level; the angle count serves the direct
+# route only
 _PAIR_LEVELS = ((96, 96, 64), (144, 144, 96), (216, 216, 144), (320, 320, 216))
 _PAIR_BLOCK = 16
 
 
-def _sweep_pair(f, rn, rw, sn, sw, n_ang, relative):
+def _sweep_relative(f, rn, rw, sn, sw):
+    # alpha' = alpha + delta: the separation is the inner radius, and both
+    # angles integrate to 2 pi because f sees neither
+    r1 = rn[:, None]
+    d = sn[None, :]
+    vals = np.asarray(f(r1, d), dtype=float)
+    return (2.0 * np.pi) ** 2 * float(np.sum(rw[:, None] * r1 * sw * d * vals))
+
+
+def _sweep_direct(f, rn, rw, sn, sw, n_ang):
     ang = (np.arange(n_ang) + 0.5) * (np.pi / n_ang)
     w_ang = 2.0 * np.pi / n_ang  # integrand even in the angle
     cos_a = np.cos(ang)
-    sin_a = np.sin(ang)
+    s = sn[None, :, None]
+    ws = sw[None, :, None]
     total = 0.0
     for i in range(0, rn.size, _PAIR_BLOCK):
         r1 = rn[i : i + _PAIR_BLOCK][:, None, None]
         w1 = rw[i : i + _PAIR_BLOCK][:, None, None]
-        s = sn[None, :, None]
-        ws = sw[None, :, None]
-        if relative:
-            # alpha' = alpha + delta with delta = (s, angle); separation is s
-            px = r1 + s * cos_a[None, None, :]
-            py = s * sin_a[None, None, :]
-            r2 = np.hypot(px, py)
-            psi = np.arctan2(py, px)
-            d = np.broadcast_to(s, r2.shape)
-        else:
-            r2 = np.broadcast_to(s, (r1.shape[0], s.shape[1], n_ang))
-            psi = np.broadcast_to(ang[None, None, :], r2.shape)
-            d2 = r1 * r1 + s * s - 2.0 * r1 * s * cos_a[None, None, :]
-            d = np.sqrt(np.maximum(d2, 0.0))
-        r1b = np.broadcast_to(r1, r2.shape)
-        vals = np.asarray(f(r1b, r2, psi, d), dtype=float)
+        d2 = r1 * r1 + s * s - 2.0 * r1 * s * cos_a
+        d = np.sqrt(np.maximum(d2, 0.0))
+        vals = np.broadcast_to(np.asarray(f(r1, d), dtype=float), d.shape)
         total += float(np.sum(w1 * r1 * ws * s * vals)) * w_ang
     return 2.0 * np.pi * total
 
@@ -176,17 +185,19 @@ def _sweep_pair(f, rn, rw, sn, sw, n_ang, relative):
 def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
     """Double phase-space integral over |alpha| < R1, |alpha'| < R2.
 
-    f(r1, r2, psi, d) takes the two moduli, the angle between the points and
-    the separation d = |alpha - alpha'|, broadcast over arrays; it must be
-    even in psi, which holds whenever the angle enters through d alone.
+    f(r1, d) takes the modulus r1 = |alpha| and the separation
+    d = |alpha - alpha'|, as arrays that broadcast against each other, and
+    returns values that broadcast to their common shape. The integrand
+    therefore depends on alpha' through the separation alone.
     A None radius means the full plane, cut off at spec.r_max (the Gaussian
     factors in every integrand served here make the tail negligible).
 
-    Iterated scheme: outer radial, inner radial, innermost midpoint rule in
-    the angle. When the alpha' region is the full plane the inner pair is
-    taken in relative coordinates alpha' = alpha + delta, which keeps the
-    separation exact instead of reconstructing it through a near-cancelling
-    subtraction.
+    When the alpha' region is the full plane (r2_max None) the pair is taken
+    in relative coordinates alpha' = alpha + delta: the separation is the
+    inner radius, both angles integrate exactly to 2 pi, and f is evaluated
+    once on the radial-radial grid. For a disc of alpha' the inner radius is
+    |alpha'| and a midpoint rule in the angle between the points supplies
+    the separation.
     """
     cap = spec.r_max
     R1 = cap if r1_max is None else float(r1_max)
@@ -199,9 +210,14 @@ def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
     evals = 0
     for n1, n2, n_ang in _PAIR_LEVELS:
         rn, rw = _gl_segmented(0.0, R1, n1, spec.split_points)
-        sn, sw = _gl_segmented(0.0, R2, n2, spec.split_points if not relative else ())
-        value = _sweep_pair(f, rn, rw, sn, sw, n_ang, relative)
-        evals += rn.size * sn.size * n_ang
+        if relative:
+            sn, sw = _gl_segmented(0.0, R2, n2, ())
+            value = _sweep_relative(f, rn, rw, sn, sw)
+            evals += rn.size * sn.size
+        else:
+            sn, sw = _gl_segmented(0.0, R2, n2, spec.split_points)
+            value = _sweep_direct(f, rn, rw, sn, sw, n_ang)
+            evals += rn.size * sn.size * n_ang
         if prev is not None:
             err = abs(value - prev)
             if err <= tol:

@@ -32,15 +32,11 @@ def laguerre(n, x):
 def assoc_laguerre(n, a, x):
     """Associated Laguerre polynomial L_n^{(a)}(x).
 
-    Upward recurrence in the degree, well conditioned for x >= 0.
+    The last row of assoc_laguerre_seq, well conditioned for x >= 0.
     """
     if n < 0 or a < 0:
         raise ValueError("n and a must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(n):
-        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    cur = assoc_laguerre_seq(n, a, x)[n]
     return cur if cur.ndim else float(cur)
 
 
@@ -131,12 +127,5 @@ def laguerre_sum(x, y, n_terms):
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    prev = 0.0
-    cur = 1.0
-    coef = 1.0
-    total = coef * cur
-    for n in range(1, n_terms):
-        prev, cur = cur, ((2 * n - 1 - x) * cur - (n - 1) * prev) / n
-        coef *= y / n
-        total += coef * cur
-    return total
+    coef = np.cumprod(np.concatenate(([1.0], y / np.arange(1.0, n_terms))))
+    return float(coef @ assoc_laguerre_seq(n_terms - 1, 0, x))

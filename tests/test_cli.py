@@ -32,6 +32,25 @@ def test_usage_errors_exit_one(capsys):
     assert main(["eigenvalues", "--n-max", "25"]) == 1  # generating route cap
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--sigma-step", "0", "sigma_step"),
+        ("--sigma-step", "-0.1", "sigma_step"),
+        ("--sigma-max", "nan", "sigma_max"),
+        ("--r-max", "inf", "r_max"),
+        ("--r-max", "nan", "r_max"),
+        ("--abs-tol", "nan", "abs_tol"),
+        ("--seed", "-1", "seed"),
+    ],
+)
+def test_invalid_spec_values_exit_one(capsys, flag, value, field):
+    assert main(["sigma-curve", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     target = tmp_path / "missing" / "doc.json"
     assert main(["chsh", "--out", str(target)]) == 1

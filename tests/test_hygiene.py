@@ -1,0 +1,38 @@
+"""Source hygiene checks that need no linter."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import bellbound
+
+SOURCES = sorted(Path(bellbound.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree):
+    """Names bound at module level by import statements."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add((alias.asname or alias.name).split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names.add(alias.asname or alias.name)
+    return names
+
+
+def used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    name = "bellbound" if path.stem == "__init__" else f"bellbound.{path.stem}"
+    module = importlib.import_module(name)
+    exported = set(getattr(module, "__all__", ()))
+    unused = imported_names(tree) - used_names(tree) - exported
+    assert not unused, f"{path.name} imports unused names: {sorted(unused)}"

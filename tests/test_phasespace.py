@@ -208,15 +208,15 @@ def test_sigma_curve_closed_modes():
 
 
 def test_sigma_curve_grid_and_determinism():
-    spec = IntegrationSpec(mc_samples=100_000, sigma_max=0.3)
+    spec = IntegrationSpec(mc_samples=100_000, sigma_max=0.5)
     case = BipartiteCase(spec=spec)
-    curve = sigma_curve(case, extend_to=0.5, mode="disc_unit")
+    curve = sigma_curve(case, mode="disc_unit")
     assert np.allclose(curve.points, 0.05 * np.arange(11))
-    again = sigma_curve(case, extend_to=0.5, mode="disc_unit")
+    again = sigma_curve(case, mode="disc_unit")
     assert np.array_equal(curve.values, again.values)
     assert np.array_equal(curve.errors, again.errors)
     reseeded = BipartiteCase(spec=replace(spec, seed=43))
-    other = sigma_curve(reseeded, extend_to=0.5, mode="disc_unit")
+    other = sigma_curve(reseeded, mode="disc_unit")
     assert not np.array_equal(curve.values, other.values)
 
 

@@ -78,7 +78,7 @@ def test_integrate_1d_budget_raises():
         integrate_1d(lambda x: np.sin(1.0 / x), 1e-8, 1.0, spec)
 
 
-def kernel(r1, r2, psi, d):
+def kernel(r1, d):
     return (4 / math.pi**2) * (1 - 4 * d * d) * np.exp(-2 * d * d) * bessel_j(0, 4 * d * r1)
 
 
@@ -98,33 +98,49 @@ def test_radial_pair_relative_route():
 
 
 def test_radial_pair_direct_route_gaussian():
-    # separable Gaussian: value is the product of two 1D closed forms
-    def f(r1, r2, psi, d):
-        return np.exp(-r1 * r1 - r2 * r2) / math.pi**2
+    # a Gaussian in |alpha| alone: the alpha' disc contributes its area
+    def f(r1, d):
+        return np.exp(-r1 * r1) / math.pi**2
 
     got = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=1.0)
-    want = 1.0 * (1 - math.exp(-1.0))
-    assert abs(got.value - want) < 1e-9
+    assert abs(got.value - 1.0) < 1e-9
     got = integrate_radial_pair(f, SPEC, r1_max=2.0, r2_max=1.0)
-    want = (1 - math.exp(-4.0)) * (1 - math.exp(-1.0))
-    assert abs(got.value - want) < 1e-9
+    assert abs(got.value - (1 - math.exp(-4.0))) < 1e-9
 
 
 def test_radial_pair_angle_dependence():
-    # overlap of two displaced Gaussians, angle entering through d only:
-    # int d2a d2a' e^{-(r1^2+r2^2)} e^{-d^2} has a closed form by Gaussian
-    # integration: pi^2/3 * ... check against a dense reference value from
-    # the relative route vs the direct route on a finite disk
-    def f(r1, r2, psi, d):
-        return np.exp(-r1 * r1 - r2 * r2 - d * d) / math.pi**2
+    # the angle enters through d: alpha' = alpha + delta with both
+    # Gaussians of unit width makes |alpha'| Gaussian of variance 2, so the
+    # disc |alpha'| < R2 carries 1 - exp(-R2^2 / 2) of the unit total
+    def f(r1, d):
+        return np.exp(-r1 * r1 - d * d) / math.pi**2
 
+    got = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=1.0)
+    assert abs(got.value - (1 - math.exp(-0.5))) < 1e-9
+    # both routes reach the unit total; the direct one misses the
+    # exp(-r_max^2 / 2) mass beyond its disc
     direct = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=SPEC.r_max)
     relative = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=None)
-    assert abs(direct.value - relative.value) < 1e-7
-    # closed form: with both ranges infinite the Gaussian quadratic form
-    # gives pi^2/(2*...), evaluated independently below
-    # int e^{-|a|^2-|b|^2-|a-b|^2} d2a d2b = pi^2/3
-    assert abs(relative.value - 1.0 / 3.0) < 1e-8
+    assert abs(direct.value - 1.0) < 1e-7
+    assert abs(relative.value - 1.0) < 1e-8
+
+
+def test_radial_pair_counts_evaluations():
+    # evaluations reports the values actually computed on either route
+    for r2_max in (None, 0.5):
+        seen = []
+
+        def counted(r1, d):
+            seen.append(np.broadcast(r1, d).size)
+            return kernel(r1, d)
+
+        got = integrate_radial_pair(counted, SPEC, r2_max=r2_max)
+        assert got.evaluations == sum(seen)
+
+
+def test_integrate_1d_rejects_scalar_integrand():
+    with pytest.raises(ValueError, match="shape"):
+        integrate_1d(lambda x: 1.0, 0.0, 1.0, SPEC)
 
 
 def test_mc_constant():
