@@ -34,7 +34,6 @@ from .hvbound import (
     bell_report,
     bound_difference,
     chsh_decomposition,
-    commuting_joint_distribution,
     hv_bound,
     qm_mean,
 )

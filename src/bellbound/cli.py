@@ -209,8 +209,8 @@ def _run_bipartite(cfg, spec):
 
 
 def _run_eigenvalues(cfg, spec):
-    if cfg.n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if not 1 <= cfg.n_max <= 20:
+        raise ValueError(f"n_max must lie in [1, 20], got {cfg.n_max}")
     if cfg.n_max + 1 > cfg.truncation:
         raise ValueError("truncation must exceed n_max")
     expansion = quantize_radial(sign_step(0.5), cfg.truncation, spec)

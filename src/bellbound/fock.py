@@ -121,7 +121,10 @@ class DensityMatrix:
         if abs(tr - 1.0) > 0:
             op = FockOperator(entries / tr, self.op.modes, hermitian=True)
             object.__setattr__(self, "op", op)
-        lowest = float(np.min(np.linalg.eigvalsh(self.op.entries)))
+        # the spectrum is that of the occupied block plus zeros
+        ent = self.op.entries
+        live = np.flatnonzero(np.any(ent != 0, axis=0) | np.any(ent != 0, axis=1))
+        lowest = float(np.min(np.linalg.eigvalsh(ent[np.ix_(live, live)])))
         if lowest < -1e-10:
             raise ValueError(f"negative eigenvalue {lowest:.2e}")
 
@@ -186,22 +189,27 @@ def displacement_element(row, col, alpha):
     return amp * shift
 
 
-def displacement(alpha, dim):
-    """D(alpha) on the truncated basis, assembled diagonal by diagonal."""
+def _displacement_entries(alpha, dim):
+    """D(alpha) entries, diagonal by diagonal, shape alpha.shape + (dim, dim)."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    alpha = complex(alpha)
-    x = abs(alpha) ** 2
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    x = np.hypot(alpha.real, alpha.imag) ** 2
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    entries = np.zeros((dim, dim), dtype=complex)
+    entries = np.zeros(alpha.shape[:-1] + (dim, dim), dtype=complex)
     for a in range(dim):
         n = np.arange(dim - a)
         amp = np.exp(-0.5 * x + 0.5 * (log_fact[n] - log_fact[n + a]))
-        amp = amp * assoc_laguerre_seq(dim - 1 - a, a, x)
-        entries[n + a, n] = amp * alpha**a
+        amp = amp * np.moveaxis(assoc_laguerre_seq(dim - 1 - a, a, x[..., 0]), 0, -1)
+        entries[..., n + a, n] = amp * alpha**a
         if a > 0:
-            entries[n, n + a] = amp * (-alpha.conjugate()) ** a
-    return FockOperator(entries)
+            entries[..., n, n + a] = amp * (-alpha.conj()) ** a
+    return entries
+
+
+def displacement(alpha, dim):
+    """D(alpha) on the truncated basis: _displacement_entries at one alpha."""
+    return FockOperator(_displacement_entries(complex(alpha), dim))
 
 
 def quantizer(alpha, dim):

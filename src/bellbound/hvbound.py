@@ -28,7 +28,6 @@ __all__ = [
     "bell_report",
     "bound_difference",
     "chsh_decomposition",
-    "commuting_joint_distribution",
     "hv_bound",
     "qm_mean",
 ]
@@ -167,54 +166,6 @@ def chsh_decomposition(dim=2, settings=None):
     target_op = FockOperator(0.5 * (target + target.conj().T), modes=2,
                              hermitian=True)
     return Decomposition(tuple(terms), target_op, label="chsh")
-
-
-def commuting_joint_distribution(rho, families, seed=0):
-    """Joint outcome distribution of commuting projective measurements.
-
-    families is a sequence of projector lists, each resolving the identity.
-    A random hermitian combination of all projectors is diagonalized to find
-    the common eigenbasis; if any projector fails to be diagonal there the
-    families do not commute and no joint distribution exists.
-    """
-    if not families or any(len(f) == 0 for f in families):
-        raise ValueError("families must be non-empty lists of projectors")
-    dim = families[0][0].entries.shape[0]
-    for fam in families:
-        total = sum(p.entries for p in fam)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-            raise ValueError("family does not resolve the identity")
-    flat = [p for fam in families for p in fam]
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        combo = sum(rng.uniform(0.5, 1.5) * p.entries for p in flat)
-        _, basis = np.linalg.eigh(combo)
-        rotated = [basis.conj().T @ p.entries @ basis for p in flat]
-        off = max(np.max(np.abs(r - np.diag(np.diag(r)))) for r in rotated)
-        if off < 1e-10:
-            break
-    else:
-        raise ValueError("projector families do not commute")
-    weights = np.real(np.diag(basis.conj().T @ rho.entries @ basis))
-    indicators = [np.real(np.diag(r)).round().astype(int) for r in rotated]
-    shape = tuple(len(f) for f in families)
-    joint = np.zeros(shape)
-    offsets = np.cumsum([0] + [len(f) for f in families])[:-1]
-    for b in range(dim):
-        idx = []
-        for fi, fam in enumerate(families):
-            hits = [k for k in range(len(fam))
-                    if indicators[offsets[fi] + k][b] == 1]
-            if len(hits) != 1:
-                raise ValueError("basis state not classified by a family")
-            idx.append(hits[0])
-        joint[tuple(idx)] += weights[b]
-    for fi, fam in enumerate(families):
-        margin = joint.sum(axis=tuple(k for k in range(len(families)) if k != fi))
-        direct = np.array([qm_mean(rho, p) for p in fam])
-        if np.max(np.abs(margin - direct)) > 1e-10:
-            raise ValueError("joint distribution fails to reproduce a margin")
-    return joint
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import DensityMatrix, _pair_vector, bell_pair_state, displacement
+from .fock import DensityMatrix, _displacement_entries, _pair_vector, bell_pair_state
 from .hvbound import BellReport
 from .quad import (
     IntegrationSpec,
@@ -457,6 +457,8 @@ def coarse_parity_bound(rho, symbol, spec=None):
     collapses this coarse can never produce a violation, for any radial
     symbol, and this function exists to exhibit that. Needs a
     number-diagonal state (the radial reduction assumes phase symmetry).
+    The radial integral is one integrate_1d call, cut where the displaced
+    state starts to leak past the truncation.
     """
     if spec is None:
         spec = IntegrationSpec()
@@ -475,33 +477,20 @@ def coarse_parity_bound(rho, symbol, spec=None):
         raise QuadratureError(
             f"truncation {dim} only covers displacements to {r_cut:.2f}"
         )
-    even = np.arange(0, dim, 2)
-    odd = np.arange(1, dim, 2)
-    beta = symbol
 
-    def sweep(n_outer):
-        nodes, w = _gl_segmented(0.0, r_cut, n_outer, spec.split_points)
-        bvals = beta(nodes)
-        total = 0.0
-        worst = 0.0
-        for r, wr, bv in zip(nodes, w, bvals):
-            d = displacement(complex(r), dim).entries
-            rt = (d.conj().T * p) @ d
-            bt = (d.conj().T * lam) @ d
-            te = complex(np.einsum("jk,kj->", rt[np.ix_(even, even)], bt[np.ix_(even, even)]))
-            to = complex(np.einsum("jk,kj->", rt[np.ix_(odd, odd)], bt[np.ix_(odd, odd)]))
-            worst = max(worst, abs(te.imag), abs(to.imag))
-            total += wr * r * bv * (te.real - to.real)
+    def integrand(r):
+        d = _displacement_entries(r, dim)
+        dh = np.conj(np.swapaxes(d, -1, -2))
+        rt = (dh * p) @ d
+        bt = (dh * lam) @ d
+        te = np.einsum("ijk,ikj->i", rt[:, ::2, ::2], bt[:, ::2, ::2])
+        to = np.einsum("ijk,ikj->i", rt[:, 1::2, 1::2], bt[:, 1::2, 1::2])
+        worst = max(np.max(np.abs(te.imag)), np.max(np.abs(to.imag)))
         if worst > 1e-9:
             raise ValueError(f"parity traces picked up imaginary part {worst:.2e}")
-        return 4.0 * total
+        return 4.0 * r * symbol(r) * (te.real - to.real)
 
-    coarse = sweep(128)
-    fine = sweep(192)
-    err = abs(fine - coarse)
-    if err > 1e-5 * max(1.0, abs(fine)):
-        raise QuadratureError(f"parity-block quadrature stalled at {err:.2e}")
-    return float(fine)
+    return integrate_1d(integrand, 0.0, r_cut, spec).value
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +530,10 @@ def bp_qm_mean(case):
     alpha_1 = (s + t)/2, alpha_2 = (s - t)/2, which covers every orbit of
     the two phase rotations exactly once. That requires a state whose
     Wigner function depends only on the two moduli |sigma| and |delta|;
-    the symmetry is probed at a test point before being relied on.
+    the symmetry is probed at a test point before being relied on. The
+    integral is the relative route of integrate_radial_pair, r1 = s, d = t.
     """
     state = case.state
-    spec = case.spec
     s0, t0 = 0.8 + 0.0j, 1.1 + 0.0j
     ref = None
     for phase_s, phase_t in ((0.0, 0.0), (0.9, 0.0), (0.0, 2.1), (1.7, 0.6)):
@@ -557,22 +546,11 @@ def bp_qm_mean(case):
         elif abs(val - ref) > 1e-9 * max(1.0, abs(ref)):
             raise ValueError("state is not phase symmetric in the pair coordinates")
 
-    symbol = case.symbol
+    def f(s, t):
+        pts = np.stack([(s + t) / 2.0, (s - t) / 2.0], axis=-1).astype(complex)
+        return wigner(state, pts) * case.symbol(t)
 
-    def inner(s):
-        def f(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            pts = np.stack([(s + t) / 2.0, (s - t) / 2.0], axis=-1).astype(complex)
-            return t * wigner(state, pts) * symbol(t)
-
-        return integrate_1d(f, 0.0, spec.r_max, spec).value
-
-    def outer(svals):
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        return np.array([s * inner(s) for s in svals])
-
-    res = integrate_1d(outer, 0.0, spec.r_max, spec)
-    return float((2.0 * math.pi) ** 2 * res.value)
+    return integrate_radial_pair(f, case.spec).value
 
 
 def _sigma_integrand(s, j, symbol, mode, x):
@@ -670,6 +648,11 @@ def sigma_curve(case, mode="full"):
     spec = case.spec
     n = int(math.floor(spec.sigma_max / spec.sigma_step + 1e-9))
     pts = spec.sigma_step * np.arange(n + 1)
+    if pts.size < 6:
+        raise ValueError(
+            f"sigma_max {spec.sigma_max} and sigma_step {spec.sigma_step} give "
+            f"{pts.size} grid points; need at least six"
+        )
     values = np.empty(pts.size)
     errors = np.empty(pts.size)
     for i, s in enumerate(pts):

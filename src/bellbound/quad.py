@@ -192,17 +192,17 @@ def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
     A None radius means the full plane, cut off at spec.r_max (the Gaussian
     factors in every integrand served here make the tail negligible).
 
-    When the alpha' region is the full plane (r2_max None) the pair is taken
-    in relative coordinates alpha' = alpha + delta: the separation is the
-    inner radius, both angles integrate exactly to 2 pi, and f is evaluated
-    once on the radial-radial grid. For a disc of alpha' the inner radius is
-    |alpha'| and a midpoint rule in the angle between the points supplies
-    the separation.
+    Both radial axes are panelled at spec.split_points. When the alpha'
+    region is the full plane (r2_max None) the pair is taken in relative
+    coordinates alpha' = alpha + delta: the separation is the inner radius,
+    both angles integrate exactly to 2 pi, and the value is
+    (2 pi)^2 int r1 dr1 int d dd f(r1, d) on one radial-radial grid. For a
+    disc of alpha' the inner radius is |alpha'| and a midpoint rule in the
+    angle between the points supplies the separation.
     """
     cap = spec.r_max
     R1 = cap if r1_max is None else float(r1_max)
-    relative = r2_max is None
-    R2 = cap if relative else float(r2_max)
+    R2 = cap if r2_max is None else float(r2_max)
     tol = max(spec.abs_tol, 1e-8)
     prev = None
     prev_err = None
@@ -210,12 +210,11 @@ def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
     evals = 0
     for n1, n2, n_ang in _PAIR_LEVELS:
         rn, rw = _gl_segmented(0.0, R1, n1, spec.split_points)
-        if relative:
-            sn, sw = _gl_segmented(0.0, R2, n2, ())
+        sn, sw = _gl_segmented(0.0, R2, n2, spec.split_points)
+        if r2_max is None:
             value = _sweep_relative(f, rn, rw, sn, sw)
             evals += rn.size * sn.size
         else:
-            sn, sw = _gl_segmented(0.0, R2, n2, spec.split_points)
             value = _sweep_direct(f, rn, rw, sn, sw, n_ang)
             evals += rn.size * sn.size * n_ang
         if prev is not None:

@@ -1,8 +1,8 @@
 """Special functions used by the operator and integral machinery.
 
-Laguerre and associated Laguerre polynomials by upward recurrence, Bessel
-J0/J1 on the nonnegative half line, and the Laguerre generating-function
-partial sum. All functions accept scalars or numpy arrays and are pure.
+Laguerre and associated Laguerre polynomials by upward recurrence and
+Bessel J0/J1 on the nonnegative half line. All functions accept scalars or
+numpy arrays and are pure.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ __all__ = [
     "assoc_laguerre",
     "assoc_laguerre_seq",
     "bessel_j",
-    "laguerre_sum",
 ]
 
 # Branch seams for bessel_j. Below 8 the float64 power series keeps 12+
@@ -117,15 +116,3 @@ def bessel_j(order, x):
     if hi.any():
         out[hi] = _j_asymptotic(order, xv[hi])
     return float(out[0]) if scalar else out
-
-
-def laguerre_sum(x, y, n_terms):
-    """Partial sum over n < n_terms of y^n / n! * L_n(x).
-
-    Convergence oracle for the closed form J0(2 sqrt(x y)) e^y; not used on
-    any production path.
-    """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    coef = np.cumprod(np.concatenate(([1.0], y / np.arange(1.0, n_terms))))
-    return float(coef @ assoc_laguerre_seq(n_terms - 1, 0, x))

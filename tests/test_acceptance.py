@@ -38,8 +38,9 @@ from bellbound import (
 from bellbound.cli import _TRUNCATION_DEFAULTS, RunConfig, run
 from bellbound.fock import DensityMatrix, FockOperator
 from bellbound.quad import integrate_1d
-from bellbound.specfun import _j_asymptotic, _j_series, bessel_j, laguerre, \
-    laguerre_sum
+from bellbound.specfun import _j_asymptotic, _j_series, bessel_j, laguerre
+
+from oracles import laguerre_sum
 
 QM = 4.0 / math.sqrt(math.e) - 1.0
 # cross components of the sign-step kernel, frozen from an independent

@@ -29,7 +29,9 @@ def test_usage_errors_exit_one(capsys):
     assert "sigma-curve" in capsys.readouterr().err
     assert main(["chsh", "--truncation", "1"]) == 1
     assert main(["eigenvalues", "--truncation", "5", "--n-max", "10"]) == 1
+    capsys.readouterr()
     assert main(["eigenvalues", "--n-max", "25"]) == 1  # generating route cap
+    assert "n_max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -42,6 +44,7 @@ def test_usage_errors_exit_one(capsys):
         ("--r-max", "nan", "r_max"),
         ("--abs-tol", "nan", "abs_tol"),
         ("--seed", "-1", "seed"),
+        ("--sigma-max", "0.1", "sigma_max"),
     ],
 )
 def test_invalid_spec_values_exit_one(capsys, flag, value, field):

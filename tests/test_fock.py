@@ -10,6 +10,7 @@ from bellbound.fock import (
     CollapseError,
     DensityMatrix,
     FockOperator,
+    _displacement_entries,
     bell_pair_state,
     displacement,
     displacement_element,
@@ -94,6 +95,14 @@ def test_displacement_matches_exponential():
         ref = scipy.linalg.expm(a * ladder.conj().T - np.conj(a) * ladder)
         mine = displacement(a, dim).entries
         assert np.max(np.abs((ref - mine)[:corner, :corner])) < 1e-10
+
+
+def test_displacement_entries_batch_matches_scalar():
+    alphas = np.array([0.0, 0.3 + 0.2j, -1.1 + 0.7j, 2.5j, 3.0 - 1.0j])
+    batch = _displacement_entries(alphas, 40)
+    assert batch.shape == (alphas.size, 40, 40)
+    for a, entries in zip(alphas, batch):
+        assert np.max(np.abs(entries - displacement(a, 40).entries)) < 1e-15
 
 
 def test_displacement_protected_block_unitarity():
@@ -193,6 +202,10 @@ def test_density_matrix_validation():
         DensityMatrix(FockOperator(0.5 * np.eye(3)))
     with pytest.raises(ValueError):
         DensityMatrix(FockOperator(np.diag([1.5, -0.5]).astype(complex)))
+    padded = np.zeros((40, 40), dtype=complex)
+    padded[:2, :2] = np.diag([1.5, -0.5])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(FockOperator(padded))
     drift = np.diag([0.7, 0.3]).astype(complex) * (1 + 5e-7)
     rho = DensityMatrix(FockOperator(drift))
     assert abs(np.trace(rho.entries) - 1.0) < 1e-14

@@ -12,10 +12,11 @@ from bellbound.hvbound import (
     bell_report,
     bound_difference,
     chsh_decomposition,
-    commuting_joint_distribution,
     hv_bound,
     qm_mean,
 )
+
+from oracles import commuting_joint_distribution
 
 
 def random_density(dim, seed, modes=1):

@@ -183,7 +183,7 @@ def test_relative_profile():
 
 
 def test_bp_qm_mean_quadrature():
-    assert abs(bp_qm_mean(BipartiteCase()) - QM) < 1e-8
+    assert abs(bp_qm_mean(BipartiteCase()) - QM) < 1e-12
     lopsided = np.zeros(16)
     lopsided[0] = lopsided[1] = 1.0
     with pytest.raises(ValueError, match="phase symmetric"):

@@ -125,6 +125,16 @@ def test_radial_pair_angle_dependence():
     assert abs(relative.value - 1.0) < 1e-8
 
 
+def test_radial_pair_relative_route_jump_in_separation():
+    # a step in d lands on a panel edge of the inner radial axis
+    def f(r1, d):
+        return np.exp(-r1 * r1 - d * d) * (d < 1.0) / math.pi**2
+
+    spec = IntegrationSpec(split_points=(1.0,))
+    got = integrate_radial_pair(f, spec)
+    assert abs(got.value - (1 - math.exp(-36.0)) * (1 - math.exp(-1.0))) < 1e-12
+
+
 def test_radial_pair_counts_evaluations():
     # evaluations reports the values actually computed on either route
     for r2_max in (None, 0.5):

@@ -13,8 +13,9 @@ from bellbound.specfun import (
     assoc_laguerre_seq,
     bessel_j,
     laguerre,
-    laguerre_sum,
 )
+
+from oracles import laguerre_sum
 
 
 def laguerre_series_exact(n, a, x):
