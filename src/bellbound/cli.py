@@ -226,6 +226,8 @@ def _run_eigenvalues(cfg, spec):
 def _run_wigner(cfg, spec):
     if cfg.points < 2:
         raise ValueError("need at least two grid points per axis")
+    if not np.isfinite(2.0 * cfg.r_max):
+        raise ValueError(f"r_max {cfg.r_max} is too large for a finite grid")
     axis = np.linspace(-cfg.r_max, cfg.r_max, cfg.points)
     grid = axis[None, :] + 1j * axis[:, None]
     if cfg.state == "bell":

@@ -112,9 +112,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         entries = self.op.entries
-        residue = np.max(np.abs(entries - entries.conj().T))
-        if residue >= 1e-10:
-            raise ValueError(f"density matrix must be hermitian, residue {residue:.2e}")
+        # a flagged operator already passed FockOperator's stricter 1e-12 check
+        if not self.op.hermitian:
+            residue = np.max(np.abs(entries - entries.conj().T))
+            if residue >= 1e-10:
+                raise ValueError(
+                    f"density matrix must be hermitian, residue {residue:.2e}")
         tr = float(np.real(np.trace(entries)))
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"trace {tr} too far from 1 to renormalize")
@@ -260,10 +263,18 @@ def _pair_vector(dim):
 
 
 def bell_pair_state(dim):
-    """(|0>|1> - |1>|0>)/sqrt(2) as a two-mode density matrix."""
+    """(|0>|1> - |1>|0>)/sqrt(2) as a two-mode density matrix.
+
+    The projector's entries are written out as exactly +-1/2, so its trace
+    is exactly one: DensityMatrix keeps it as built, with no renormalized
+    copy to check for hermiticity a second time.
+    """
     if dim < 2:
         raise ValueError("need at least two levels per mode")
-    return DensityMatrix.from_state(_pair_vector(dim), modes=2)
+    entries = np.zeros((dim * dim, dim * dim), dtype=complex)
+    pair = np.ix_([1, dim], [1, dim])  # |0>|1> and |1>|0>, n2 fastest
+    entries[pair] = [[0.5, -0.5], [-0.5, 0.5]]
+    return DensityMatrix(FockOperator(entries, modes=2, hermitian=True))
 
 
 def trace_product(a, b):

@@ -13,6 +13,7 @@ Each engine takes one vectorized integrand shape:
 - mc_integrate: f(x) maps an (n, dims) array of points to n values.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -72,8 +73,20 @@ class QuadResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-_GL_COARSE = np.polynomial.legendre.leggauss(10)
-_GL_FINE = np.polynomial.legendre.leggauss(21)
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], solved once per n.
+
+    The arrays are read-only because every caller shares them.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+_GL_COARSE = _gauss_legendre(10)
+_GL_FINE = _gauss_legendre(21)
 _BUDGET_1D = 1_000_000
 
 
@@ -142,7 +155,7 @@ def _gl_segmented(a, b, n, splits):
     weights = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         share = max(8, int(round(n * (hi - lo) / (b - a))))
-        x, w = np.polynomial.legendre.leggauss(share)
+        x, w = _gauss_legendre(share)
         mid = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
         nodes.append(mid + h * x)

@@ -10,6 +10,24 @@ from bellbound.hvbound import qm_mean
 from bellbound.specfun import assoc_laguerre_seq
 
 
+def j_series(order, x, dtype):
+    """Power series of J0 or J1 summed in the given floating dtype.
+
+    Bessel oracle for the seams: in long double the series keeps float64
+    digits through x = 16, where cancellation ruins a float64 sum.
+    """
+    half = np.asarray(x, dtype=dtype) / 2
+    t = half * half
+    term = np.ones_like(t) if order == 0 else half.copy()
+    total = term.copy()
+    for k in range(1, 64):
+        term = term * (-t) / (k * (k + order))
+        total = total + term
+        if k % 8 == 0 and float(np.max(np.abs(term))) < 1e-25:
+            break
+    return np.asarray(total, dtype=np.float64)
+
+
 def laguerre_sum(x, y, n_terms):
     """Partial sum over n < n_terms of y^n / n! * L_n(x).
 

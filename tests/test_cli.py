@@ -132,6 +132,21 @@ def test_wigner_pair_slice(tmp_path):
     assert abs(doc["results"]["w_min"] + 1.0 / math.pi**2) < 1e-8
 
 
+def test_wigner_far_grid_stays_finite(tmp_path, capsys):
+    # W vanishes far out: a huge r_max gives exact zeros and no overflow;
+    # an r_max whose grid span itself overflows is refused by name
+    out = tmp_path / "far.json"
+    assert main(["wigner", "--r-max", "1e200", "--points", "3",
+                 "--out", str(out)]) == 0
+    res = read_doc(out)["results"]
+    assert abs(res["w_min"] + 1.0 / math.pi) < 1e-15  # first excited state at 0
+    assert res["w_max"] == 0.0
+    assert res["negative_points"] == 1
+    assert main(["wigner", "--r-max", "1e308", "--points", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "r_max" in err and "Traceback" not in err
+
+
 def test_sigma_curve_round_trip(tmp_path):
     args = ["sigma-curve", "--mc-samples", "100000", "--sigma-max", "0.3"]
     first = tmp_path / "a.json"

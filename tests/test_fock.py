@@ -11,6 +11,7 @@ from bellbound.fock import (
     DensityMatrix,
     FockOperator,
     _displacement_entries,
+    _pair_vector,
     bell_pair_state,
     displacement,
     displacement_element,
@@ -229,8 +230,10 @@ def test_tensor_layout():
 
 def test_bell_pair_state():
     rho = bell_pair_state(8)
-    assert rho.modes == 2 and rho.dim == 8
-    assert abs(np.trace(rho.entries) - 1.0) < 1e-14
+    assert rho.modes == 2 and rho.dim == 8 and rho.op.hermitian
+    assert np.trace(rho.entries) == 1.0  # nothing left to renormalize
+    vec = _pair_vector(8)
+    assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) < 1e-15
     purity = trace_product(rho.op, rho.op).real
     assert abs(purity - 1.0) < 1e-12
     # one excitation shared between the modes

@@ -36,3 +36,10 @@ def test_every_import_is_used_or_exported(path):
     exported = set(getattr(module, "__all__", ()))
     unused = imported_names(tree) - used_names(tree) - exported
     assert not unused, f"{path.name} imports unused names: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_long_double(path):
+    # results must not depend on the platform's long double, which is plain
+    # float64 on some platforms
+    assert "longdouble" not in path.read_text(), f"{path.name} uses long double"

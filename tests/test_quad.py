@@ -10,6 +10,7 @@ from bellbound.quad import (
     IntegrationSpec,
     QuadratureError,
     QuadResult,
+    _gauss_legendre,
     integrate_1d,
     integrate_radial_pair,
     mc_integrate,
@@ -17,6 +18,15 @@ from bellbound.quad import (
 from bellbound.specfun import bessel_j
 
 SPEC = IntegrationSpec()
+
+
+def test_gauss_legendre_rules_shared_and_read_only():
+    x, w = _gauss_legendre(96)
+    assert _gauss_legendre(96)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(96)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def test_spec_validation():

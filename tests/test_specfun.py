@@ -1,21 +1,28 @@
 """Special-function checks against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import scipy.special
 
+import bellbound
 from bellbound.specfun import (
     _j_asymptotic,
-    _j_series,
     assoc_laguerre,
     assoc_laguerre_seq,
     bessel_j,
     laguerre,
 )
 
-from oracles import laguerre_sum
+from oracles import j_series, laguerre_sum
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def laguerre_series_exact(n, a, x):
@@ -100,6 +107,9 @@ def test_scipy_cross_check_laguerre():
 def test_bessel_trivial_values():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(1, 0.0) == 0.0
+    got = bessel_j(0, np.array([[0.0, 3.0], [20.0, 0.0]]))
+    assert got.shape == (2, 2) and got[0, 0] == 1.0 and got[1, 1] == 1.0
+    assert bessel_j(1, np.array([0.0, 20.0]))[0] == 0.0
 
 
 def test_bessel_rejects_bad_input():
@@ -155,12 +165,39 @@ def test_bessel_against_scipy():
 
 def test_bessel_seam_continuity():
     for order in (0, 1):
-        lo = _j_series(order, np.array([8.0]), np.float64)[0]
-        hi = _j_series(order, np.array([8.0]), np.longdouble)[0]
+        lo = j_series(order, np.array([8.0]), np.float64)[0]
+        hi = j_series(order, np.array([8.0]), np.longdouble)[0]
         assert abs(lo - hi) < 1e-10
-        lo = _j_series(order, np.array([16.0]), np.longdouble)[0]
+        lo = j_series(order, np.array([16.0]), np.longdouble)[0]
         hi = _j_asymptotic(order, np.array([16.0]))[0]
         assert abs(lo - hi) < 1e-10
+
+
+def test_bessel_against_mpmath():
+    x = np.concatenate(
+        [np.linspace(0.0, 40.0, 4001), [8.0, 16.0, np.nextafter(16.0, 0.0)]]
+    )
+    with mpmath.workdps(30):
+        for order in (0, 1):
+            want = np.array([float(mpmath.besselj(order, v)) for v in x])
+            assert np.max(np.abs(bessel_j(order, x) - want)) <= 2e-14
+
+
+def test_bessel_shipped_seam():
+    below = np.nextafter(16.0, 0.0)
+    for order in (0, 1):
+        assert abs(bessel_j(order, below) - bessel_j(order, 16.0)) <= 5e-14
+
+
+def test_frozen_chebyshev_coefficients_rederive():
+    src = str(Path(bellbound.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bessel_chebyshev.py"), "--check"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_bessel_derivative_relation():
