@@ -11,6 +11,7 @@ is dimensionless.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,14 @@ class FockOperator:
         side = self.entries.shape[0]
         return side if self.modes == 1 else math.isqrt(side)
 
+    @cached_property
+    def support(self):
+        """Basis indices of the rows and columns that hold a nonzero entry."""
+        nonzero = self.entries != 0
+        live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        live.setflags(write=False)
+        return live
+
     def dagger(self):
         return FockOperator(self.entries.conj().T, self.modes, self.hermitian)
 
@@ -125,9 +134,8 @@ class DensityMatrix:
             op = FockOperator(entries / tr, self.op.modes, hermitian=True)
             object.__setattr__(self, "op", op)
         # the spectrum is that of the occupied block plus zeros
-        ent = self.op.entries
-        live = np.flatnonzero(np.any(ent != 0, axis=0) | np.any(ent != 0, axis=1))
-        lowest = float(np.min(np.linalg.eigvalsh(ent[np.ix_(live, live)])))
+        live = self.op.support
+        lowest = float(np.min(np.linalg.eigvalsh(self.op.entries[np.ix_(live, live)])))
         if lowest < -1e-10:
             raise ValueError(f"negative eigenvalue {lowest:.2e}")
 
@@ -220,6 +228,8 @@ def quantizer(alpha, dim):
 
     pi times this operator is the parity reflected about alpha, a unitary
     involution; the 1/pi prefactor makes it the kernel of the symbol maps.
+    This is the truncated product, which drops the levels >= dim inside
+    D Pi D^dagger; weyl.symbol_of uses the exact elements instead.
     """
     d = displacement(alpha, dim).entries
     signs = (-1.0) ** np.arange(dim)

@@ -670,24 +670,15 @@ def sigma_curve(case, mode="full"):
     return SigmaCurve(pts, values, errors)
 
 
-def _reduced_pair_quad(spec, t_hi):
-    """int_0^rmax ds int_0^thi dt 4 s t (2 t^2 - 1) exp(-(s^2 + t^2))."""
+def _reduced_pair_integral(t_hi):
+    """int_0^inf ds int_0^thi dt 4 s t (2 t^2 - 1) exp(-(s^2 + t^2)), exactly.
 
-    def outer(svals):
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        out = np.empty_like(svals)
-        for i, s in enumerate(svals):
-            inner = integrate_1d(
-                lambda t: 4.0 * s * t * (2.0 * t * t - 1.0) * np.exp(-(s * s + t * t)),
-                0.0,
-                t_hi,
-                spec,
-            )
-            out[i] = inner.value
-        return out
-
-    res = integrate_1d(outer, 0.0, spec.r_max, spec)
-    return res.value, res.error_estimate + spec.abs_tol * spec.r_max
+    The integrand factors: the s integral is 1 and the t integral is
+    1 - (2 T^2 + 1) e^{-T^2}, whose second term is exactly 0 in float64 well
+    before T^2 = 1000 (and at T = inf).
+    """
+    x = t_hi * t_hi
+    return 1.0 if x > 1e3 else 1.0 - (2.0 * x + 1.0) * math.exp(-x)
 
 
 def bp_hv_bound(case, curve=None):
@@ -699,12 +690,12 @@ def bp_hv_bound(case, curve=None):
 
     where disc means the factor is replaced by the indicator of separations
     inside the jump radius and sign keeps the full signed profile. The
-    first two reduce to the closed kernel 4 s t (2t^2 - 1) exp(-(s^2+t^2))
-    and go by nested quadrature (unit_unit integrates to 1 exactly, kept as
-    a consistency component); only sign_disc needs the six-dimensional
-    Monte Carlo, integrated over a SigmaCurve (computed here unless one is
-    passed in). The curve's fitted tail beyond the grid enters the error
-    budget, never the value.
+    first two reduce to the closed kernel 4 s t (2t^2 - 1) exp(-(s^2+t^2)),
+    which integrates in closed form over the plane with no error
+    (unit_unit is exactly 1, kept as a consistency component); only
+    sign_disc needs the six-dimensional Monte Carlo, integrated over a
+    SigmaCurve (computed here unless one is passed in). The curve's fitted
+    tail beyond the grid enters the error budget, never the value.
 
     The quantum mean in the report comes from the first eigenvalue of the
     relative-mode profile; bp_qm_mean is the quadrature cross-check.
@@ -714,17 +705,17 @@ def bp_hv_bound(case, curve=None):
     spec = case.spec
     comps = {}
     errs = {}
-    i11, e11 = _reduced_pair_quad(spec, spec.r_max)
+    i11 = _reduced_pair_integral(math.inf)
     comps["unit_unit"] = i11
-    errs["unit_unit"] = e11
+    errs["unit_unit"] = 0.0
     tail = 0.0
     if r0 is None:
         total = i11
-        err = e11
+        err = 0.0
     else:
-        idu, edu = _reduced_pair_quad(spec, r0)
+        idu = _reduced_pair_integral(r0)
         comps["disc_unit"] = idu
-        errs["disc_unit"] = edu
+        errs["disc_unit"] = 0.0
         if curve is None:
             curve = sigma_curve(case)
         elif curve.points[0] != 0.0 or abs(
@@ -739,7 +730,7 @@ def bp_hv_bound(case, curve=None):
         comps["sign_disc"] = isd
         errs["sign_disc"] = esd + tail
         total = i11 - 2.0 * idu - 2.0 * isd
-        err = e11 + 2.0 * edu + 2.0 * (esd + tail)
+        err = 2.0 * (esd + tail)
     qm = float(quantize_radial(_relative_profile(case.symbol), 2, spec).eigenvalues[1])
     return BellReport(
         label="bipartite",

@@ -6,6 +6,10 @@ A = integral d^2x Smb(x) Delta(x) over d^2x = dq dp = 2 d^2alpha. Wigner
 functions are symbols of density matrices over 2 pi, normalized so that
 integral W d^2x = 1.
 
+Symbols use Royer's identity Delta(alpha) = D(alpha) Pi D(alpha)^dagger / pi
+= D(2 alpha) Pi / pi, whose elements <m|D(2 alpha)|n> have a closed form, so
+the trace is exact on the block of levels the operator occupies.
+
 A rotation-invariant symbol quantizes to an operator diagonal in the number
 basis; its eigenvalues are Laguerre transforms of the radial profile and, for
 the sign-step profile, coefficients of an explicit generating function.
@@ -17,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fock import FockOperator, quantizer, trace_product
+from .fock import FockOperator, _displacement_entries
 from .quad import IntegrationSpec, integrate_1d
 from .specfun import laguerre
 
@@ -74,61 +78,49 @@ def sign_step(r0=0.5):
                         f"sign step at {r0}", (r0,), 1.0, r0)
 
 
-def _delta_rows(pts):
-    """<m|Delta(alpha)|n> for m, n <= 1 in closed form, shape pts + (2, 2)."""
-    # e^{-2|alpha|^2} is exactly 0 from |alpha| = 20 on, so capping the
-    # modulus at 30 changes no value; it keeps |alpha|^2 finite, and 0 times
-    # (4x - 1) out of NaN, at any finite point
-    x = np.minimum(np.abs(pts), 30.0) ** 2
-    g = np.exp(-2 * x) / math.pi
-    d = np.empty(pts.shape + (2, 2), dtype=complex)
-    d[..., 0, 0] = g
-    d[..., 1, 1] = g * (4 * x - 1)
-    d[..., 1, 0] = 2 * g * pts
-    d[..., 0, 1] = 2 * g * np.conj(pts)
-    return d
+# entries of the k x k displacement blocks built per pass of the symbol map
+# (256 kB of complex values), so memory stays flat in the point count and k;
+# larger passes speed up high k but raise the peak heap of k = 2 grids
+_SYMBOL_BLOCK = 1 << 14
 
 
-def _support_within_two(entries, modes, dim):
-    if modes == 1:
-        return bool(np.max(np.abs(entries[2:, :]), initial=0) < 1e-13
-                    and np.max(np.abs(entries[:, 2:]), initial=0) < 1e-13)
-    r4 = np.abs(entries.reshape(dim, dim, dim, dim))
-    for axis in range(4):
-        sl = [slice(None)] * 4
-        sl[axis] = slice(2, None)
-        if r4[tuple(sl)].size and r4[tuple(sl)].max() > 1e-13:
-            return False
-    return True
-
-
-def _symbol_values(op, flat_points):
-    dim = op.dim
+def _symbol_values(op, points):
+    """Smb[op] at points of shape (n, modes)."""
+    # k: every nonzero entry lies in levels 0..k-1 of each mode
+    levels = op.support if op.modes == 1 else np.divmod(op.support, op.dim)
+    k = 1 + int(np.max(levels, initial=0))
+    # tr(A Delta) = tr(Pi A D(2 alpha)) / pi per mode: parity signs on the
+    # operator's row levels, and 2 pi / pi leaves a factor 2 per mode
+    parity = 2.0 * (-1.0) ** np.arange(k)
+    rho = op.entries.reshape((op.dim,) * 2 * op.modes)[(slice(k),) * 2 * op.modes]
     if op.modes == 1:
-        if _support_within_two(op.entries, 1, dim):
-            rho = op.entries[:2, :2]
-            return 2 * math.pi * np.einsum("nm,pmn->p", rho, _delta_rows(flat_points))
-        vals = np.empty(flat_points.shape, dtype=complex)
-        for i, a in enumerate(flat_points):
-            vals[i] = 2 * math.pi * trace_product(op, quantizer(complex(a), dim))
-        return vals
-    pref = (2 * math.pi) ** 2
-    if _support_within_two(op.entries, 2, dim):
-        rho4 = op.entries.reshape(dim, dim, dim, dim)[:2, :2, :2, :2]
-        d1 = _delta_rows(flat_points[:, 0])
-        d2 = _delta_rows(flat_points[:, 1])
-        return pref * np.einsum("abcd,pca,pdb->p", rho4, d1, d2)
-    rho4 = op.entries.reshape(dim, dim, dim, dim)
-    vals = np.empty(flat_points.shape[0], dtype=complex)
-    for i, (a1, a2) in enumerate(flat_points):
-        q1 = quantizer(complex(a1), dim).entries
-        q2 = quantizer(complex(a2), dim).entries
-        vals[i] = pref * np.einsum("abcd,ca,db->", rho4, q1, q2)
+        rho, subscripts = parity[:, None] * rho, "nm,pmn->p"
+    else:
+        rho = np.multiply.outer(parity, parity)[:, :, None, None] * rho
+        subscripts = "abcd,pca,pdb->p"
+    vals = np.empty(len(points), dtype=complex)
+    step = max(1, _SYMBOL_BLOCK // (k * k))
+    for lo in range(0, len(points), step):
+        pts = points[lo : lo + step]
+        # every entry is exactly 0 in float64 once |alpha| passes 30 (for k up
+        # to about 300), so pulling a point in along its ray to a coordinate
+        # of 30 changes no value and keeps every factor finite (for k < 150)
+        big = np.maximum(np.abs(pts.real), np.abs(pts.imag))
+        pts = np.where(big > 30.0, pts * (30.0 / np.maximum(big, 30.0)), pts)
+        blocks = np.moveaxis(_displacement_entries(2 * pts, k), 1, 0)
+        # two modes need a pairwise path; one mode is fastest unoptimized
+        vals[lo : lo + step] = np.einsum(subscripts, rho, *blocks,
+                                         optimize=op.modes == 2)
     return vals
 
 
 def symbol_of(op, alpha):
     """Smb[A] at one phase point or an array of them.
+
+    With k the occupied prefix (every nonzero entry of A lies in levels
+    0..k-1 of each mode) the symbol is 2 sum_{m,n<k} A_nm (-1)^n
+    <m|D(2 alpha)|n> per mode, from Delta(alpha) = D(2 alpha) Pi / pi: exact
+    on that block, with no truncated quantizer in between.
 
     Two-mode operators take points with a trailing axis of length 2. Hermitian
     operators give a real symbol; a residual imaginary part above 1e-9
@@ -139,10 +131,9 @@ def symbol_of(op, alpha):
         if pts.ndim == 0 or pts.shape[-1] != 2:
             raise ValueError("two-mode symbols take points with a trailing pair axis")
         out_shape = pts.shape[:-1]
-        vals = _symbol_values(op, pts.reshape(-1, 2))
     else:
         out_shape = pts.shape
-        vals = _symbol_values(op, np.atleast_1d(pts).ravel())
+    vals = _symbol_values(op, pts.reshape(-1, op.modes))
     if op.hermitian:
         scale = max(1.0, float(np.max(np.abs(vals.real), initial=0.0)))
         if np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * scale:

@@ -1,6 +1,8 @@
 """Symbol maps, Wigner functions and radial quantization."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -48,11 +50,20 @@ def test_symbol_of_number_states():
     pts = (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)) * 1.05
     from bellbound.specfun import laguerre
 
+    x = np.abs(pts) ** 2
     for n in (0, 1, 3, 5):
-        got = symbol_of(number_projector(n, 64), pts)
-        x = np.abs(pts) ** 2
         want = 2.0 * (-1.0) ** n * np.exp(-2 * x) * laguerre(n, 4 * x)
-        assert np.max(np.abs(got - want)) < 1e-9
+        # the truncation right at the level is as exact as a deep one
+        for dim in (n + 1, n + 2, 64):
+            got = symbol_of(number_projector(n, dim), pts)
+            assert np.max(np.abs(got - want)) < 1e-12, (n, dim)
+    # far points give exact zeros, with no overflow on the way
+    far = np.array([1e200, 25.0, 1e5j])
+    for n in (0, 3, 63):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = symbol_of(number_projector(n, 64), far)
+        assert np.array_equal(got, np.zeros(3)), n
     # scalar input comes back as a scalar
     assert np.isscalar(symbol_of(number_projector(0, 16), 0.3 + 0.1j))
 
@@ -116,20 +127,39 @@ def test_wigner_bell_pair():
 
 
 def test_two_mode_general_route_agrees():
-    # force the per-point quantizer fallback with support above level 1
+    # support above level 1: compare against the occupied 3x3 block of a
+    # quantizer truncated deep enough to be faithful there (a dim-6 one is
+    # not: dropping levels >= 6 inside D Pi D^dagger moves pi times that
+    # block by up to 9e-2 at these points)
     dim = 6
     vec = np.zeros(dim * dim, dtype=complex)
     vec[0 * dim + 2] = 1.0
     vec[2 * dim + 0] = -1.0
     rho = DensityMatrix.from_state(vec, modes=2)
-    pts = np.array([[0.3 + 0.2j, -0.1j], [0.0j, 0.5 + 0.4j]])
+    pts = np.array([[0.3 + 0.2j, -0.1j], [0.0j, 0.5 + 0.4j], [1.1 - 0.3j, 0.7j]])
     vals = symbol_of(rho.op, pts)
+    rho4 = rho.entries.reshape(dim, dim, dim, dim)[:3, :3, :3, :3]
     for (a1, a2), got in zip(pts, vals):
-        q1 = quantizer(a1, dim).entries
-        q2 = quantizer(a2, dim).entries
-        rho4 = rho.entries.reshape(dim, dim, dim, dim)
+        q1 = quantizer(a1, 40).entries[:3, :3]
+        q2 = quantizer(a2, 40).entries[:3, :3]
         want = (2 * math.pi) ** 2 * np.einsum("abcd,ca,db->", rho4, q1, q2)
         assert abs(got - want.real) < 1e-12
+
+
+def test_symbol_memory_is_bounded():
+    # the displacement blocks are built a bounded number of points at a time;
+    # all 4,000 32x32 blocks at once would take 65 MB for the entries alone
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    op = FockOperator(a + a.conj().T, hermitian=True)
+    pts = rng.uniform(-2, 2, 4000) + 1j * rng.uniform(-2, 2, 4000)
+    tracemalloc.start()
+    try:
+        symbol_of(op, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_quantize_radial_unit():
@@ -163,12 +193,13 @@ def test_quantize_radial_gaussian():
 
 
 def test_gaussian_round_trip():
-    # quantize then take the symbol back: e^{-r^2} maps to itself
+    # quantize then take the symbol back: e^{-r^2} maps to itself, out to
+    # radii where a trace against the truncated quantizer loses 6e-9
     sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian")
     op = quantize_radial(sym, 48).operator()
-    radii = np.array([0.0, 0.4, 0.9, 1.5, 2.0])
+    radii = np.array([0.0, 0.4, 0.9, 1.5, 2.0, 2.5, 3.0])
     got = symbol_of(op, radii.astype(complex))
-    assert np.max(np.abs(got - np.exp(-(radii**2)))) < 1e-6
+    assert np.max(np.abs(got - np.exp(-(radii**2)))) < 1e-12
 
 
 def test_generating_function_route():
