@@ -2,10 +2,10 @@
 
 Every run writes one result document. JSON documents carry the command,
 the requested quantities, the component breakdown, error estimates, the
-full configuration echo (seed included) and the wall-clock time, so a run
-can be repeated bit for bit from its own output; only timing_seconds
-varies between repeats. CSV is available for the two grid-valued
-commands (wigner, sigma-curve) and holds the grid alone.
+full configuration echo and the wall-clock time, so a run can be repeated
+bit for bit from its own output; only timing_seconds varies between
+repeats. CSV is available for the two grid-valued commands (wigner,
+sigma-curve) and holds the grid alone.
 
 Exit codes: 0 success, 1 usage error, 2 quadrature failure.
 """
@@ -55,8 +55,6 @@ class RunConfig:
     truncation: int
     r_max: float
     abs_tol: float
-    mc_samples: int
-    seed: int
     sigma_step: float
     sigma_max: float
     n_max: int
@@ -83,10 +81,6 @@ def build_parser():
                              "for wigner (default 6)")
     common.add_argument("--abs-tol", type=float, default=1e-9,
                         help="absolute quadrature tolerance (default 1e-9)")
-    common.add_argument("--mc-samples", type=int, default=2_000_000,
-                        help="Monte Carlo samples per curve point (default 2000000)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="Monte Carlo seed (default 42)")
     common.add_argument("--sigma-step", type=float, default=0.05,
                         help="separation grid spacing (default 0.05)")
     common.add_argument("--sigma-max", type=float, default=2.7,
@@ -136,8 +130,6 @@ def _resolve_config(args):
         truncation=truncation,
         r_max=args.r_max,
         abs_tol=args.abs_tol,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
         sigma_step=args.sigma_step,
         sigma_max=args.sigma_max,
         n_max=args.n_max,
@@ -150,7 +142,6 @@ def _resolve_config(args):
 
 def _integration_spec(cfg: RunConfig) -> IntegrationSpec:
     return IntegrationSpec(r_max=cfg.r_max, abs_tol=cfg.abs_tol,
-                           mc_samples=cfg.mc_samples, seed=cfg.seed,
                            sigma_step=cfg.sigma_step, sigma_max=cfg.sigma_max)
 
 

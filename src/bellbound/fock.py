@@ -60,12 +60,15 @@ class FockOperator:
             side = entries.shape[0]
             if math.isqrt(side) ** 2 != side:
                 raise ValueError("two-mode entries must have square-number size")
-        if self.hermitian:
-            residue = np.max(np.abs(entries - entries.conj().T))
-            if residue >= 1e-12:
-                raise ValueError(f"hermitian flag set but residue {residue:.2e}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        if self.hermitian:
+            # every row and column outside the support is zero, so the
+            # support block holds the whole residue
+            block = entries[np.ix_(self.support, self.support)]
+            residue = np.max(np.abs(block - block.conj().T), initial=0.0)
+            if residue >= 1e-12:
+                raise ValueError(f"hermitian flag set but residue {residue:.2e}")
 
     @property
     def dim(self):

@@ -23,7 +23,6 @@ from .quad import (
     _gl_segmented,
     integrate_1d,
     integrate_radial_pair,
-    mc_integrate,
 )
 from .specfun import assoc_laguerre, assoc_laguerre_seq, bessel_j
 from .weyl import RadialSymbol, quantize_radial, sign_step, wigner
@@ -113,7 +112,7 @@ class BipartiteCase:
 
 @dataclass(frozen=True)
 class SigmaCurve:
-    """f(|sigma|) sampled on a uniform grid, with per-point MC errors."""
+    """f(|sigma|) sampled on a uniform grid, with per-point quadrature errors."""
 
     points: np.ndarray
     values: np.ndarray
@@ -142,11 +141,11 @@ class SigmaCurve:
     def integral(self):
         """(value, error, tail): trapezoid over the grid plus an error budget.
 
-        The error combines propagated per-point MC errors with a
-        step-halving estimate of the discretization error. The tail is the
-        mass of an exponential fitted to the last five points; it stands in
-        for everything beyond the grid and is reported as uncertainty, not
-        added to the value.
+        The error combines the propagated per-point errors with a
+        step-halving estimate of the trapezoid's discretization error. The
+        tail is the mass of an exponential fitted to the last five points;
+        it stands in for everything beyond the grid and is reported as
+        uncertainty, not added to the value.
         """
         pts, vals, errs = self.points, self.values, self.errors
         value = float(np.trapezoid(vals, pts))
@@ -156,7 +155,7 @@ class SigmaCurve:
         w[0] = 0.5 * (pts[1] - pts[0])
         w[-1] = 0.5 * (pts[-1] - pts[-2])
         w[1:-1] = 0.5 * (pts[2:] - pts[:-2])
-        mc = float(math.sqrt(np.sum((w * errs) ** 2)))
+        point = float(math.sqrt(np.sum((w * errs) ** 2)))
         tv = vals[-5:]
         if np.all(tv > 0):
             slope = float(np.polyfit(pts[-5:], np.log(tv), 1)[0])
@@ -165,11 +164,11 @@ class SigmaCurve:
             else:
                 tail = float(np.max(tv) * 2.0)
         else:
-            # sign changes mean the tail level is set by noise or a slow
-            # negative approach to zero; per-point data cannot resolve the
-            # decay, so assume two units of decay length
+            # a sign change or a slow negative approach to zero: the last
+            # points cannot resolve the decay, so assume two units of decay
+            # length
             tail = float(np.max(np.abs(tv)) * 2.0)
-        return value, mc + disc, tail
+        return value, point + disc, tail
 
 
 def _step_radius(symbol):
@@ -553,89 +552,110 @@ def bp_qm_mean(case):
     return integrate_radial_pair(f, case.spec).value
 
 
-def _sigma_integrand(s, j, symbol, mode, x):
-    """Reduced six-dimensional integrand at center modulus s.
+# (n_d, n_g, n_psi, n_theta) per node level of the sigma curve: the
+# separation modulus, the two displacement moduli, the relative
+# displacement angle and the separation angle. The kinks of the arc table
+# make the convergence algebraic and uneven, so the coarse level, which
+# only serves the error estimate, halves every count: its difference to
+# the fine level then bounds the fine level's own error with room to spare.
+_SIGMA_LEVELS = ((64, 32, 48, 8), (128, 64, 96, 12))
+# displacement moduli run to where exp(-2 g^2) falls below 1e-17
+_SIGMA_G_MAX = 4.5
+# grids longer than this are refused instead of left running
+_SIGMA_MAX_POINTS = 10_000
 
-    Columns of x: separation modulus d and its angle, two uniforms u_i that
-    substitute the displacement moduli through g_i = sqrt(-ln u_i / 2)
-    (g exp(-2 g^2) dg = du / 4 exactly, the 1/16 stays in the prefactor),
-    and the two displacement angles. mode picks the pair of symbol factors:
-    "full" keeps the signed profile against the collapse-displaced
-    indicator, the validation modes "disc_unit" and "unit_unit" replace
-    them by closed-form pairs.
+
+def _arc_table(dn, gn, j, n_psi):
+    """A(d, g1, g2): chance that |d + g1 e^{i phi1} - g2 e^{i phi2}| < j.
+
+    Both displacement angles are uniform. At fixed phi2 the phi1 average is
+    the arc fraction 1 - arccos(kappa)/pi in closed form; a midpoint rule in
+    phi2 on (0, pi) does the rest, since the chance is even in phi2. Built
+    one separation node at a time, so the (g2, g1, psi) block stays small.
+    Indexed [d, g2, g1].
     """
-    d = x[:, 0]
-    e = d * np.exp(1j * x[:, 1])
-    u1 = np.maximum(x[:, 2], 1e-12)
-    u2 = np.maximum(x[:, 3], 1e-12)
-    g1 = np.sqrt(-np.log(u1) / 2.0)
-    g2 = np.sqrt(-np.log(u2) / 2.0)
-    a1 = 0.5 * np.abs(s + e)
-    a2 = 0.5 * np.abs(s - e)
-    y1 = 4.0 * a1 * g1
-    y2 = 4.0 * a2 * g2
-    term = (1.0 - 2.0 * g1 * g1 - 2.0 * g2 * g2) * bessel_j(0, y1) * bessel_j(0, y2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rat1 = np.where(y1 > 1e-6, bessel_j(1, y1) / y1, 0.5 - y1 * y1 / 16.0)
-        rat2 = np.where(y2 > 1e-6, bessel_j(1, y2) / y2, 0.5 - y2 * y2 / 16.0)
-    cross = 16.0 * g1 * g1 * g2 * g2 * (s * s - d * d) * rat1 * rat2
-    kern = term - cross
-    if mode == "full":
-        first = symbol(d)
-        w = e + g1 * np.exp(1j * x[:, 4]) - g2 * np.exp(1j * x[:, 5])
-        keep = (np.abs(w) < j).astype(float)
-    elif mode == "disc_unit":
-        first = (d < j).astype(float)
-        keep = 1.0
-    else:  # unit_unit
-        first = 1.0
-        keep = 1.0
-    return d * kern * first * keep
+    psi = (np.arange(n_psi) + 0.5) * (math.pi / n_psi)
+    g2 = gn[:, None, None]
+    g1 = gn[None, :, None]
+    out = np.empty((dn.size, gn.size, gn.size))
+    for k, d in enumerate(dn):
+        c2 = d * d + g2 * g2 - 2.0 * d * g2 * np.cos(psi)
+        kappa = (j * j - c2 - g1 * g1) / (2.0 * np.sqrt(c2) * g1)
+        np.clip(kappa, -1.0, 1.0, out=kappa)
+        out[k] = 1.0 - np.arccos(kappa).mean(axis=-1) / math.pi
+    return out
 
 
-_SIGMA_STRATA = 12
+def _sigma_level(case, j, mode, pts, level):
+    """f at every grid point from one node level of the factored route.
 
+    Rotating all three displacements by -arg(e) leaves the indicator alone,
+    so its average over the two displacement angles is A(d, g1, g2) and the
+    kernel's separation-angle average splits off:
 
-def _sigma_point(case, j, s, index, mode):
-    if s == 0.0:
-        return 0.0, 0.0
+        f(s) = 4 s int dd d B(d) int dg1 dg2 m(g1) m(g2) A(d, g1, g2)
+               <kern(s, d, theta, g1, g2)>_theta,  m(g) = 4 g exp(-2 g^2).
+
+    For fixed (s, d, theta) the (g1, g2) double sum is three bilinear forms
+    u^T A_d v, done for all (d, theta) by one batched matmul. mode picks B
+    and A: the signed profile against the arc table ("full"), or A = 1
+    with B = 1{d < j} ("disc_unit") or B = 1 ("unit_unit").
+    """
+    n_d, n_g, n_psi, n_theta = level
     spec = case.spec
-    two_pi = 2.0 * math.pi
-    bounds = [
-        (0.0, spec.r_max),
-        (0.0, two_pi),
-        (0.0, 1.0),
-        (0.0, 1.0),
-        (0.0, two_pi),
-        (0.0, two_pi),
-    ]
-    res = mc_integrate(
-        lambda x: _sigma_integrand(s, j, case.symbol, mode, x),
-        6,
-        bounds,
-        spec,
-        strata=_SIGMA_STRATA,
-        stream_key=(index,),
-    )
-    scale = (8.0 / math.pi**3) * s / 16.0
-    return scale * res.value, scale * res.error_estimate
+    dn, dw = _gl_segmented(0.0, spec.r_max, n_d, spec.split_points)
+    gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
+    g_sq = gn * gn
+    m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
+    if mode == "full":
+        profile = case.symbol(dn)
+        arc = _arc_table(dn, gn, j, n_psi)
+    else:
+        profile = (dn < j).astype(float) if mode == "disc_unit" else np.ones(n_d)
+        arc = np.ones((1, n_g, n_g))
+    wd = dw * dn * profile
+    cos_t = np.cos((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
+    d = dn[:, None, None]
+    values = np.zeros(pts.size)
+    for i, s in enumerate(pts):
+        if s == 0.0:
+            continue
+        # y = 4 a1 g with a1 = |s + d e^{i theta}| / 2; the second slot's
+        # a2(theta) = a1(pi - theta) is the first slot reversed along theta
+        y = 2.0 * np.sqrt(s * s + d * d + 2.0 * s * d * cos_t[:, None]) * gn
+        j0 = bessel_j(0, y) * m
+        rat = bessel_j(1, y) / y * (g_sq * m)
+        rev0 = j0[:, ::-1]
+        rhs = np.concatenate((rev0, 2.0 * g_sq * rev0, rat[:, ::-1]), axis=1)
+        lhs0, lhs1, lhs2 = np.split(np.matmul(rhs, arc), 3, axis=1)
+        kern = (
+            np.sum(((1.0 - 2.0 * g_sq) * lhs0 - lhs1) * j0, axis=-1)
+            - 16.0 * (s * s - dn[:, None] ** 2) * np.sum(lhs2 * rat, axis=-1)
+        )
+        values[i] = 4.0 * s / n_theta * float(wd @ kern.sum(axis=1))
+    return values
 
 
 def sigma_curve(case, mode="full"):
-    """The reduced integrand f(|sigma|) on the uniform grid, by Monte Carlo.
+    """The reduced integrand f(|sigma|) on the uniform grid, by quadrature.
 
-    One stratified six-dimensional MC integral per grid point, streams
-    keyed by the grid index so the curve is reproducible bit for bit for a
-    given IntegrationSpec. f(0) vanishes with the phase-space measure and
-    is set exactly.
+    Every grid point comes from the factored route of _sigma_level at the
+    two node levels of _SIGMA_LEVELS; the finer one gives the value. The
+    level difference at a single point can pass through zero where the two
+    levels' errors cross, so every point carries the largest difference
+    over the curve as its error. f(0) vanishes with the phase-space measure
+    and is set exactly. The result is deterministic and has no knob beyond
+    the IntegrationSpec's r_max, split points and grid.
 
     mode is a validation hook: "disc_unit" and "unit_unit" replace the two
     symbol factors by pairs whose curve is known in closed form
     (4 C s exp(-s^2) with C the inner-disc moment, and 2 s exp(-s^2)).
 
-    Raises QuadratureError when any point's MC error passes 15 percent of
-    the larger of the point itself and a fifth of the curve maximum (the
-    floor keeps near-zero points from tripping the relative test).
+    Raises ValueError for grids of fewer than six or more than
+    _SIGMA_MAX_POINTS points, and QuadratureError when any point's error
+    passes 15 percent of the larger of the point itself and a fifth of the
+    curve maximum (the floor keeps near-zero points from tripping the
+    relative test).
     """
     _pair_state_checked(case)
     if mode not in ("full", "disc_unit", "unit_unit"):
@@ -646,26 +666,24 @@ def sigma_curve(case, mode="full"):
         if j is None:
             raise ValueError("sigma reduction needs the sign-step profile")
     spec = case.spec
-    n = int(math.floor(spec.sigma_max / spec.sigma_step + 1e-9))
-    pts = spec.sigma_step * np.arange(n + 1)
-    if pts.size < 6:
+    ratio = spec.sigma_max / spec.sigma_step
+    size = math.floor(min(ratio, _SIGMA_MAX_POINTS) + 1e-9) + 1
+    if not 6 <= size <= _SIGMA_MAX_POINTS:
         raise ValueError(
-            f"sigma_max {spec.sigma_max} and sigma_step {spec.sigma_step} give "
-            f"{pts.size} grid points; need at least six"
+            f"sigma_max {spec.sigma_max} / sigma_step {spec.sigma_step} = "
+            f"{ratio:.4g} steps; the grid needs six to {_SIGMA_MAX_POINTS} points"
         )
-    values = np.empty(pts.size)
-    errors = np.empty(pts.size)
-    for i, s in enumerate(pts):
-        values[i], errors[i] = _sigma_point(case, j, float(s), i, mode)
+    pts = spec.sigma_step * np.arange(size)
+    coarse, values = (_sigma_level(case, j, mode, pts, lev) for lev in _SIGMA_LEVELS)
+    errors = np.where(pts > 0.0, np.max(np.abs(values - coarse)), 0.0)
     floor = 0.2 * float(np.max(np.abs(values)))
     scale = np.maximum(np.abs(values), floor)
     bad = np.nonzero(errors > 0.15 * scale)[0]
     if bad.size:
         worst = int(bad[np.argmax(errors[bad] / scale[bad])])
         raise QuadratureError(
-            f"MC error at sigma = {pts[worst]:.2f} is "
-            f"{errors[worst]:.2e} against f = {values[worst]:.2e}; "
-            "raise mc_samples"
+            f"quadrature error at sigma = {pts[worst]:.2f} is "
+            f"{errors[worst]:.2e} against f = {values[worst]:.2e}"
         )
     return SigmaCurve(pts, values, errors)
 
@@ -693,9 +711,10 @@ def bp_hv_bound(case, curve=None):
     first two reduce to the closed kernel 4 s t (2t^2 - 1) exp(-(s^2+t^2)),
     which integrates in closed form over the plane with no error
     (unit_unit is exactly 1, kept as a consistency component); only
-    sign_disc needs the six-dimensional Monte Carlo, integrated over a
-    SigmaCurve (computed here unless one is passed in). The curve's fitted
-    tail beyond the grid enters the error budget, never the value.
+    sign_disc has no closed form. It is the trapezoid integral of a
+    SigmaCurve (computed here by the deterministic factored quadrature of
+    sigma_curve unless one is passed in). The curve's fitted tail beyond
+    the grid enters the error budget, never the value.
 
     The quantum mean in the report comes from the first eigenvalue of the
     relative-mode profile; bp_qm_mean is the quadrature cross-check.

@@ -1,16 +1,15 @@
 """Integration engines.
 
-Adaptive 1D Gauss-Legendre quadrature with registered discontinuities,
-iterated radial quadrature for phase-space double integrals, and seeded
-chunked Monte Carlo for the high-dimensional remainders. Every routine is
-deterministic given the same IntegrationSpec.
+Adaptive 1D Gauss-Legendre quadrature with registered discontinuities and
+iterated radial quadrature for phase-space double integrals. Every routine
+is deterministic: the same IntegrationSpec gives the same bits, and no
+production path draws a random number.
 
 Each engine takes one vectorized integrand shape:
 
 - integrate_1d: f(x) maps an array of nodes to an array of the same shape;
 - integrate_radial_pair: f(r1, d) of the state-side radius and the
-  separation, on arrays that broadcast against each other;
-- mc_integrate: f(x) maps an (n, dims) array of points to n values.
+  separation, on arrays that broadcast against each other.
 """
 
 import functools
@@ -26,7 +25,6 @@ __all__ = [
     "QuadratureError",
     "integrate_1d",
     "integrate_radial_pair",
-    "mc_integrate",
 ]
 
 
@@ -36,7 +34,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Cutoffs, tolerances, sample counts and the seed for all integration."""
+    """Cutoffs, tolerances and the sigma grid for all integration.
+
+    mc_samples and seed drive only the Monte Carlo cross-check of the sigma
+    curve, which lives with the tests; no production path reads them. They
+    keep their checks so that a spec written for that cross-check stays
+    valid.
+    """
 
     r_max: float = 6.0
     abs_tol: float = 1e-9
@@ -245,64 +249,3 @@ def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
     raise QuadratureError(
         f"radial pair quadrature did not reach {tol:.1e} (last error {prev_err})"
     )
-
-
-_MC_CHUNK = 262_144
-
-
-def mc_integrate(f, dims, bounds, spec, strata=None, stream_key=()):
-    """Monte Carlo integral of f over a box, optionally stratified.
-
-    f maps an (n, dims) array of points to n values. Stratification splits
-    the first coordinate into equal slabs. Sampling streams are keyed by
-    (seed, *stream_key, stratum, chunk) with a fixed chunk size, so results
-    are bit-reproducible and independent of scheduling. The standard error
-    is reported, never raised.
-    """
-    if not 1 <= dims <= 8:
-        raise ValueError("dims must be between 1 and 8")
-    box = [(float(lo), float(hi)) for lo, hi in bounds]
-    if len(box) != dims:
-        raise ValueError("bounds must list one interval per dimension")
-    if any(hi <= lo for lo, hi in box):
-        raise ValueError("empty interval in bounds")
-    n_strata = int(strata) if strata else 1
-    edges = np.linspace(box[0][0], box[0][1], n_strata + 1)
-    base = spec.mc_samples // n_strata
-    extra = spec.mc_samples % n_strata
-    lows = np.array([lo for lo, _ in box])
-    spans = np.array([hi - lo for lo, hi in box])
-    value = 0.0
-    variance = 0.0
-    evals = 0
-    for s_idx in range(n_strata):
-        n = base + (1 if s_idx < extra else 0)
-        if n == 0:
-            continue
-        slab_lows = lows.copy()
-        slab_spans = spans.copy()
-        slab_lows[0] = edges[s_idx]
-        slab_spans[0] = edges[s_idx + 1] - edges[s_idx]
-        volume = float(np.prod(slab_spans))
-        sum1 = 0.0
-        sum2 = 0.0
-        done = 0
-        chunk_idx = 0
-        while done < n:
-            take = min(_MC_CHUNK, n - done)
-            rng = np.random.default_rng(
-                (int(spec.seed), *map(int, stream_key), s_idx, chunk_idx)
-            )
-            pts = slab_lows + rng.random((take, dims)) * slab_spans
-            vals = np.asarray(f(pts), dtype=float)
-            sum1 += float(np.sum(vals))
-            sum2 += float(np.sum(vals * vals))
-            done += take
-            chunk_idx += 1
-        mean = sum1 / n
-        value += volume * mean
-        if n > 1:
-            sample_var = max(sum2 / n - mean * mean, 0.0) * n / (n - 1)
-            variance += volume * volume * sample_var / n
-        evals += n
-    return QuadResult(value, math.sqrt(variance), evals, "mc")

@@ -7,6 +7,8 @@ functions accept scalars or numpy arrays, are pure and compute in float64
 only, so results do not depend on the platform's long double.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 __all__ = [
@@ -117,23 +119,52 @@ def _j_chebyshev(order, x):
     return out
 
 
+def _hankel_coefficients(order):
+    """(P, Q) coefficients of the Hankel expansion in z = 1/x^2.
+
+    The m-th term of the expansion is c_m / x^m with
+    c_m = prod_{k <= m} (4 order^2 - (2k - 1)^2) / (8k), formed exactly in
+    rationals. Even m feed P and odd m feed Q / x, with the signs
+    alternating in pairs: P = 1 - c_2 z + c_4 z^2 - ..., Q x = c_1 - c_3 z + ...
+    """
+    mu = 4 * order * order
+    c = Fraction(1)
+    p, q = [1.0], []
+    for m in range(1, _ASYMPTOTIC_TERMS + 1):
+        c *= Fraction(mu - (2 * m - 1) ** 2, 8 * m)
+        sign = -1.0 if m % 4 >= 2 else 1.0
+        (q if m % 2 else p).append(sign * float(c))
+    return tuple(p), tuple(q)
+
+
+_HANKEL = tuple(_hankel_coefficients(order) for order in (0, 1))
+
+
+def _horner(coef, z):
+    """sum_k coef[k] z^k by Horner's rule, in place on one buffer."""
+    out = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
 def _j_asymptotic(order, x):
     # Hankel expansion: J = sqrt(2/(pi x)) (P cos chi - Q sin chi) with
     # chi = x - (2 order + 1) pi/4. Terms decrease through the order kept
     # here for every x >= 16.
     x = np.asarray(x, dtype=float)
-    mu = 4.0 * order * order
-    d = np.ones_like(x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    for m in range(1, _ASYMPTOTIC_TERMS + 1):
-        d = d * (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-        if m % 2 == 1:
-            q = q + d if m % 4 == 1 else q - d
-        else:
-            p = p - d if m % 4 == 2 else p + d
+    p_coef, q_coef = _HANKEL[order]
+    z = 1.0 / (x * x)
+    p = _horner(p_coef, z)
+    q = _horner(q_coef, z)
+    q /= x
     chi = x - (2 * order + 1) * np.pi / 4
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    p *= np.cos(chi)
+    q *= np.sin(chi)
+    p -= q
+    p *= np.sqrt(2.0 / (np.pi * x))
+    return p
 
 
 def bessel_j(order, x):
@@ -143,7 +174,8 @@ def bessel_j(order, x):
     Chebyshev series (coefficients derived in mpmath by
     scripts/bessel_chebyshev.py and frozen here), evaluated by Clenshaw's
     recurrence; J0(0) = 1 and J1(0) = 0 exactly. From 16 on, the Hankel
-    asymptotic expansion. Both stay within 2e-14 of the true value.
+    asymptotic expansion, its P and Q series frozen per order and summed by
+    Horner's rule in 1/x^2. Both stay within 2e-14 of the true value.
     Negative arguments are rejected because every caller passes a modulus.
     """
     if order not in (0, 1):

@@ -61,8 +61,6 @@ def default_config(command, **overrides):
         truncation=_TRUNCATION_DEFAULTS[command],
         r_max=6.0,
         abs_tol=1e-9,
-        mc_samples=2_000_000,
-        seed=42,
         sigma_step=0.05,
         sigma_max=2.7,
         n_max=10,

@@ -43,8 +43,9 @@ def test_usage_errors_exit_one(capsys):
         ("--r-max", "inf", "r_max"),
         ("--r-max", "nan", "r_max"),
         ("--abs-tol", "nan", "abs_tol"),
-        ("--seed", "-1", "seed"),
         ("--sigma-max", "0.1", "sigma_max"),
+        ("--sigma-step", "1e-300", "sigma_step"),
+        ("--sigma-step", "1e-7", "sigma_max"),
     ],
 )
 def test_invalid_spec_values_exit_one(capsys, flag, value, field):
@@ -52,6 +53,15 @@ def test_invalid_spec_values_exit_one(capsys, flag, value, field):
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sigma-curve", "bipartite"])
+@pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
+def test_retired_monte_carlo_flags_exit_one(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "7"])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_one(tmp_path, capsys):
@@ -68,7 +78,7 @@ def test_chsh_document(tmp_path):
     assert doc["command"] == "chsh"
     assert doc["tool_version"] == bellbound.__version__
     assert doc["config"]["truncation"] == 2
-    assert doc["config"]["seed"] == 42
+    assert "seed" not in doc["config"]
     res = doc["results"]
     assert abs(res["hv_bound"] - 4.0) < 1e-10
     assert res["reconstruction_residual"] < 1e-10
@@ -148,7 +158,7 @@ def test_wigner_far_grid_stays_finite(tmp_path, capsys):
 
 
 def test_sigma_curve_round_trip(tmp_path):
-    args = ["sigma-curve", "--mc-samples", "100000", "--sigma-max", "0.3"]
+    args = ["sigma-curve", "--sigma-max", "0.3"]
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     assert main(args + ["--out", str(first)]) == 0
@@ -176,6 +186,6 @@ def test_sigma_curve_round_trip(tmp_path):
 
 def test_bipartite_short_grid_exits_two(capsys):
     # the curve is still rising at 0.3, so the tail estimate blocks the bound
-    rc = main(["bipartite", "--mc-samples", "100000", "--sigma-max", "0.3"])
+    rc = main(["bipartite", "--sigma-max", "0.3"])
     assert rc == 2
     assert "did not converge" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Operator algebra on the truncated Fock basis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ def test_operator_validation():
         FockOperator(np.eye(6), modes=2)
     with pytest.raises(ValueError):
         FockOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+    # the residue is read on the support block: a defect inside a sparse
+    # support still raises, and an all-zero operator passes
+    sparse = np.zeros((64, 64), dtype=complex)
+    sparse[3, 40] = 0.5
+    sparse[40, 3] = 0.5 + 1e-9j
+    with pytest.raises(ValueError, match="residue"):
+        FockOperator(sparse, hermitian=True)
+    assert FockOperator(np.zeros((4, 4)), hermitian=True).hermitian
     op = FockOperator(np.eye(2))
     assert not op.entries.flags.writeable
 
@@ -59,6 +68,18 @@ def test_operator_algebra():
     assert fa.dim == 5 and fa.modes == 1
     with pytest.raises(ValueError):
         fa @ FockOperator(np.eye(4))
+
+
+def test_bell_pair_state_memory():
+    # a rank-one state on 1024 two-mode levels holds its 16.8 MB entries and
+    # one validated copy; a full-size hermitian residue would add 50 MB
+    tracemalloc.start()
+    try:
+        bell_pair_state(32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_identity_number_parity():

@@ -43,3 +43,30 @@ def test_no_long_double(path):
     # results must not depend on the platform's long double, which is plain
     # float64 on some platforms
     assert "longdouble" not in path.read_text(), f"{path.name} uses long double"
+
+
+def random_uses(tree):
+    """Places that import the random module or reach numpy.random."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "random" or a.name == "numpy.random"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "random" or module.startswith("numpy.random"):
+                found.append(module)
+            elif module == "numpy":
+                found += [f"numpy.{a.name}" for a in node.names if a.name == "random"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(f"{node.value.id}.random")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_random_numbers(path):
+    # every production result is deterministic; sampling lives in the test
+    # oracles only
+    uses = random_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name} uses random numbers: {uses}"

@@ -14,6 +14,7 @@ from bellbound.phasespace import (
     SingleParticleCase,
     _displaced_level_weights,
     _relative_profile,
+    _sigma_level,
     bp_hv_bound,
     bp_qm_mean,
     coarse_parity_bound,
@@ -23,6 +24,7 @@ from bellbound.phasespace import (
 )
 from bellbound.quad import IntegrationSpec, QuadratureError
 from bellbound.weyl import RadialSymbol, quantize_radial, sign_step, unit_symbol
+from oracles import sigma_point
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -215,17 +217,45 @@ def test_sigma_curve_grid_and_determinism():
     again = sigma_curve(case, mode="disc_unit")
     assert np.array_equal(curve.values, again.values)
     assert np.array_equal(curve.errors, again.errors)
+    # no random numbers: the seed the Monte Carlo oracle reads changes nothing
     reseeded = BipartiteCase(spec=replace(spec, seed=43))
     other = sigma_curve(reseeded, mode="disc_unit")
-    assert not np.array_equal(curve.values, other.values)
+    assert np.array_equal(curve.values, other.values)
+    assert np.array_equal(curve.errors, other.errors)
 
 
-def test_sigma_curve_sample_policy():
-    # starving the sampler must trip the 15 percent error policy, not
-    # silently return a noise curve
-    case = BipartiteCase(spec=IntegrationSpec(mc_samples=10_000))
-    with pytest.raises(QuadratureError, match="raise mc_samples"):
+def test_sigma_curve_error_gate():
+    # a jump radius far below the node spacing leaves the indicator
+    # unresolved: the 15 percent gate must refuse the curve and name the
+    # point, not return a noise curve
+    case = BipartiteCase(symbol=sign_step(0.02), spec=IntegrationSpec(sigma_max=1.0))
+    with pytest.raises(QuadratureError, match=r"at sigma = \d"):
         sigma_curve(case)
+
+
+@pytest.fixture(scope="module")
+def default_curve():
+    return sigma_curve(BipartiteCase())
+
+
+def test_sigma_curve_error_covers_finer_level(default_curve):
+    # the node levels converge unevenly, so check the reported error against
+    # a level finer in every direction at every point of the default grid
+    case = BipartiteCase()
+    finer = _sigma_level(case, SEPARATION_STEP, "full", default_curve.points,
+                         (192, 96, 128, 16))
+    assert default_curve.points.size == 55
+    gap = np.abs(default_curve.values - finer)
+    assert np.all(gap <= default_curve.errors)
+    assert default_curve.errors[1] < 1e-4
+
+
+def test_sigma_curve_matches_monte_carlo_oracle(default_curve):
+    case = BipartiteCase()
+    for index in (6, 18, 30):
+        s = float(default_curve.points[index])
+        value, sigma = sigma_point(case, SEPARATION_STEP, s, index)
+        assert abs(default_curve.values[index] - value) < 4.0 * sigma
 
 
 def test_sigma_curve_container():

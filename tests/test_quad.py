@@ -13,9 +13,9 @@ from bellbound.quad import (
     _gauss_legendre,
     integrate_1d,
     integrate_radial_pair,
-    mc_integrate,
 )
 from bellbound.specfun import bessel_j
+from oracles import mc_integrate
 
 SPEC = IntegrationSpec()
 
@@ -36,6 +36,8 @@ def test_spec_validation():
         IntegrationSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         IntegrationSpec(mc_samples=100)
+    with pytest.raises(ValueError, match="seed"):
+        IntegrationSpec(seed=-1)
     with pytest.raises(ValueError):
         QuadResult(1.0, -1e-3, 10, "adaptive")
 
