@@ -64,6 +64,9 @@ class RunConfig:
     output_path: str | None
 
 
+_RETIRED_FLAGS = ("--mc-samples", "--seed")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems, but 2 is reserved for
     # non-convergence here, so reroute to 1
@@ -93,6 +96,10 @@ def build_parser():
                         help="csv is available for wigner and sigma-curve only")
     common.add_argument("--out", default=None, dest="output_path",
                         help="output file (default: stdout)")
+    # the Monte Carlo sigma curve's settings, kept hidden so that a run
+    # still passing them is refused by name rather than as unknown
+    for flag in _RETIRED_FLAGS:
+        common.add_argument(flag, default=None, help=argparse.SUPPRESS)
 
     parser = _Parser(prog="bellbound",
                      description="collapse Bell-bound computations")
@@ -121,6 +128,10 @@ def _resolve_config(args):
     truncation = args.truncation
     if truncation is None:
         truncation = _TRUNCATION_DEFAULTS[args.command]
+    for flag in _RETIRED_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} is retired: the sigma curve is "
+                             "computed by deterministic quadrature")
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     if args.output_format == "csv" and args.command not in _GRID_COMMANDS:
