@@ -9,12 +9,10 @@ from .fock import (
     FockOperator,
     bell_pair_state,
     displacement,
-    displacement_element,
     identity,
     luders_collapse,
     number_projector,
     parity,
-    quantizer,
     tensor,
     trace_product,
 )

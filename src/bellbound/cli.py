@@ -34,6 +34,7 @@ from .weyl import bell_eigenvalue_generating, quantize_radial, sign_step, wigner
 _COMMANDS = ("chsh", "single-particle", "bipartite", "eigenvalues", "wigner",
              "sigma-curve")
 _GRID_COMMANDS = ("wigner", "sigma-curve")
+_PAIR_COMMANDS = ("chsh", "bipartite", "sigma-curve")
 # Fock cutoff when none is requested: qubit algebra for chsh, converged
 # cutoffs for the phase-space pipelines, two occupied levels for wigner
 _TRUNCATION_DEFAULTS = {
@@ -134,6 +135,13 @@ def _resolve_config(args):
                              "computed by deterministic quadrature")
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
+    state = getattr(args, "state", "fock1")
+    # a dense operator holds truncation^2 entries per mode: at most 2^20
+    modes = 2 if args.command in _PAIR_COMMANDS or state == "bell" else 1
+    limit = 1 << (10 // modes)
+    if truncation > limit:
+        raise ValueError(f"truncation {truncation} exceeds {limit}: a dense "
+                         f"{modes}-mode operator would pass 2^20 entries")
     if args.output_format == "csv" and args.command not in _GRID_COMMANDS:
         raise ValueError("csv output is available for wigner and sigma-curve only")
     return RunConfig(
@@ -144,7 +152,7 @@ def _resolve_config(args):
         sigma_step=args.sigma_step,
         sigma_max=args.sigma_max,
         n_max=args.n_max,
-        state=getattr(args, "state", "fock1"),
+        state=state,
         points=getattr(args, "points", 200),
         output_format=args.output_format,
         output_path=args.output_path,

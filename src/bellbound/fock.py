@@ -1,9 +1,9 @@
 """Truncated Fock-space operator algebra.
 
-Number projectors, parity, displacement operators in closed form, the
-displaced-parity quantizer, tensor products, traces and projective state
-collapse. Operators are dense complex matrices on the first `dim` levels;
-two-mode operators live on the Kronecker basis |n1, n2> with n2 fastest.
+Number projectors, parity, displacement operators from one Laguerre sweep
+over all diagonals, tensor products, traces and projective state collapse.
+Operators are dense complex matrices on the first `dim` levels; two-mode
+operators live on the Kronecker basis |n1, n2> with n2 fastest.
 
 Conventions: hbar = 1 and the length scale is 1, so alpha = (q + i p)/sqrt(2)
 is dimensionless.
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import assoc_laguerre, assoc_laguerre_seq
+from .specfun import assoc_laguerre_seq
 
 __all__ = [
     "PROBABILITY_FLOOR",
@@ -24,12 +24,10 @@ __all__ = [
     "DensityMatrix",
     "bell_pair_state",
     "displacement",
-    "displacement_element",
     "identity",
     "luders_collapse",
     "number_projector",
     "parity",
-    "quantizer",
     "tensor",
     "trace_product",
 ]
@@ -134,7 +132,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"trace {tr} too far from 1 to renormalize")
         if abs(tr - 1.0) > 0:
-            op = FockOperator(entries / tr, self.op.modes, hermitian=True)
+            op = FockOperator(entries / tr, self.op.modes, self.op.hermitian)
             object.__setattr__(self, "op", op)
         # the spectrum is that of the occupied block plus zeros
         live = self.op.support
@@ -183,62 +181,41 @@ def parity(dim):
     return FockOperator(np.diag(signs.astype(complex)), hermitian=True)
 
 
-def displacement_element(row, col, alpha):
-    """<row| D(alpha) |col> in closed form.
+def _displacement_amplitudes(x, n_max, a_max):
+    """e^{-x/2} sqrt(n!/(n+a)!) L_n^{(a)}(x), indexed [n, a, i] at points x[i].
 
-    With n = min(row, col) and a = |row - col| the element is
-    e^{-|alpha|^2/2} sqrt(n!/(n+a)!) L_n^{(a)}(|alpha|^2) times alpha^a above
-    the diagonal mirror (row >= col) and (-conj(alpha))^a below it, from
-    <n|D(alpha)|n+a> = conj(<n+a|D(-alpha)|n>).
+    The real amplitude of <n+a|D(alpha)|n> at x = |alpha|^2 (Cahill and
+    Glauber) for n <= n_max and a <= a_max, every order from one Laguerre sweep.
     """
-    if row < 0 or col < 0:
-        raise ValueError("indices must be nonnegative")
-    alpha = complex(alpha)
-    n = min(row, col)
-    a = abs(row - col)
-    x = abs(alpha) ** 2
-    amp = math.exp(-0.5 * x + 0.5 * (math.lgamma(n + 1) - math.lgamma(n + a + 1)))
-    amp *= assoc_laguerre(n, a, x)
-    shift = alpha**a if row >= col else (-alpha.conjugate()) ** a
-    return amp * shift
+    n, a = np.arange(n_max + 1)[:, None], np.arange(a_max + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + a_max + 1)])
+    lag = assoc_laguerre_seq(n_max, a[:, None], x)
+    return np.exp(-0.5 * x + 0.5 * (log_fact[n] - log_fact[n + a])[..., None]) * lag
 
 
 def _displacement_entries(alpha, dim):
-    """D(alpha) entries, diagonal by diagonal, shape alpha.shape + (dim, dim)."""
+    """D(alpha) entries, shape alpha.shape + (dim, dim).
+
+    Entry (n+a, n) is amplitude [n, a] times alpha^a, (n, n+a) times (-conj alpha)^a;
+    the table's n + a >= dim half goes unread. The result views a table whose
+    level axes lead, so every pass runs along the points.
+    """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    alpha = np.asarray(alpha, dtype=complex)[..., None]
-    x = np.hypot(alpha.real, alpha.imag) ** 2
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    entries = np.zeros(alpha.shape[:-1] + (dim, dim), dtype=complex)
-    for a in range(dim):
-        n = np.arange(dim - a)
-        amp = np.exp(-0.5 * x + 0.5 * (log_fact[n] - log_fact[n + a]))
-        amp = amp * np.moveaxis(assoc_laguerre_seq(dim - 1 - a, a, x[..., 0]), 0, -1)
-        entries[..., n + a, n] = amp * alpha**a
-        if a > 0:
-            entries[..., n, n + a] = amp * (-alpha.conj()) ** a
-    return entries
+    flat = np.asarray(alpha, dtype=complex).ravel()
+    x = np.hypot(flat.real, flat.imag) ** 2
+    amp = _displacement_amplitudes(x, dim - 1, dim - 1)
+    order = np.arange(dim)
+    gap = order[:, None] - order
+    a = abs(gap)
+    phase = np.stack([flat, -flat.conj()])[:, None] ** order[:, None]
+    entries = amp[np.minimum.outer(order, order), a] * phase[(gap < 0).astype(int), a]
+    return np.moveaxis(entries.reshape(dim, dim, *np.shape(alpha)), (0, 1), (-2, -1))
 
 
 def displacement(alpha, dim):
     """D(alpha) on the truncated basis: _displacement_entries at one alpha."""
     return FockOperator(_displacement_entries(complex(alpha), dim))
-
-
-def quantizer(alpha, dim):
-    """(1/pi) D(alpha) Pi D(alpha)^dagger, the displaced-parity kernel.
-
-    pi times this operator is the parity reflected about alpha, a unitary
-    involution; the 1/pi prefactor makes it the kernel of the symbol maps.
-    This is the truncated product, which drops the levels >= dim inside
-    D Pi D^dagger; weyl.symbol_of uses the exact elements instead.
-    """
-    d = displacement(alpha, dim).entries
-    signs = (-1.0) ** np.arange(dim)
-    entries = (d * signs[None, :]) @ d.conj().T / math.pi
-    entries = 0.5 * (entries + entries.conj().T)
-    return FockOperator(entries, hermitian=True)
 
 
 def luders_collapse(rho, p):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import DensityMatrix, _displacement_entries, _pair_vector, bell_pair_state
+from .fock import (DensityMatrix, _displacement_amplitudes, _displacement_entries,
+                   _pair_vector, bell_pair_state)
 from .hvbound import BellReport
 from .quad import (
     IntegrationSpec,
@@ -24,7 +25,7 @@ from .quad import (
     integrate_1d,
     integrate_radial_pair,
 )
-from .specfun import assoc_laguerre, assoc_laguerre_seq, bessel_j
+from .specfun import assoc_laguerre_seq, bessel_j
 from .weyl import RadialSymbol, quantize_radial, sign_step, wigner
 
 __all__ = [
@@ -48,6 +49,9 @@ _DEFAULT_BP_DIM = 32
 
 
 def _merge_jump_splits(spec, symbol):
+    # no engine counts the mass beyond r_max; below 5 it exceeds 1e-9 unseen
+    if spec.r_max < 5.0:
+        raise ValueError(f"r_max must be at least 5, got {spec.r_max}")
     splits = set(spec.split_points)
     splits.update(symbol.jumps)
     if symbol.far_radius > 0:
@@ -290,23 +294,16 @@ def _diagonal_weights(rho):
 def _displaced_level_weights(levels, probs, n_max, r):
     """c_n(r) = <n| D(r)^dag rho D(r) |n> for a number-diagonal rho.
 
-    Closed per-element form: with m the source level, nm = min(m, n),
-    a = |m - n| and x = r^2,
-
-        |<m|D(r)|n>|^2 = exp(-x) (nm! / (nm + a)!) x^a L_nm^(a)(x)^2.
-
-    Returns shape (n_max + 1, r.size).
+    With m the source level and x = r^2, |<m|D(r)|n>|^2 = x^a amp[nm, a]^2
+    for nm = min(m, n), a = |m - n| and amp fock's real amplitude table, one
+    sweep over the rows nm <= max(levels). Shape (n_max + 1, r.size).
     """
     x = np.asarray(r, dtype=float) ** 2
-    out = np.zeros((n_max + 1,) + x.shape)
-    for m, pm in zip(levels, probs):
-        for n in range(n_max + 1):
-            nm = min(m, n)
-            a = abs(m - n)
-            log_ratio = math.lgamma(nm + 1) - math.lgamma(nm + a + 1)
-            poly = assoc_laguerre(nm, a, x)
-            out[n] += pm * math.exp(log_ratio) * np.exp(-x) * x**a * poly * poly
-    return out
+    m, n = np.array(levels)[:, None], np.arange(n_max + 1)
+    a = abs(m - n)
+    amp = _displacement_amplitudes(x, max(levels), int(a.max()))
+    terms = x ** a[..., None] * amp[np.minimum(m, n), a] ** 2
+    return np.tensordot(probs, terms, 1)
 
 
 def _displaced_parity(levels, probs, r):

@@ -72,16 +72,16 @@ def assoc_laguerre(n, a, x):
 def assoc_laguerre_seq(n_max, a, x):
     """All of L_0^{(a)}(x) .. L_{n_max}^{(a)}(x) from one recurrence sweep.
 
-    Returns an array with the degree on the leading axis; the recurrence
-    produces every intermediate order anyway, so batch callers get them for
-    free.
+    The order a may be an integer array broadcasting against x, each order
+    bit for bit its own call. The degree leads the result, then the shape of
+    a and x; the recurrence makes every degree anyway, so batches get them free.
     """
-    if n_max < 0 or a < 0:
+    if n_max < 0 or np.any(np.asarray(a) < 0):
         raise ValueError("n_max and a must be nonnegative")
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
+    cur = np.ones(np.broadcast_shapes(np.shape(a), x.shape))
+    prev = np.zeros_like(cur)
+    out = np.empty((n_max + 1,) + cur.shape)
     out[0] = cur
     for k in range(n_max):
         prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)

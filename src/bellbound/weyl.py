@@ -179,18 +179,20 @@ def quantize_radial(symbol, dim, spec=None):
     e^{-2s} L_n(4s) ds over [0, inf). When the symbol reports an exact far
     value the tail is folded in analytically through
     lam_n = far_value + 2 (-1)^n integral (B - far_value) e^{-2s} L_n(4s) ds
-    over the bounded support, which costs nothing in accuracy; otherwise the
-    integral is cut at r_max^2 and the e^{-2s} weight buries the remainder.
+    over the bounded support (an r_max short of far_radius is refused);
+    otherwise the integral is cut at r_max^2 and the e^{-2s} weight buries
+    the remainder.
     """
     if spec is None:
         spec = IntegrationSpec()
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    s_max = spec.r_max**2
     if symbol.far_value is None:
-        base, upper = 0.0, s_max
+        base, upper = 0.0, spec.r_max**2
+    elif spec.r_max < symbol.far_radius:
+        raise ValueError(f"r_max {spec.r_max} is below far_radius {symbol.far_radius}")
     else:
-        base, upper = symbol.far_value, min(s_max, symbol.far_radius**2)
+        base, upper = symbol.far_value, symbol.far_radius**2
     splits = tuple(j * j for j in symbol.jumps if 0.0 < j * j < upper)
     local = replace(spec, split_points=splits)
     values = np.empty(dim)

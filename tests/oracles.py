@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 
+from bellbound.fock import FockOperator, displacement
 from bellbound.hvbound import qm_mean
 from bellbound.quad import QuadResult
-from bellbound.specfun import assoc_laguerre_seq, bessel_j
+from bellbound.specfun import assoc_laguerre, assoc_laguerre_seq, bessel_j
 
 
 def j_series(order, x, dtype):
@@ -40,6 +41,41 @@ def laguerre_sum(x, y, n_terms):
         raise ValueError("n_terms must be >= 1")
     coef = np.cumprod(np.concatenate(([1.0], y / np.arange(1.0, n_terms))))
     return float(coef @ assoc_laguerre_seq(n_terms - 1, 0, x))
+
+
+def displacement_element(row, col, alpha):
+    """<row| D(alpha) |col> in closed form.
+
+    With n = min(row, col) and a = |row - col| the element is
+    e^{-|alpha|^2/2} sqrt(n!/(n+a)!) L_n^{(a)}(|alpha|^2) times alpha^a above
+    the diagonal mirror (row >= col) and (-conj(alpha))^a below it, from
+    <n|D(alpha)|n+a> = conj(<n+a|D(-alpha)|n>).
+    """
+    if row < 0 or col < 0:
+        raise ValueError("indices must be nonnegative")
+    alpha = complex(alpha)
+    n = min(row, col)
+    a = abs(row - col)
+    x = abs(alpha) ** 2
+    amp = math.exp(-0.5 * x + 0.5 * (math.lgamma(n + 1) - math.lgamma(n + a + 1)))
+    amp *= assoc_laguerre(n, a, x)
+    shift = alpha**a if row >= col else (-alpha.conjugate()) ** a
+    return amp * shift
+
+
+def quantizer(alpha, dim):
+    """(1/pi) D(alpha) Pi D(alpha)^dagger, the displaced-parity kernel.
+
+    pi times this operator is the parity reflected about alpha, a unitary
+    involution; the 1/pi prefactor makes it the kernel of the symbol maps.
+    This is the truncated product, which drops the levels >= dim inside
+    D Pi D^dagger; weyl.symbol_of uses the exact elements instead.
+    """
+    d = displacement(alpha, dim).entries
+    signs = (-1.0) ** np.arange(dim)
+    entries = (d * signs[None, :]) @ d.conj().T / math.pi
+    entries = 0.5 * (entries + entries.conj().T)
+    return FockOperator(entries, hermitian=True)
 
 
 def commuting_joint_distribution(rho, families, seed=0):

@@ -56,6 +56,25 @@ def test_invalid_spec_values_exit_one(capsys, flag, value, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, knob",
+    [
+        # each of these ran to exit 0 with a wrong answer and a tiny error bar
+        (["single-particle", "--r-max", "0.01"], "r_max"),
+        (["bipartite", "--r-max", "4.5"], "r_max"),
+        (["eigenvalues", "--r-max", "0.3"], "r_max"),
+        # a dense two-mode operator holds truncation^4 entries, one mode
+        # truncation^2; both limits sit at 2^20 entries
+        (["bipartite", "--truncation", "33"], "truncation"),
+        (["single-particle", "--truncation", "1025"], "truncation"),
+    ],
+)
+def test_out_of_bounds_inputs_exit_one(capsys, argv, knob):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert knob in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["sigma-curve", "bipartite"])
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
 def test_retired_monte_carlo_flags_exit_one(capsys, command, flag):

@@ -3,10 +3,12 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from bellbound import fock
 from bellbound.fock import (
     CollapseError,
     DensityMatrix,
@@ -15,15 +17,15 @@ from bellbound.fock import (
     _pair_vector,
     bell_pair_state,
     displacement,
-    displacement_element,
     identity,
     luders_collapse,
     number_projector,
     parity,
-    quantizer,
     tensor,
     trace_product,
 )
+from bellbound.specfun import assoc_laguerre_seq
+from oracles import displacement_element, quantizer
 
 
 def random_hermitian(dim, seed):
@@ -125,6 +127,55 @@ def test_displacement_entries_batch_matches_scalar():
     assert batch.shape == (alphas.size, 40, 40)
     for a, entries in zip(alphas, batch):
         assert np.max(np.abs(entries - displacement(a, 40).entries)) < 1e-15
+
+
+def cahill_glauber_mp(alpha, dim):
+    """<m|D(alpha)|n> from the Laguerre series summed in 60-digit arithmetic.
+
+    With n = min(row, col), a = |row - col| and x = |alpha|^2 the element is
+    e^{-x/2} sqrt(n!/(n+a)!) L_n^{(a)}(x) times alpha^a on and below the
+    diagonal, (-conj(alpha))^a above it; the series terms of L_n^{(a)} are
+    (-x)^k binom(n+a, n-k) / k!, each from the previous one.
+    """
+    out = np.empty((dim, dim), dtype=complex)
+    with mpmath.workdps(60):
+        z = mpmath.mpc(alpha.real, alpha.imag)
+        x = abs(z) ** 2
+        for n in range(dim):
+            for a in range(dim - n):
+                term = mpmath.binomial(n + a, n)
+                lag = term
+                for k in range(n):
+                    term *= -x * (n - k) / ((k + 1) * (k + 1 + a))
+                    lag += term
+                amp = mpmath.exp(-x / 2) * mpmath.sqrt(
+                    mpmath.factorial(n) / mpmath.factorial(n + a)) * lag
+                out[n + a, n] = complex(amp * z**a)
+                out[n, n + a] = complex(amp * (-mpmath.conj(z)) ** a)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 8, 40, 64])
+def test_displacement_entries_against_mpmath(dim):
+    alphas = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.5j, 4.0 - 3.0j, -8.0, 5.6 + 5.6j])
+    batch = _displacement_entries(alphas, dim)
+    for a, entries in zip(alphas, batch):
+        assert np.max(np.abs(entries - cahill_glauber_mp(a, dim))) < 5e-14
+
+
+def test_displacement_entries_make_one_laguerre_sweep(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return assoc_laguerre_seq(*args)
+
+    monkeypatch.setattr(fock, "assoc_laguerre_seq", counted)
+    alphas = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.5j])
+    _displacement_entries(alphas, 64)
+    assert len(calls) == 1
+    _displacement_entries(0.7 - 0.1j, 64)
+    assert len(calls) == 2
 
 
 def test_displacement_protected_block_unitarity():
@@ -230,6 +281,13 @@ def test_density_matrix_validation():
         DensityMatrix(FockOperator(padded))
     drift = np.diag([0.7, 0.3]).astype(complex) * (1 + 5e-7)
     rho = DensityMatrix(FockOperator(drift))
+    assert abs(np.trace(rho.entries) - 1.0) < 1e-14
+    # a residue under the density check's 1e-10 survives renormalization:
+    # the renormalized copy keeps the caller's unflagged operator
+    skew = np.diag([0.6, 0.4 + 1e-9]).astype(complex)
+    skew[0, 1] = 5e-11
+    rho = DensityMatrix(FockOperator(skew))
+    assert not rho.op.hermitian
     assert abs(np.trace(rho.entries) - 1.0) < 1e-14
 
 

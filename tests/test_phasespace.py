@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bellbound.fock import DensityMatrix, FockOperator, bell_pair_state, displacement_element
+from bellbound import fock, phasespace
+from bellbound.fock import DensityMatrix, FockOperator, bell_pair_state
 from bellbound.phasespace import (
     SEPARATION_STEP,
     BipartiteCase,
@@ -23,8 +24,9 @@ from bellbound.phasespace import (
     sp_hv_bound_generic,
 )
 from bellbound.quad import IntegrationSpec, QuadratureError
+from bellbound.specfun import assoc_laguerre_seq
 from bellbound.weyl import RadialSymbol, quantize_radial, sign_step, unit_symbol
-from oracles import sigma_point
+from oracles import displacement_element, sigma_point
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -50,6 +52,22 @@ def test_single_particle_case_defaults():
     assert custom.spec.split_points == (0.5, 1.25)
     with pytest.raises(ValueError):
         SingleParticleCase(state=bell_pair_state(8))
+
+
+def test_truncating_r_max_is_refused():
+    # no engine counts the mass beyond r_max; at 4.5 the pair mean is off by
+    # 6.9e-8 while its reported error stays far below that
+    short = IntegrationSpec(r_max=4.5)
+    state = SingleParticleCase().state
+    for build in (
+        lambda: SingleParticleCase(spec=short),
+        lambda: BipartiteCase(spec=short),
+        lambda: sp_hv_bound_generic(state, sign_step(0.5), spec=short),
+        lambda: coarse_parity_bound(state, sign_step(0.5), spec=short),
+    ):
+        with pytest.raises(ValueError, match="r_max"):
+            build()
+    assert SingleParticleCase(spec=IntegrationSpec(r_max=5.0)).spec.r_max == 5.0
 
 
 def test_kernel_route_components():
@@ -124,6 +142,23 @@ def test_displaced_weights_against_matrix_elements():
         for n in [3]
     )
     assert np.allclose(mixed[3], direct, atol=1e-12)
+
+
+def test_displaced_weights_read_one_amplitude_sweep(monkeypatch):
+    # the weights square fock's amplitude table: one sweep in fock, none here
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return assoc_laguerre_seq(*args)
+
+    def refused(*args):
+        raise AssertionError("level weights must not run a sweep of their own")
+
+    monkeypatch.setattr(fock, "assoc_laguerre_seq", counted)
+    monkeypatch.setattr(phasespace, "assoc_laguerre_seq", refused)
+    _displaced_level_weights([0, 2], [0.4, 0.6], 30, np.linspace(0.0, 6.0, 161))
+    assert len(calls) == 1
 
 
 def test_generic_route_error_control():

@@ -93,6 +93,25 @@ def test_seq_agrees_with_scalar():
         assert np.allclose(table[n], assoc_laguerre(n, 3, x), rtol=0, atol=1e-10)
 
 
+def test_seq_order_array_matches_scalar_orders_bitwise():
+    # one sweep over an order axis gives each order's own sweep, bit for bit
+    x = np.concatenate([np.linspace(0.0, 30.0, 17), [0.37, 144.0, 7152.0]])
+    orders = np.arange(9)
+    table = assoc_laguerre_seq(40, orders, x[:, None])
+    assert table.shape == (41, x.size, orders.size)
+    for a in orders:
+        assert np.array_equal(table[:, :, a], assoc_laguerre_seq(40, int(a), x))
+    # the order may sit on any axis, and a scalar x broadcasts against it
+    assert np.array_equal(assoc_laguerre_seq(5, orders, 2.5)[:, 4],
+                          assoc_laguerre_seq(5, 4, 2.5))
+    try:
+        assoc_laguerre_seq(3, np.array([0, -1]), x)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("a negative order must be rejected")
+
+
 def test_scipy_cross_check_laguerre():
     rng = np.random.default_rng(13)
     for _ in range(40):

@@ -12,7 +12,6 @@ from bellbound.fock import (
     FockOperator,
     bell_pair_state,
     number_projector,
-    quantizer,
     trace_product,
 )
 from bellbound.quad import IntegrationSpec
@@ -25,6 +24,7 @@ from bellbound.weyl import (
     unit_symbol,
     wigner,
 )
+from oracles import quantizer
 
 STEP_EV0 = 2.0 * math.exp(-0.5) - 1.0
 STEP_EV1 = 4.0 * math.exp(-0.5) - 1.0
@@ -218,3 +218,9 @@ def test_quantize_radial_custom_spec():
     exp = quantize_radial(sign_step(0.5), 4, spec)
     assert abs(exp.eigenvalues[1] - STEP_EV1) < 1e-9
     assert np.all(exp.error_estimates <= 1e-8)
+    # an r_max short of the far radius would cut the step's disc (it gave
+    # lambda_1 = 1.2719 at 0.3); reaching it is enough
+    with pytest.raises(ValueError, match="r_max"):
+        quantize_radial(sign_step(0.5), 4, IntegrationSpec(r_max=0.3))
+    exp = quantize_radial(sign_step(0.5), 4, IntegrationSpec(r_max=0.5))
+    assert abs(exp.eigenvalues[1] - STEP_EV1) < 1e-9
