@@ -187,8 +187,7 @@ def _run_chsh(cfg, spec):
     weights = np.array([w for w, _ in dec.terms])
     # sum_u w_u P_u B P_u must equal hv_bound times the identity: the
     # collapse of the operator is state independent for these settings
-    collapsed = np.einsum("u,uij,jk,ukl->il", weights, mats,
-                          dec.target.entries, mats)
+    collapsed = np.tensordot(weights, mats @ dec.target.entries @ mats, 1)
     eye = np.eye(mats.shape[1])
     residual = float(np.max(np.abs(collapsed - rep.hv_bound * eye)))
     results = {

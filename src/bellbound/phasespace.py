@@ -291,18 +291,17 @@ def _diagonal_weights(rho):
     return [int(m) for m in keep], [float(p[m]) for m in keep]
 
 
-def _displaced_level_weights(levels, probs, n_max, r):
-    """c_n(r) = <n| D(r)^dag rho D(r) |n> for a number-diagonal rho.
+def _level_transitions(x, m, n):
+    """x^a amp[min(m, n), a]^2 = |<m|D|n>|^2 at x = |alpha|^2, a = |m - n|."""
+    a, low = abs(m - n), np.minimum(m, n)
+    amp = _displacement_amplitudes(x, int(low.max()), int(a.max()))
+    return x ** a[..., None] * amp[low, a] ** 2
 
-    With m the source level and x = r^2, |<m|D(r)|n>|^2 = x^a amp[nm, a]^2
-    for nm = min(m, n), a = |m - n| and amp fock's real amplitude table, one
-    sweep over the rows nm <= max(levels). Shape (n_max + 1, r.size).
-    """
+
+def _displaced_level_weights(levels, probs, n_max, r):
+    """c_n(r) = <n| D(r)^dag rho D(r) |n> for a number-diagonal rho, n <= n_max."""
     x = np.asarray(r, dtype=float) ** 2
-    m, n = np.array(levels)[:, None], np.arange(n_max + 1)
-    a = abs(m - n)
-    amp = _displacement_amplitudes(x, max(levels), int(a.max()))
-    terms = x ** a[..., None] * amp[np.minimum(m, n), a] ** 2
+    terms = _level_transitions(x, np.array(levels)[:, None], np.arange(n_max + 1))
     return np.tensordot(probs, terms, 1)
 
 
@@ -316,38 +315,40 @@ def _displaced_parity(levels, probs, r):
     return np.exp(-0.5 * x4) * out
 
 
-def _kernel_moments_inner(symbol, n_max, r, n_rho, n_theta):
-    """Disc correction to the kernel moments, shape (n_max + 1, r.size).
+def _kernel_moments_inner(symbol, n_max, r, n_rho):
+    """(K, tail, weight): the disc part of the kernel moments and its bounds.
 
-    K_n(r) = int d^2 a' B(|a'|) exp(-2 d^2) L_n(4 d^2) with d = |a' - r|
-    splits into the far value's full-plane moment, pi (-1)^n / 2 exactly,
-    plus this integral of B - far_value over the disc where they differ.
+    K_n(r) = int d^2 b B(|b|) exp(-2 d^2) L_n(4 d^2), d = |b - r|, is the far
+    value's full-plane moment pi (-1)^n / 2 plus K[n], the integral of
+    B - far_value over the disc |b| < far_radius. A circle |b| = rho
+    averages |n>'s Wigner function to sum_m (-1)^(m+n) exp(-2 r^2) L_m(4 r^2)
+    P_mn with P_mn = |<m|D(rho)|n>|^2 (Cahill and Glauber), so K[n] is
+    sum_m (-1)^(m+n) exp(-2 r^2) L_m(4 r^2) M_mn, M_mn = 2 pi int rho
+    (B - far_value) P_mn d rho. As sum_m P_mn = 1 and |exp(-x/2) L_m(x)| <= 1,
+    the levels past m_max move K[n] by at most tail[n] = 2 pi int rho
+    |B - far_value| (1 - sum_{m <= m_max} P_mn) d rho. m_max grows from
+    n_max + 16, doubling the headroom, until max(tail) is below 1e-13 of
+    weight = 2 pi int rho |B - far_value| d rho, with which its rounding
+    floor scales, or stops shrinking; a table past float64 range raises.
     """
-    fv = symbol.far_value
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.zeros((n_max + 1, r.size))
     R0 = float(symbol.far_radius)
-    if R0 <= 0.0:
-        return out
     rho, w_rho = _gl_segmented(0.0, R0, n_rho, symbol.jumps)
-    diff = symbol(rho) - fv
-    theta = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
-    w_theta = 2.0 * math.pi / n_theta  # the integrand is even in theta
-    cos_t = np.cos(theta)
-    radial = (w_rho * rho * diff)[None, :, None]
-    for i in range(0, r.size, 16):
-        rr = r[i : i + 16][:, None, None]
-        d2 = np.maximum(
-            rr * rr
-            + rho[None, :, None] ** 2
-            - 2.0 * rr * rho[None, :, None] * cos_t[None, None, :],
-            0.0,
-        )
-        lag = assoc_laguerre_seq(n_max, 0, 4.0 * d2)
-        out[:, i : i + 16] = w_theta * np.sum(
-            lag * (radial * np.exp(-2.0 * d2))[None], axis=(2, 3)
-        )
-    return out
+    weighted = 2.0 * math.pi * w_rho * rho * (symbol(rho) - symbol.far_value)
+    weight = float(np.abs(weighted).sum())
+    n = np.arange(n_max + 1)
+    headroom, last = 16, math.inf
+    while True:
+        m = np.arange(n_max + headroom + 1)
+        if m[-1] * math.log(R0 * R0) >= math.log(np.finfo(float).max):
+            raise QuadratureError(f"far_radius {R0} needs {m[-1]} levels, past float64")
+        p = _level_transitions(rho * rho, m[:, None], n)
+        tail = np.abs(1.0 - p.sum(axis=0)) @ np.abs(weighted)
+        if tail.max() <= 1e-13 * weight or tail.max() >= last:
+            break
+        headroom, last = 2 * headroom, tail.max()
+    moments = (-1.0) ** np.add.outer(m, n) * (p @ weighted)
+    lag = np.exp(-2.0 * r * r) * assoc_laguerre_seq(m[-1], 0, 4.0 * r * r)
+    return moments.T @ lag, tail, weight
 
 
 def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
@@ -359,6 +360,11 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
     form against the displaced parity of the state, so no level truncation
     touches it; only the disc where the symbol departs from its far value
     is expanded over collapse levels n <= n_max.
+
+    Each disc part is K_n(r) = sum_m (-1)^(m+n) exp(-2 r^2) L_m(4 r^2) M_mn
+    with M_mn = 2 pi int rho (B - far_value) |<m|D(rho)|n>|^2 d rho, the
+    circle average of |n>'s Wigner function; the bound on the levels
+    m > m_max it drops (see _kernel_moments_inner) joins the quadrature error.
 
     The n-tail of the disc part is estimated from the geometric decay of
     its per-level contributions plus a worst-case weight for the levels
@@ -390,23 +396,22 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
         # radius, so the integration range can stop well short of r_max
         r_hi = min(spec.r_max, R0 + 3.4)
 
-        def disc_terms(n_outer, n_rho, n_theta):
+        def disc_terms(n_outer, n_rho):
             nodes, w = _gl_segmented(0.0, r_hi, n_outer, spec.split_points)
             c = _displaced_level_weights(levels, probs, n_max, nodes)
-            k = _kernel_moments_inner(symbol, n_max, nodes, n_rho, n_theta)
-            outer = w * nodes * symbol(nodes)
-            return (8.0 / math.pi) * np.sum(outer[None, :] * c * k, axis=1), nodes, w, c
+            k, m_tail, disc_area = _kernel_moments_inner(symbol, n_max, nodes, n_rho)
+            outer = (8.0 / math.pi) * w * nodes * symbol(nodes)
+            dropped = float(np.abs(outer) @ (m_tail @ c))
+            # the disc's absolute weight bounds each level beyond n_max
+            deficit = np.maximum(1.0 - c.sum(axis=0), 0.0)
+            damp = np.exp(-2.0 * np.maximum(nodes - R0, 0.0) ** 2)
+            beyond = disc_area * float(np.abs(outer) @ (deficit * damp))
+            return np.sum(outer[None, :] * c * k, axis=1), dropped, beyond
 
-        coarse, _, _, _ = disc_terms(128, 32, 64)
-        fine, nodes, w, c = disc_terms(192, 48, 96)
-        per_level = fine
+        coarse = disc_terms(128, 32)[0]
+        per_level, dropped, beyond = disc_terms(192, 48)
         value += float(per_level.sum())
-        quad_err += abs(float(fine.sum() - coarse.sum()))
-        # absolute weight of the disc region, for the worst-case tail
-        rho_n, rho_w = _gl_segmented(0.0, R0, 48, symbol.jumps)
-        disc_area = 2.0 * math.pi * float(
-            np.sum(rho_w * rho_n * np.abs(symbol(rho_n) - symbol.far_value))
-        )
+        quad_err += abs(float(per_level.sum() - coarse.sum())) + dropped
         mags = np.abs(per_level)
         geo = 0.0
         if mags[-1] > 0 and mags[-2] > 0:
@@ -415,11 +420,6 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
                 geo = float(mags[-1] * q / (1.0 - q))
             else:
                 geo = float(mags[-1] * 4.0)
-        deficit = np.maximum(1.0 - c.sum(axis=0), 0.0)
-        damp = np.exp(-2.0 * np.maximum(nodes - R0, 0.0) ** 2)
-        beyond = (8.0 / math.pi) * disc_area * float(
-            np.sum(np.abs(w * nodes * symbol(nodes)) * deficit * damp)
-        )
         tail = geo + beyond
         if tail > spec.rel_tol * max(abs(value), 1e-3):
             raise QuadratureError(

@@ -158,7 +158,8 @@ def _gl_segmented(a, b, n, splits):
     nodes = []
     weights = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        share = max(8, int(round(n * (hi - lo) / (b - a))))
+        # every panel grows with n, so a level difference sees short ones too
+        share = max(8, round(n / 12), round(n * (hi - lo) / (b - a)))
         x, w = _gauss_legendre(share)
         mid = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)

@@ -10,7 +10,7 @@ import numpy as np
 
 from bellbound.fock import FockOperator, displacement
 from bellbound.hvbound import qm_mean
-from bellbound.quad import QuadResult
+from bellbound.quad import QuadResult, _gl_segmented
 from bellbound.specfun import assoc_laguerre, assoc_laguerre_seq, bessel_j
 
 
@@ -76,6 +76,40 @@ def quantizer(alpha, dim):
     entries = (d * signs[None, :]) @ d.conj().T / math.pi
     entries = 0.5 * (entries + entries.conj().T)
     return FockOperator(entries, hermitian=True)
+
+
+def kernel_moments_inner(symbol, n_max, r, n_rho, n_theta):
+    """Disc correction to the kernel moments, shape (n_max + 1, r.size).
+
+    K_n(r) = int d^2 a' B(|a'|) exp(-2 d^2) L_n(4 d^2) with d = |a' - r|
+    splits into the far value's full-plane moment, pi (-1)^n / 2 exactly,
+    plus this integral of B - far_value over the disc where they differ.
+    """
+    fv = symbol.far_value
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.zeros((n_max + 1, r.size))
+    R0 = float(symbol.far_radius)
+    if R0 <= 0.0:
+        return out
+    rho, w_rho = _gl_segmented(0.0, R0, n_rho, symbol.jumps)
+    diff = symbol(rho) - fv
+    theta = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
+    w_theta = 2.0 * math.pi / n_theta  # the integrand is even in theta
+    cos_t = np.cos(theta)
+    radial = (w_rho * rho * diff)[None, :, None]
+    for i in range(0, r.size, 16):
+        rr = r[i : i + 16][:, None, None]
+        d2 = np.maximum(
+            rr * rr
+            + rho[None, :, None] ** 2
+            - 2.0 * rr * rho[None, :, None] * cos_t[None, None, :],
+            0.0,
+        )
+        lag = assoc_laguerre_seq(n_max, 0, 4.0 * d2)
+        out[:, i : i + 16] = w_theta * np.sum(
+            lag * (radial * np.exp(-2.0 * d2))[None], axis=(2, 3)
+        )
+    return out
 
 
 def commuting_joint_distribution(rho, families, seed=0):

@@ -8,6 +8,7 @@ import pytest
 
 import bellbound
 from bellbound.cli import RunConfig, main, run
+from bellbound.hvbound import chsh_decomposition
 
 DOC_KEYS = {"command", "config", "results", "components", "errors",
             "timing_seconds", "tool_version"}
@@ -104,6 +105,21 @@ def test_chsh_document(tmp_path):
     assert abs(res["qm_mean"] - 2.0 * math.sqrt(2.0)) < 1e-10
     assert res["violation"] is True
     assert doc["timing_seconds"] > 0.0
+
+
+@pytest.mark.parametrize("truncation", [2, 4])
+def test_chsh_reconstruction_matches_einsum(truncation, tmp_path):
+    # the residual of sum_u w_u P_u B P_u against hv_bound times the identity,
+    # formed here by the direct four-operand contraction
+    out = tmp_path / "chsh.json"
+    assert main(["chsh", "--truncation", str(truncation), "--out", str(out)]) == 0
+    res = read_doc(out)["results"]
+    dec = chsh_decomposition(truncation)
+    mats = np.stack([p.entries for _, p in dec.terms])
+    weights = np.array([w for w, _ in dec.terms])
+    collapsed = np.einsum("u,uij,jk,ukl->il", weights, mats, dec.target.entries, mats)
+    residual = np.max(np.abs(collapsed - res["hv_bound"] * np.eye(mats.shape[1])))
+    assert abs(res["reconstruction_residual"] - residual) <= 1e-15
 
 
 def test_eigenvalues_document(tmp_path):

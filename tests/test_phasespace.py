@@ -14,6 +14,8 @@ from bellbound.phasespace import (
     SigmaCurve,
     SingleParticleCase,
     _displaced_level_weights,
+    _kernel_moments_inner,
+    _level_transitions,
     _relative_profile,
     _sigma_level,
     bp_hv_bound,
@@ -23,16 +25,23 @@ from bellbound.phasespace import (
     sp_hv_bound,
     sp_hv_bound_generic,
 )
-from bellbound.quad import IntegrationSpec, QuadratureError
+from bellbound.quad import IntegrationSpec, QuadratureError, _gl_segmented
 from bellbound.specfun import assoc_laguerre_seq
 from bellbound.weyl import RadialSymbol, quantize_radial, sign_step, unit_symbol
-from oracles import displacement_element, sigma_point
+from oracles import displacement_element, kernel_moments_inner, sigma_point
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
 # checked against an independent nested adaptive quadrature of the kernel
 FULL_CORE = 0.1158701443
 CORE_CORE = 0.0515436419
+
+
+# -1 inside 0.3, 1/2 up to 0.8, 1 beyond
+TWO_STEP = RadialSymbol(
+    lambda r: np.select([r < 0.3, r < 0.8], [-1.0, 0.5], 1.0), "two steps",
+    (0.3, 0.8), 1.0, 0.8,
+)
 
 
 def diagonal_state(weights, dim=64):
@@ -159,6 +168,92 @@ def test_displaced_weights_read_one_amplitude_sweep(monkeypatch):
     monkeypatch.setattr(phasespace, "assoc_laguerre_seq", refused)
     _displaced_level_weights([0, 2], [0.4, 0.6], 30, np.linspace(0.0, 6.0, 161))
     assert len(calls) == 1
+
+
+def outer_nodes(symbol):
+    # the fine outer level of sp_hv_bound_generic at n_max 24
+    r_hi = min(6.0, symbol.far_radius + 3.4)
+    return _gl_segmented(0.0, r_hi, 192, (*symbol.jumps, symbol.far_radius))[0]
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [sign_step(0.45), sign_step(0.5), sign_step(0.55), sign_step(1.2), TWO_STEP],
+    ids=["0.45", "0.5", "0.55", "1.2", "two-step"],
+)
+def test_kernel_moments_match_angular_sweep(symbol):
+    nodes = outer_nodes(symbol)
+    got = _kernel_moments_inner(symbol, 24, nodes, 48)[0]
+    want = kernel_moments_inner(symbol, 24, nodes, 48, 96)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "symbol", [sign_step(0.5), sign_step(0.55), sign_step(1.2), TWO_STEP],
+    ids=["0.5", "0.55", "1.2", "two-step"],
+)
+def test_kernel_moments_tail_bound_covers_more_levels(symbol, monkeypatch):
+    # the same identity with 40 more levels moves K_n by less than the bound
+    tried = []
+
+    def recorded(x, m, n):
+        tried.append(m.size - 1)
+        return _level_transitions(x, m, n)
+
+    monkeypatch.setattr(phasespace, "_level_transitions", recorded)
+    nodes = outer_nodes(symbol)
+    got, tail, _ = _kernel_moments_inner(symbol, 24, nodes, 48)
+    m_max = tried[-1] + 40
+    rho, w = _gl_segmented(0.0, symbol.far_radius, 48, symbol.jumps)
+    weighted = 2.0 * math.pi * w * rho * (symbol(rho) - symbol.far_value)
+    m, n = np.arange(m_max + 1), np.arange(25)
+    p = _level_transitions(rho * rho, m[:, None], n)
+    lag = np.exp(-2.0 * nodes**2) * assoc_laguerre_seq(m_max, 0, 4.0 * nodes**2)
+    more = ((-1.0) ** np.add.outer(m, n) * (p @ weighted)).T @ lag
+    assert np.all(np.abs(got - more).max(axis=1) <= tail)
+
+
+def test_generic_route_matches_angular_sweep_route(monkeypatch):
+    # the whole bound with the sweep's moments at both levels (n_theta twice
+    # n_rho, as that route ran them) agrees to rounding
+    state = SingleParticleCase().state
+    fast = {(r0, n_max): sp_hv_bound_generic(state, sign_step(r0), n_max=n_max)
+            for r0 in (0.45, 0.5, 0.55) for n_max in (24, 32)}
+
+    def swept(symbol, n_max, r, n_rho):
+        _, tail, weight = _kernel_moments_inner(symbol, n_max, r, n_rho)
+        return kernel_moments_inner(symbol, n_max, r, n_rho, 2 * n_rho), tail, weight
+
+    monkeypatch.setattr(phasespace, "_kernel_moments_inner", swept)
+    for (r0, n_max), value in fast.items():
+        assert abs(sp_hv_bound_generic(state, sign_step(r0), n_max=n_max) - value) < 1e-13
+
+
+def test_kernel_moments_level_cap_names_far_radius():
+    # at far radius 8 the table would pass float64 before the tail closes
+    state = SingleParticleCase().state
+    with pytest.raises(QuadratureError, match="far_radius"):
+        sp_hv_bound_generic(state, sign_step(8.0))
+
+
+def test_kernel_moments_build_one_table_per_level_count(monkeypatch):
+    counts = {"table": 0, "sweep": 0}
+
+    def counter(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(phasespace, "_displacement_amplitudes",
+                        counter("table", phasespace._displacement_amplitudes))
+    monkeypatch.setattr(phasespace, "assoc_laguerre_seq",
+                        counter("sweep", assoc_laguerre_seq))
+    # 0.5 stops at the first level count n_max + 16, 1.2 at the second
+    for r0, tables in ((0.5, 1), (1.2, 2)):
+        counts.update(table=0, sweep=0)
+        _kernel_moments_inner(sign_step(r0), 24, np.linspace(0.0, 4.0, 50), 48)
+        assert counts == {"table": tables, "sweep": 1}
 
 
 def test_generic_route_error_control():

@@ -109,6 +109,29 @@ def test_radial_pair_relative_route():
     assert abs(got.value - closed_inner_full(0.8)) < 1e-7
 
 
+def closed_full_core(a):
+    # the kernel over the full alpha plane and the disc |alpha'| < a: J0 as
+    # the phi mean of exp(i x cos phi) leaves a complex Gaussian integral
+    phi = (np.arange(64) + 0.5) * (math.pi / 64)
+    b = 2.0 - 4.0j * np.cos(phi)
+    e = np.exp(-4.0 * a * a / b)
+    return float(np.mean(1.0 - e - 16.0 * a * a * e / b**2).real)
+
+
+@pytest.mark.parametrize("r0", [0.1, 0.2, 0.3, 0.45, 0.5, 0.55, 0.8, 1.2])
+def test_radial_pair_error_covers_closed_forms(r0):
+    # a panel as short as [0, 0.1] must gain nodes between levels, or the
+    # level difference cannot see its error
+    spec = IntegrationSpec(split_points=(r0,))
+    for kw, closed in (
+        ({}, 1.0),
+        ({"r1_max": r0}, closed_inner_full(r0)),
+        ({"r2_max": r0}, closed_full_core(r0)),
+    ):
+        got = integrate_radial_pair(kernel, spec, **kw)
+        assert abs(got.value - closed) <= got.error_estimate + 1e-14, kw
+
+
 def test_radial_pair_direct_route_gaussian():
     # a Gaussian in |alpha| alone: the alpha' disc contributes its area
     def f(r1, d):
