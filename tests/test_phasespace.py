@@ -229,6 +229,22 @@ def test_generic_route_matches_angular_sweep_route(monkeypatch):
         assert abs(sp_hv_bound_generic(state, sign_step(r0), n_max=n_max) - value) < 1e-13
 
 
+def test_generic_route_error_carries_m_tail(monkeypatch):
+    # a tail of delta on every K_n reaches quad_error through the outer sum,
+    # (8/pi) int |r B| sum_n c_n dr with sum_n c_n <= 1 on [0, R0 + 3.4]
+    state, symbol, delta = SingleParticleCase().state, sign_step(0.5), 1e-6
+    base = sp_hv_bound_generic(state, symbol, details=True)[1]["quad_error"]
+
+    def padded(*args):
+        k, tail, weight = _kernel_moments_inner(*args)
+        return k, tail + delta, weight
+
+    monkeypatch.setattr(phasespace, "_kernel_moments_inner", padded)
+    grown = sp_hv_bound_generic(state, symbol, details=True)[1]["quad_error"] - base
+    most = delta * (8.0 / math.pi) * 3.9**2 / 2.0
+    assert 0.5 * most < grown <= most * (1.0 + 1e-9)
+
+
 def test_kernel_moments_level_cap_names_far_radius():
     # at far radius 8 the table would pass float64 before the tail closes
     state = SingleParticleCase().state
