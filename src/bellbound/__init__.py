@@ -20,6 +20,7 @@ from .weyl import (
     RadialSymbol,
     SpectralExpansion,
     bell_eigenvalue_generating,
+    piecewise_symbol,
     quantize_radial,
     sign_step,
     symbol_of,

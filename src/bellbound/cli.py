@@ -142,6 +142,10 @@ def _resolve_config(args):
     if truncation > limit:
         raise ValueError(f"truncation {truncation} exceeds {limit}: a dense "
                          f"{modes}-mode operator would pass 2^20 entries")
+    points = getattr(args, "points", 200)
+    if not 2 <= points <= 1024:  # the wigner grid holds points^2 values
+        raise ValueError(f"points {points} per axis must lie in [2, 1024]: "
+                         "the grid may hold at most 2^20 values")
     if args.output_format == "csv" and args.command not in _GRID_COMMANDS:
         raise ValueError("csv output is available for wigner and sigma-curve only")
     return RunConfig(
@@ -153,7 +157,7 @@ def _resolve_config(args):
         sigma_max=args.sigma_max,
         n_max=args.n_max,
         state=state,
-        points=getattr(args, "points", 200),
+        points=points,
         output_format=args.output_format,
         output_path=args.output_path,
     )
@@ -233,8 +237,6 @@ def _run_eigenvalues(cfg, spec):
 
 
 def _run_wigner(cfg, spec):
-    if cfg.points < 2:
-        raise ValueError("need at least two grid points per axis")
     if not np.isfinite(2.0 * cfg.r_max):
         raise ValueError(f"r_max {cfg.r_max} is too large for a finite grid")
     axis = np.linspace(-cfg.r_max, cfg.r_max, cfg.points)

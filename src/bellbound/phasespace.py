@@ -1,8 +1,9 @@
 """Deterministic bounds for the two concrete measurement setups.
 
-Single particle: a radial sign-step symbol measured on the first excited
-state of one mode. Bi-partite: the same step in the separation of two modes,
-measured on the antisymmetric pair state. Both admit a bound assembled from
+Single particle: a piecewise-constant radial symbol, the sign step by
+default, measured on the first excited state of one mode. Bi-partite: the
+sign step in the separation of two modes, measured on the antisymmetric pair
+state. Both admit a bound assembled from
 collapse probabilities, compared against the quantum mean of the quantized
 symbol; the quantum mean squared exceeding the bound is the violation.
 
@@ -26,7 +27,7 @@ from .quad import (
     integrate_radial_pair,
 )
 from .specfun import assoc_laguerre_seq, bessel_j
-from .weyl import RadialSymbol, quantize_radial, sign_step, wigner
+from .weyl import RadialSymbol, piecewise_symbol, quantize_radial, sign_step, wigner
 
 __all__ = [
     "SEPARATION_STEP",
@@ -175,19 +176,13 @@ class SigmaCurve:
         return value, point + disc, tail
 
 
-def _step_radius(symbol):
-    """None for the unit profile, the jump radius for the sign-step family."""
-    probes = np.array([0.17, 0.83, 1.9])
-    if not symbol.jumps:
-        if symbol.far_value == 1.0 and np.allclose(symbol(probes), 1.0, atol=1e-12):
-            return None
-    elif len(symbol.jumps) == 1 and symbol.far_value == 1.0:
-        r0 = float(symbol.jumps[0])
-        inside = float(symbol(np.array([0.5 * r0]))[0])
-        outside = symbol(np.array([1.5 * r0, 4.0 * r0]))
-        if inside == -1.0 and np.all(outside == 1.0):
-            return r0
-    raise ValueError("closed route covers the unit and sign-step profiles only")
+def _declared_step(symbol):
+    """None for the unit profile, the jump radius of a declared (-1, +1) step;
+    the bi-partite route has one arc table, so it refuses anything else."""
+    if symbol.levels in ((1.0,), (-1.0, 1.0)):
+        return symbol.jumps[0] if symbol.jumps else None
+    raise ValueError(f"the bi-partite route takes the unit and sign-step levels "
+                     f"only; got levels {symbol.levels} at jumps {symbol.jumps}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +205,16 @@ def sp_hv_bound(case):
     """Deterministic bound for the single-particle setup, closed kernel route.
 
     Restricted to the first excited state, whose collapse sum has the closed
-    kernel (4/pi^2)(1 - 4 d^2) exp(-2 d^2) J0(4 d r). The sign-step symbol
-    splits the double phase-space integral into four region pieces,
+    kernel (4/pi^2)(1 - 4 d^2) exp(-2 d^2) J0(4 d r), and to symbols that
+    declare levels, B = c_inf + sum_k c_k 1{r < r_k} (c_inf the last level,
+    c_k the drop at jump r_k). The bound is the bilinear form
 
-        total = full_full - 2 core_full - 2 full_core + 4 core_core,
+        total = sum_kl c_k c_l I(r_k, r_l),
 
-    where core restricts to the disc inside the jump radius, first slot the
-    state side and second slot the symbol side. The unit symbol keeps only
-    full_full, which integrates to 1 exactly.
+    I restricting the state side (first slot) and the symbol side to discs:
+    full is the plane, core, core2, ... the discs inside each jump. The sign
+    step gives full_full - 2 core_full - 2 full_core + 4 core_core, the unit
+    symbol full_full alone, which integrates to 1 exactly.
 
     Returns a BellReport; the components and their quadrature errors sit in
     notes["components"] / notes["component_errors"], and notes["violation"]
@@ -229,39 +226,25 @@ def sp_hv_bound(case):
             "kernel route needs the first excited state; "
             "sp_hv_bound_generic handles other number-diagonal states"
         )
-    r0 = _step_radius(case.symbol)
-    spec = case.spec
-    comps = {}
-    errs = {}
-    res = integrate_radial_pair(_excited_kernel, spec)
-    comps["full_full"] = res.value
-    errs["full_full"] = res.error_estimate
-    if r0 is None:
-        total = res.value
-        err = res.error_estimate
-    else:
-        pieces = {
-            "core_full": {"r1_max": r0},
-            "full_core": {"r2_max": r0},
-            "core_core": {"r1_max": r0, "r2_max": r0},
-        }
-        for name, kw in pieces.items():
-            part = integrate_radial_pair(_excited_kernel, spec, **kw)
-            comps[name] = part.value
-            errs[name] = part.error_estimate
-        total = (
-            comps["full_full"]
-            - 2.0 * comps["core_full"]
-            - 2.0 * comps["full_core"]
-            + 4.0 * comps["core_core"]
-        )
-        err = (
-            errs["full_full"]
-            + 2.0 * errs["core_full"]
-            + 2.0 * errs["full_core"]
-            + 4.0 * errs["core_core"]
-        )
-    qm = float(quantize_radial(case.symbol, 2, spec).eigenvalues[1])
+    lv = case.symbol.levels
+    if lv is None:
+        raise ValueError("kernel route needs declared levels, as sign-step or "
+                         "piecewise_symbol give; sp_hv_bound_generic takes the rest")
+    regions = [("full", None, lv[-1])] + [
+        (f"core{k}" if k > 1 else "core", r, lv[k - 1] - lv[k])
+        for k, r in enumerate(case.symbol.jumps, 1)
+    ]
+    comps, errs, total, err = {}, {}, 0.0, 0.0
+    for name2, r2, c2 in regions:
+        for name1, r1, c1 in regions:
+            res = integrate_radial_pair(_excited_kernel, case.spec,
+                                        r1_max=r1, r2_max=r2)
+            name = f"{name1}_{name2}"
+            comps[name] = res.value
+            errs[name] = res.error_estimate
+            total += c1 * c2 * res.value
+            err += abs(c1 * c2) * res.error_estimate
+    qm = float(quantize_radial(case.symbol, 2, case.spec).eigenvalues[1])
     return BellReport(
         label="single-particle",
         qm_mean=qm,
@@ -507,16 +490,11 @@ def _relative_profile(symbol):
     """The separation profile as a radial symbol of the relative mode.
 
     The relative mode carries (alpha_1 - alpha_2)/sqrt 2, so a profile in
-    the separation t becomes r -> B(sqrt 2 r) with rescaled jump radii.
+    the separation t becomes r -> B(sqrt 2 r): the same levels, at jump
+    radii over sqrt 2.
     """
-    root2 = math.sqrt(2.0)
-    return RadialSymbol(
-        lambda r: symbol(root2 * np.asarray(r, dtype=float)),
-        description="relative-mode " + (symbol.description or "profile"),
-        jumps=tuple(j / root2 for j in symbol.jumps),
-        far_value=symbol.far_value,
-        far_radius=symbol.far_radius / root2,
-    )
+    return piecewise_symbol([j / math.sqrt(2.0) for j in symbol.jumps], symbol.levels,
+                            "relative-mode " + (symbol.description or "profile"))
 
 
 def bp_qm_mean(case):
@@ -657,11 +635,9 @@ def sigma_curve(case, mode="full"):
     _pair_state_checked(case)
     if mode not in ("full", "disc_unit", "unit_unit"):
         raise ValueError(f"unknown mode {mode!r}")
-    j = None
-    if mode != "unit_unit":
-        j = _step_radius(case.symbol)
-        if j is None:
-            raise ValueError("sigma reduction needs the sign-step profile")
+    j = None if mode == "unit_unit" else _declared_step(case.symbol)
+    if j is None and mode != "unit_unit":
+        raise ValueError("sigma reduction needs the sign-step profile")
     spec = case.spec
     ratio = spec.sigma_max / spec.sigma_step
     size = math.floor(min(ratio, _SIGMA_MAX_POINTS) + 1e-9) + 1
@@ -717,21 +693,13 @@ def bp_hv_bound(case, curve=None):
     relative-mode profile; bp_qm_mean is the quadrature cross-check.
     """
     _pair_state_checked(case)
-    r0 = _step_radius(case.symbol)
+    r0 = _declared_step(case.symbol)
     spec = case.spec
-    comps = {}
-    errs = {}
     i11 = _reduced_pair_integral(math.inf)
-    comps["unit_unit"] = i11
-    errs["unit_unit"] = 0.0
-    tail = 0.0
-    if r0 is None:
-        total = i11
-        err = 0.0
-    else:
+    comps, errs = {"unit_unit": i11}, {"unit_unit": 0.0}
+    total, err, tail = i11, 0.0, 0.0
+    if r0 is not None:
         idu = _reduced_pair_integral(r0)
-        comps["disc_unit"] = idu
-        errs["disc_unit"] = 0.0
         if curve is None:
             curve = sigma_curve(case)
         elif curve.points[0] != 0.0 or abs(
@@ -743,8 +711,8 @@ def bp_hv_bound(case, curve=None):
             raise QuadratureError(
                 f"sigma-curve error {esd + tail:.2e} above 15 percent of {isd:.2e}"
             )
-        comps["sign_disc"] = isd
-        errs["sign_disc"] = esd + tail
+        comps.update(disc_unit=idu, sign_disc=isd)
+        errs.update(disc_unit=0.0, sign_disc=esd + tail)
         total = i11 - 2.0 * idu - 2.0 * isd
         err = 2.0 * (esd + tail)
     qm = float(quantize_radial(_relative_profile(case.symbol), 2, spec).eigenvalues[1])

@@ -29,6 +29,7 @@ __all__ = [
     "RadialSymbol",
     "SpectralExpansion",
     "bell_eigenvalue_generating",
+    "piecewise_symbol",
     "quantize_radial",
     "sign_step",
     "symbol_of",
@@ -41,10 +42,12 @@ __all__ = [
 class RadialSymbol:
     """Rotation-invariant phase-space profile r -> B(r).
 
-    jumps lists the radii of step discontinuities so quadratures can split
-    there; far_value, when set, is the exact constant value for all
-    r >= far_radius, which lets the quantizer trade the infinite tail for a
-    closed-form contribution.
+    jumps lists the radii of step discontinuities, positive and increasing,
+    so quadratures can split there; far_value, when set, is the exact
+    constant value for all r >= far_radius (at or past the last jump), which
+    lets the quantizer trade the infinite tail for a closed-form
+    contribution. levels, declared by piecewise_symbol, are the values on
+    [0, r_1), [r_1, r_2), ..., [r_k, inf).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -52,30 +55,51 @@ class RadialSymbol:
     jumps: tuple = ()
     far_value: Optional[float] = None
     far_radius: float = 0.0
+    levels: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "jumps", tuple(float(j) for j in self.jumps))
-        if any(j < 0 for j in self.jumps):
-            raise ValueError("jump radii must be nonnegative")
-        if self.far_value is not None and self.far_radius < 0:
-            raise ValueError("far_radius must be nonnegative")
+        jumps = tuple(map(float, self.jumps))
+        object.__setattr__(self, "jumps", jumps)
+        last = max(jumps, default=0.0)
+        # 0 < r_1 < ... < r_k < inf, which no NaN passes
+        if not all(a < b for a, b in zip((0.0, *jumps), (*jumps, math.inf))):
+            raise ValueError(f"jumps must be finite, positive and increasing: {jumps}")
+        if self.far_value is not None and not self.far_radius >= last:
+            raise ValueError(f"far_radius {self.far_radius} is short of the last jump")
+        if self.levels is not None:
+            object.__setattr__(self, "levels", tuple(map(float, self.levels)))
+            if (len(self.levels) != len(jumps) + 1 or self.far_radius != last
+                    or self.far_value != self.levels[-1]):
+                raise ValueError("levels need one value per region, the last "
+                                 "one far_value from far_radius = the last jump")
 
     def __call__(self, r):
         return self.fn(np.asarray(r, dtype=float))
 
 
+def piecewise_symbol(jumps, levels, description=""):
+    """B(r) = levels[k] on [r_k, r_{k+1}), with r_0 = 0 and r_{K+1} = inf.
+
+    The one place a declared symbol is built: its function, far value (the
+    last level) and far radius (the last jump, 0 with none) share the levels.
+    """
+    edges, table = np.array(jumps, dtype=float), np.array(levels, dtype=float)
+    if table.shape != (edges.size + 1,) or not np.all(np.isfinite(table)):
+        raise ValueError(f"{edges.size} jumps need {edges.size + 1} finite "
+                         f"levels, got {levels}")
+    return RadialSymbol(lambda r: table[np.searchsorted(edges, r, side="right")],
+                        description, edges, float(table[-1]),
+                        float(max(edges, default=0.0)), table)
+
+
 def unit_symbol():
     """B(r) = 1 everywhere."""
-    return RadialSymbol(lambda r: np.ones_like(r), "unit", (), 1.0, 0.0)
+    return piecewise_symbol((), (1.0,), "unit")
 
 
 def sign_step(r0=0.5):
     """B(r) = -1 inside radius r0 and +1 outside."""
-    r0 = float(r0)
-    if r0 <= 0:
-        raise ValueError("step radius must be positive")
-    return RadialSymbol(lambda r: np.where(r < r0, -1.0, 1.0),
-                        f"sign step at {r0}", (r0,), 1.0, r0)
+    return piecewise_symbol((r0,), (-1.0, 1.0), f"sign step at {float(r0)}")
 
 
 # entries of the k x k displacement blocks built per pass of the symbol map

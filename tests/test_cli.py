@@ -68,6 +68,8 @@ def test_invalid_spec_values_exit_one(capsys, flag, value, field):
         # truncation^2; both limits sit at 2^20 entries
         (["bipartite", "--truncation", "33"], "truncation"),
         (["single-particle", "--truncation", "1025"], "truncation"),
+        # a grid of points^2 values: 10^7 per axis would need 1.42 PiB
+        (["wigner", "--points", "10000000"], "points"),
     ],
 )
 def test_out_of_bounds_inputs_exit_one(capsys, argv, knob):

@@ -27,7 +27,8 @@ from bellbound.phasespace import (
 )
 from bellbound.quad import IntegrationSpec, QuadratureError, _gl_segmented
 from bellbound.specfun import assoc_laguerre_seq
-from bellbound.weyl import RadialSymbol, quantize_radial, sign_step, unit_symbol
+from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
+                            unit_symbol)
 from oracles import displacement_element, kernel_moments_inner, sigma_point
 
 QM = 4.0 * math.exp(-0.5) - 1.0
@@ -42,6 +43,17 @@ TWO_STEP = RadialSymbol(
     lambda r: np.select([r < 0.3, r < 0.8], [-1.0, 0.5], 1.0), "two steps",
     (0.3, 0.8), 1.0, 0.8,
 )
+# structure a symbol leaves undeclared: -1 on a ring behind the unit
+# profile's far value, and a dip to -1 on (1.5, 1.75) past a declared step
+RING = RadialSymbol(lambda r: np.where((1.0 < r) & (r < 1.5), -1.0, 1.0), "ring",
+                    (), 1.0, 0.0)
+
+
+def dipped_step(r0):
+    return RadialSymbol(
+        lambda r: np.where((r < r0) | ((1.5 < r) & (r < 1.75)), -1.0, 1.0),
+        "dipped step", (r0,), 1.0, r0,
+    )
 
 
 def diagonal_state(weights, dim=64):
@@ -110,6 +122,43 @@ def test_kernel_route_rejects():
     bump = RadialSymbol(lambda r: np.exp(-r * r), far_value=0.0)
     with pytest.raises(ValueError, match="sign-step"):
         sp_hv_bound(SingleParticleCase(symbol=bump))
+
+
+def test_undeclared_symbols_are_refused():
+    # at a few probe radii these look like the unit profile and sign_step(0.5);
+    # with no levels declared every closed route must refuse, not guess
+    for symbol in (RING, dipped_step(0.5)):
+        with pytest.raises(ValueError, match="levels"):
+            sp_hv_bound(SingleParticleCase(symbol=symbol))
+    for symbol in (RING, dipped_step(SEPARATION_STEP)):
+        case = BipartiteCase(symbol=symbol)
+        with pytest.raises(ValueError, match="levels"):
+            bp_hv_bound(case)
+        with pytest.raises(ValueError, match="levels"):
+            sigma_curve(case)
+
+
+def test_kernel_route_takes_declared_steps():
+    two = piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0), "two steps")
+    state = diagonal_state([0.0, 1.0], dim=128)
+    rep = sp_hv_bound(SingleParticleCase(symbol=two, state=state))
+    # c_inf = 1 on the plane, then the drops 0.5 - (-1) and 1 - 0.5 at the jumps
+    c = {"full": 1.0, "core": -1.5, "core2": -0.5}
+    comps, errs = rep.notes["components"], rep.notes["component_errors"]
+    assert len(comps) == 9
+    pairs = [(a, b) for b in c for a in c]
+    total = sum(c[a] * c[b] * comps[f"{a}_{b}"] for a, b in pairs)
+    err = sum(abs(c[a] * c[b]) * errs[f"{a}_{b}"] for a, b in pairs)
+    assert rep.hv_bound == pytest.approx(total, rel=1e-14, abs=0.0)
+    assert rep.notes["error_estimate"] == pytest.approx(err, rel=1e-14, abs=0.0)
+    generic, info = sp_hv_bound_generic(state, two, n_max=48, details=True)
+    budget = info["n_tail"] + info["quad_error"] + rep.notes["error_estimate"]
+    assert abs(rep.hv_bound - generic) < budget
+    # the generic route reads the function alone, declared or not
+    assert sp_hv_bound_generic(state, TWO_STEP, n_max=48) == generic
+    # the bi-partite route has one arc table per jump: it names what it got
+    with pytest.raises(ValueError, match=r"\(-1.0, 0.5, 1.0\)"):
+        bp_hv_bound(BipartiteCase(symbol=two))
 
 
 def test_generic_route_matches_kernel():
@@ -323,7 +372,7 @@ def test_bipartite_case_validation():
 
 def test_relative_profile():
     rel = _relative_profile(sign_step(SEPARATION_STEP))
-    assert np.allclose(rel.jumps, (0.5,))
+    assert np.allclose(rel.jumps, (0.5,)) and rel.levels == (-1.0, 1.0)
     assert rel.far_value == 1.0
     assert np.allclose(rel(np.array([0.3, 0.8])), [-1.0, 1.0])
     lam = quantize_radial(rel, 2).eigenvalues

@@ -18,6 +18,7 @@ from bellbound.quad import IntegrationSpec
 from bellbound.weyl import (
     RadialSymbol,
     bell_eigenvalue_generating,
+    piecewise_symbol,
     quantize_radial,
     sign_step,
     symbol_of,
@@ -41,6 +42,39 @@ def test_radial_symbol_factories():
         sign_step(0.0)
     with pytest.raises(ValueError):
         RadialSymbol(lambda r: r, jumps=(-1.0,))
+    # jumps out of order or past float range, and a far radius short of the
+    # last jump, which would fold [0.5, 0.8] of this profile into the far
+    # value when quantized
+    for jumps in ((0.8, 0.3), (0.3, 0.3), (0.3, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="jumps"):
+            RadialSymbol(lambda r: r, jumps=jumps)
+    two = lambda r: np.select([r < 0.3, r < 0.8], [-1.0, 0.5], 1.0)
+    with pytest.raises(ValueError, match="far_radius"):
+        RadialSymbol(two, "two steps", (0.3, 0.8), 1.0, 0.5)
+
+
+def test_piecewise_symbol_declares_its_levels():
+    two = piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0), "two steps")
+    r = np.array([0.0, 0.29, 0.3, 0.79, 0.8, 5.0])
+    assert np.array_equal(two(r), [-1.0, -1.0, 0.5, 0.5, 1.0, 1.0])
+    assert two.levels == (-1.0, 0.5, 1.0)
+    assert two.far_value == 1.0 and two.far_radius == 0.8
+    assert sign_step(0.5).levels == (-1.0, 1.0)
+    assert unit_symbol().levels == (1.0,) and unit_symbol().far_radius == 0.0
+    # the declared profile quantizes like the same function given alone
+    plain = RadialSymbol(two.fn, jumps=(0.3, 0.8), far_value=1.0, far_radius=0.8)
+    assert np.array_equal(quantize_radial(two, 8).eigenvalues,
+                          quantize_radial(plain, 8).eigenvalues)
+    with pytest.raises(ValueError, match="levels"):
+        piecewise_symbol((0.3, 0.8), (-1.0, 1.0))
+    with pytest.raises(ValueError, match="levels"):
+        piecewise_symbol((0.3,), (-1.0, math.inf))
+    with pytest.raises(ValueError, match="positive"):
+        piecewise_symbol((0.0,), (-1.0, 1.0))
+    # levels given directly must agree with the far fields
+    with pytest.raises(ValueError, match="levels"):
+        RadialSymbol(two.fn, jumps=(0.3, 0.8), far_value=0.5, far_radius=0.8,
+                     levels=(-1.0, 0.5, 1.0))
 
 
 def test_symbol_of_number_states():
