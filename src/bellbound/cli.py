@@ -187,12 +187,14 @@ def _report_payload(rep):
 def _run_chsh(cfg, spec):
     dec = chsh_decomposition(cfg.truncation)
     rep = bell_report(bell_pair_state(cfg.truncation), dec)
-    mats = np.stack([p.entries for _, p in dec.terms])
-    weights = np.array([w for w, _ in dec.terms])
     # sum_u w_u P_u B P_u must equal hv_bound times the identity: the
-    # collapse of the operator is state independent for these settings
-    collapsed = np.tensordot(weights, mats @ dec.target.entries @ mats, 1)
-    eye = np.eye(mats.shape[1])
+    # collapse of the operator is state independent for these settings;
+    # summed one term at a time, so a few t^2 x t^2 matrices are live at once
+    target = dec.target.entries
+    collapsed = np.zeros_like(target)
+    for w, p in dec.terms:
+        collapsed += w * (p.entries @ target @ p.entries)
+    eye = np.eye(target.shape[0])
     residual = float(np.max(np.abs(collapsed - rep.hv_bound * eye)))
     results = {
         "qm_mean": float(rep.qm_mean),

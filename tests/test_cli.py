@@ -1,10 +1,15 @@
 """Command line surface: documents, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellbound
 from bellbound.cli import RunConfig, main, run
@@ -78,6 +83,67 @@ def test_out_of_bounds_inputs_exit_one(capsys, argv, knob):
     assert knob in err and "Traceback" not in err
 
 
+def sizes(low, high, limit):
+    # small sizes inside the bounds, and sizes the CLI must refuse on either
+    # side of them before it allocates anything
+    refused = st.integers(max_value=low - 1) | st.integers(min_value=limit + 1)
+    return st.integers(low, high) | refused
+
+
+# plausible values as often as any float at all; positive tolerances below
+# 1e-15 are left out: they spend the 1d quadrature's evaluation budget
+# (about 5 s) before the documented exit 2, which
+# test_integrate_1d_budget_raises covers
+REALS = st.floats(1e-3, 1e3) | st.floats()
+TOLERANCES = st.one_of(st.floats(1e-15, 1e-3), st.floats(min_value=1e-15),
+                       st.floats(max_value=0.0), st.just(math.nan))
+
+
+@st.composite
+def numeric_argv(draw):
+    command = draw(st.sampled_from(["chsh", "eigenvalues", "wigner"]))
+    flags = {
+        "--truncation": sizes(2, {"chsh": 4, "eigenvalues": 32, "wigner": 8}[command],
+                              1024),
+        "--r-max": REALS,
+        "--abs-tol": TOLERANCES,
+        "--sigma-step": REALS,
+        "--sigma-max": REALS,
+        "--n-max": st.integers(1, 20) | st.integers(),
+    }
+    if command == "wigner":
+        flags["--points"] = sizes(2, 64, 1024)
+        flags["--state"] = st.sampled_from(["fock0", "fock1", "bell"])
+    chosen = draw(st.fixed_dictionaries({}, optional=flags))
+    return [command] + [f"{flag}={value}" for flag, value in chosen.items()]
+
+
+def refuse_constant(name):
+    raise ValueError(f"document holds {name}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(numeric_argv())
+def test_numeric_flags_exit_cleanly(argv):
+    # 0 with a finite document, 1 naming a flag it was given, or 2; an
+    # exception escaping main (a warning among them) fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
+    if code == 1:
+        given_flags = [arg.split("=")[0] for arg in argv[1:]]
+        assert any(flag in err or flag[2:].replace("-", "_") in err
+                   for flag in given_flags), (argv, err)
+
+
 @pytest.mark.parametrize("command", ["sigma-curve", "bipartite"])
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
 def test_retired_monte_carlo_flags_exit_one(capsys, command, flag):
@@ -122,6 +188,21 @@ def test_chsh_reconstruction_matches_einsum(truncation, tmp_path):
     collapsed = np.einsum("u,uij,jk,ukl->il", weights, mats, dec.target.entries, mats)
     residual = np.max(np.abs(collapsed - res["hv_bound"] * np.eye(mats.shape[1])))
     assert abs(res["reconstruction_residual"] - residual) <= 1e-15
+
+
+def test_chsh_memory(tmp_path):
+    # the decomposition's 16 dense 256 x 256 complex projectors hold 16.8 MB;
+    # stacking them and forming all 16 products P_u B P_u at once would add
+    # 50 MB
+    out = tmp_path / "chsh.json"
+    tracemalloc.start()
+    try:
+        assert main(["chsh", "--truncation", "16", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert read_doc(out)["results"]["reconstruction_residual"] < 1e-10
 
 
 def test_eigenvalues_document(tmp_path):

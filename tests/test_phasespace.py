@@ -14,6 +14,9 @@ from bellbound.phasespace import (
     SigmaCurve,
     SingleParticleCase,
     _displaced_level_weights,
+    _excited_component,
+    _excited_kernel,
+    _full_disc_mean,
     _kernel_moments_inner,
     _level_transitions,
     _relative_profile,
@@ -25,7 +28,8 @@ from bellbound.phasespace import (
     sp_hv_bound,
     sp_hv_bound_generic,
 )
-from bellbound.quad import IntegrationSpec, QuadratureError, _gl_segmented
+from bellbound.quad import (IntegrationSpec, QuadratureError, _gl_segmented,
+                            integrate_radial_pair)
 from bellbound.specfun import assoc_laguerre_seq
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
@@ -112,6 +116,59 @@ def test_kernel_route_unit_symbol():
     assert abs(rep.hv_bound - 1.0) < 1e-6
     assert abs(rep.qm_mean - 1.0) < 1e-12
     assert list(rep.notes["components"]) == ["full_full"]
+
+
+def component_radii(symbol):
+    # the region names of sp_hv_bound's bilinear form and their disc radii
+    names = ["full"] + [f"core{k}" if k > 1 else "core"
+                        for k in range(1, len(symbol.jumps) + 1)]
+    return dict(zip(names, (None, *symbol.jumps)))
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [sign_step(r0) for r0 in (0.1, 0.3, 0.45, 0.5, 0.55, 0.8, 1.2, 2.0)]
+    + [piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0), "two steps")],
+    ids=["0.1", "0.3", "0.45", "0.5", "0.55", "0.8", "1.2", "2.0", "two-step"],
+)
+def test_kernel_route_closed_components_match_quadrature(symbol):
+    # every component with a full-plane slot is closed; the radial pair
+    # engine on the same kernel is the independent route
+    case = SingleParticleCase(symbol=symbol)
+    rep = sp_hv_bound(case)
+    comps, errs = rep.notes["components"], rep.notes["component_errors"]
+    radii = component_radii(symbol)
+    closed = [(a, b) for a in radii for b in radii if "full" in (a, b)]
+    assert len(closed) == 2 * len(radii) - 1
+    for a, b in closed:
+        got = integrate_radial_pair(_excited_kernel, case.spec,
+                                    r1_max=radii[a], r2_max=radii[b])
+        name = f"{a}_{b}"
+        assert abs(comps[name] - got.value) <= errs[name] + got.error_estimate + 1e-14
+    assert comps["full_full"] == 1.0 and errs["full_full"] == 0.0
+
+
+@pytest.mark.parametrize("R", [0.05, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+def test_full_disc_mean_error_covers_finer_mean(R):
+    value, error = _excited_component(None, R, IntegrationSpec())
+    assert value == _full_disc_mean(R, 64)
+    assert abs(value - _full_disc_mean(R, 256)) <= error
+
+
+def test_kernel_route_quadratures_only_disc_pairs(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return integrate_radial_pair(*args, **kwargs)
+
+    monkeypatch.setattr(phasespace, "integrate_radial_pair", counted)
+    two = piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0), "two steps")
+    for symbol, count in ((sign_step(0.5), 1), (unit_symbol(), 0), (two, 4)):
+        calls.clear()
+        sp_hv_bound(SingleParticleCase(symbol=symbol))
+        assert len(calls) == count
+        assert all(None not in kw.values() for kw in calls)
 
 
 def test_kernel_route_rejects():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from bellbound.phasespace import _excited_component
 from bellbound.quad import (
     IntegrationSpec,
     QuadratureError,
@@ -94,28 +95,21 @@ def kernel(r1, d):
     return (4 / math.pi**2) * (1 - 4 * d * d) * np.exp(-2 * d * d) * bessel_j(0, 4 * d * r1)
 
 
-def closed_inner_full(a):
-    # integral of the kernel over alpha' = full plane, |alpha| < a
-    return 1.0 - math.exp(-2 * a * a) * (1 + 4 * a * a)
+def closed_component(r1, r2):
+    # the single-particle route's closed components I(r1, r2): None is the
+    # full plane, and one slot must be
+    assert r1 is None or r2 is None
+    return _excited_component(r1, r2, SPEC)[0]
 
 
 def test_radial_pair_relative_route():
     got = integrate_radial_pair(kernel, SPEC, r1_max=None, r2_max=None)
     assert abs(got.value - 1.0) < 1e-7
     got = integrate_radial_pair(kernel, SPEC, r1_max=0.5, r2_max=None)
-    assert abs(got.value - closed_inner_full(0.5)) < 1e-7
-    assert abs(closed_inner_full(0.5) - (1 - 2 * math.exp(-0.5))) < 1e-15
+    assert abs(got.value - closed_component(0.5, None)) < 1e-7
+    assert abs(closed_component(0.5, None) - (1 - 2 * math.exp(-0.5))) < 1e-15
     got = integrate_radial_pair(kernel, SPEC, r1_max=0.8, r2_max=None)
-    assert abs(got.value - closed_inner_full(0.8)) < 1e-7
-
-
-def closed_full_core(a):
-    # the kernel over the full alpha plane and the disc |alpha'| < a: J0 as
-    # the phi mean of exp(i x cos phi) leaves a complex Gaussian integral
-    phi = (np.arange(64) + 0.5) * (math.pi / 64)
-    b = 2.0 - 4.0j * np.cos(phi)
-    e = np.exp(-4.0 * a * a / b)
-    return float(np.mean(1.0 - e - 16.0 * a * a * e / b**2).real)
+    assert abs(got.value - closed_component(0.8, None)) < 1e-7
 
 
 @pytest.mark.parametrize("r0", [0.1, 0.2, 0.3, 0.45, 0.5, 0.55, 0.8, 1.2])
@@ -125,8 +119,8 @@ def test_radial_pair_error_covers_closed_forms(r0):
     spec = IntegrationSpec(split_points=(r0,))
     for kw, closed in (
         ({}, 1.0),
-        ({"r1_max": r0}, closed_inner_full(r0)),
-        ({"r2_max": r0}, closed_full_core(r0)),
+        ({"r1_max": r0}, closed_component(r0, None)),
+        ({"r2_max": r0}, closed_component(None, r0)),
     ):
         got = integrate_radial_pair(kernel, spec, **kw)
         assert abs(got.value - closed) <= got.error_estimate + 1e-14, kw
