@@ -234,8 +234,9 @@ def test_criterion_05_single_particle_components(sp_documents):
 
 
 @pytest.mark.xfail(strict=True, reason="quoted reference value 0.0184 "
-                   "disagrees with the direct quadrature of the component "
-                   "integral; the measured value is pinned in "
+                   "disagrees with the component integral by two routes, "
+                   "its closed phi mean and the direct quadrature, which "
+                   "agree within 1e-15; the measured value is pinned in "
                    "test_criterion_05_single_particle_components")
 def test_criterion_05_reference_full_core(sp_documents):
     value = sp_documents["first"]["components"]["full_core"]
