@@ -329,7 +329,8 @@ def main(argv=None):
         cfg = _resolve_config(args)
         text = run(cfg)
     except QuadratureError as exc:
-        print(f"bellbound: did not converge: {exc}", file=sys.stderr)
+        hint = f"; raise --{exc.knob.replace('_', '-')}" if exc.knob else ""
+        print(f"bellbound: did not converge: {exc}{hint}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"bellbound: error: {exc}", file=sys.stderr)

@@ -563,37 +563,65 @@ def bp_qm_mean(case):
     return integrate_radial_pair(f, case.spec).value
 
 
-# (n_d, n_g, n_psi, n_theta) per node level of the sigma curve: the
-# separation modulus, the two displacement moduli, the relative
-# displacement angle and the separation angle. The kinks of the arc table
-# make the convergence algebraic and uneven, so the coarse level, which
-# only serves the error estimate, halves every count: its difference to
-# the fine level then bounds the fine level's own error with room to spare.
-_SIGMA_LEVELS = ((64, 32, 48, 8), (128, 64, 96, 12))
+# (n_d, n_g, n_win, n_theta) per node level of the sigma curve: the
+# separation modulus, the two displacement moduli, the arc table's window
+# nodes and the separation angle. The kinks of the arc table make the
+# convergence algebraic and uneven, so the coarse level, which only serves
+# the error estimate, halves every count: its difference to the fine level
+# then bounds the fine level's own error with room to spare.
+_SIGMA_LEVELS = ((64, 32, 8, 8), (128, 64, 16, 12))
 # displacement moduli run to where exp(-2 g^2) falls below 1e-17
 _SIGMA_G_MAX = 4.5
 # grids longer than this are refused instead of left running
 _SIGMA_MAX_POINTS = 10_000
+# separation nodes per block of the arc table, which bounds its temporaries
+_ARC_BLOCK = 8
 
 
-def _arc_table(dn, gn, j, n_psi):
+def _arc_table(dn, gn, j, n_win):
     """A(d, g1, g2): chance that |d + g1 e^{i phi1} - g2 e^{i phi2}| < j.
 
-    Both displacement angles are uniform. At fixed phi2 the phi1 average is
-    the arc fraction 1 - arccos(kappa)/pi in closed form; a midpoint rule in
-    phi2 on (0, pi) does the rest, since the chance is even in phi2. Built
-    one separation node at a time, so the (g2, g1, psi) block stays small.
-    Indexed [d, g2, g1].
+    Both displacement angles are uniform, so g1 e^{i phi1} - g2 e^{i phi2}
+    has a uniform direction and, independently of it, the modulus
+    rho(psi)^2 = g1^2 + g2^2 - 2 g1 g2 cos psi with psi uniform on (0, pi).
+    At fixed rho the chance is the arc fraction a = 1 - arccos(kappa)/pi,
+    kappa = (j^2 - d^2 - rho^2)/(2 d rho). rho grows with psi, and a is
+    1{d < j} below rho = |d - j| and 0 above d + j, so with psi_a and psi_b
+    the closed-form angles where rho crosses the two,
+
+        A = [1{d < j} psi_a + int_{psi_a}^{psi_b} a dpsi] / pi.
+
+    The window integral is Gauss-Legendre in t on (0, pi) with
+    psi = psi_a + (psi_b - psi_a)(1 - cos t)/2, which absorbs the
+    square-root ends. A is symmetric in g1 <-> g2, so only the pairs
+    g1 <= g2 are evaluated, then mirrored; cells with an empty window take
+    the closed part alone. Built a block of separation nodes at a time,
+    which bounds the temporaries. Indexed [d, g2, g1].
     """
-    psi = (np.arange(n_psi) + 0.5) * (math.pi / n_psi)
-    g2 = gn[:, None, None]
-    g1 = gn[None, :, None]
+    lo, hi = np.triu_indices(gn.size)
+    sq = gn[lo] ** 2 + gn[hi] ** 2
+    prod = 2.0 * gn[lo] * gn[hi]
+    t, tw = _gl_segmented(0.0, math.pi, n_win, ())
+    ramp = 0.5 * (1.0 - np.cos(t))
+    tw = 0.5 * np.sin(t) * tw
     out = np.empty((dn.size, gn.size, gn.size))
-    for k, d in enumerate(dn):
-        c2 = d * d + g2 * g2 - 2.0 * d * g2 * np.cos(psi)
-        kappa = (j * j - c2 - g1 * g1) / (2.0 * np.sqrt(c2) * g1)
+    for start in range(0, dn.size, _ARC_BLOCK):
+        d = dn[start:start + _ARC_BLOCK, None]
+        psi_a, psi_b = (np.arccos(np.clip((sq - e * e) / prod, -1.0, 1.0))
+                        for e in (np.abs(d - j), d + j))
+        width = psi_b - psi_a
+        pairs = np.where(d < j, psi_a, 0.0)
+        kd, kp = np.nonzero(width > 0.0)
+        rho_sq = sq[kp, None] - prod[kp, None] * np.cos(
+            psi_a[kd, kp, None] + width[kd, kp, None] * ramp)
+        dk = d[kd]
+        kappa = (j * j - dk * dk - rho_sq) / (2.0 * dk * np.sqrt(rho_sq))
         np.clip(kappa, -1.0, 1.0, out=kappa)
-        out[k] = 1.0 - np.arccos(kappa).mean(axis=-1) / math.pi
+        pairs[kd, kp] += width[kd, kp] * ((1.0 - np.arccos(kappa) / math.pi) @ tw)
+        pairs /= math.pi
+        block = out[start:start + _ARC_BLOCK]
+        block[:, lo, hi] = pairs
+        block[:, hi, lo] = pairs
     return out
 
 
@@ -612,7 +640,7 @@ def _sigma_level(case, j, mode, pts, level):
     and A: the signed profile against the arc table ("full"), or A = 1
     with B = 1{d < j} ("disc_unit") or B = 1 ("unit_unit").
     """
-    n_d, n_g, n_psi, n_theta = level
+    n_d, n_g, n_win, n_theta = level
     spec = case.spec
     dn, dw = _gl_segmented(0.0, spec.r_max, n_d, spec.split_points)
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
@@ -620,7 +648,7 @@ def _sigma_level(case, j, mode, pts, level):
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
     if mode == "full":
         profile = case.symbol(dn)
-        arc = _arc_table(dn, gn, j, n_psi)
+        arc = _arc_table(dn, gn, j, n_win)
     else:
         profile = (dn < j).astype(float) if mode == "disc_unit" else np.ones(n_d)
         arc = np.ones((1, n_g, n_g))
@@ -745,7 +773,8 @@ def bp_hv_bound(case, curve=None):
         isd, esd, tail = curve.integral()
         if esd + tail > 0.15 * max(abs(isd), 1e-6):
             raise QuadratureError(
-                f"sigma-curve error {esd + tail:.2e} above 15 percent of {isd:.2e}"
+                f"sigma-curve error {esd + tail:.2e} above 15 percent of {isd:.2e}",
+                knob="sigma_max",
             )
         comps.update(disc_unit=idu, sign_disc=isd)
         errs.update(disc_unit=0.0, sign_disc=esd + tail)

@@ -29,7 +29,15 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """An integral could not be driven to its tolerance."""
+    """An integral could not be driven to its tolerance.
+
+    knob names the IntegrationSpec field to raise, where one decides the
+    failure, so that a front end can name its own setting for it.
+    """
+
+    def __init__(self, message, knob=None):
+        super().__init__(message)
+        self.knob = knob
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ def integrate_1d(f, a, b, spec):
         if evals >= _BUDGET_1D:
             raise QuadratureError(
                 f"1d quadrature spent {evals} evaluations on [{a}, {b}] "
-                f"without reaching {spec.abs_tol}"
+                f"without reaching {spec.abs_tol}", knob="abs_tol"
             )
         _, _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -241,12 +249,13 @@ def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
                 return QuadResult(value, err, evals, "adaptive")
             if prev_err is not None and err >= prev_err:
                 raise QuadratureError(
-                    f"radial pair quadrature stalled at error {err:.3e}"
+                    f"radial pair quadrature stalled at error {err:.3e}", knob="abs_tol"
                 )
             prev_err = err
         prev = value
     if prev_err is not None and prev_err <= 10 * tol:
         return QuadResult(value, prev_err, evals, "adaptive")
     raise QuadratureError(
-        f"radial pair quadrature did not reach {tol:.1e} (last error {prev_err})"
+        f"radial pair quadrature did not reach {tol:.1e} (last error {prev_err})",
+        knob="abs_tol",
     )

@@ -6,6 +6,7 @@ another way; none sits on a production path.
 
 import math
 
+import mpmath
 import numpy as np
 
 from bellbound.fock import FockOperator, displacement
@@ -262,3 +263,31 @@ def sigma_point(case, j, s, index=0):
                        bounds, spec, strata=SIGMA_STRATA, stream_key=(index,))
     scale = (8.0 / math.pi**3) * s / 16.0
     return scale * res.value, scale * res.error_estimate
+
+
+def arc_fraction(d, g1, g2, j):
+    """A(d, g1, g2) of the sigma curve's arc table, by mpmath in psi.
+
+    The chance that |d + g1 e^{i phi1} - g2 e^{i phi2}| < j with both angles
+    uniform: g1 e^{i phi1} - g2 e^{i phi2} has a uniform direction and the
+    modulus rho(psi) at the uniform angle psi = phi1 - phi2, so A is the psi
+    mean over (0, pi) of the arc fraction 1 - arccos(kappa)/pi. tanh-sinh
+    integrates each piece between the crossing angles, where rho passes
+    |d - j| and d + j and the integrand has square-root kinks.
+    """
+    with mpmath.workdps(30):
+        d, g1, g2, j = (mpmath.mpf(float(v)) for v in (d, g1, g2, j))
+
+        def arc(psi):
+            rho_sq = g1 * g1 + g2 * g2 - 2 * g1 * g2 * mpmath.cos(psi)
+            if rho_sq == 0:
+                return mpmath.mpf(d < j)
+            kappa = (j * j - d * d - rho_sq) / (2 * d * mpmath.sqrt(rho_sq))
+            return 1 - mpmath.acos(min(max(kappa, -1), 1)) / mpmath.pi
+
+        cuts = [mpmath.mpf(0), mpmath.pi]
+        for e in (abs(d - j), d + j):
+            c = (g1 * g1 + g2 * g2 - e * e) / (2 * g1 * g2)
+            if -1 < c < 1:
+                cuts.append(mpmath.acos(c))
+        return float(mpmath.quad(arc, sorted(cuts)) / mpmath.pi)

@@ -306,4 +306,18 @@ def test_bipartite_short_grid_exits_two(capsys):
     # the curve is still rising at 0.3, so the tail estimate blocks the bound
     rc = main(["bipartite", "--sigma-max", "0.3"])
     assert rc == 2
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "raise --sigma-max" in err
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["eigenvalues", "--abs-tol", "1e-20"], ("_BUDGET_1D", 20_000)),
+    (["single-particle"], ("_PAIR_LEVELS", ((8, 8, 2), (8, 8, 3)))),
+])
+def test_engine_exhaustion_names_abs_tol(capsys, monkeypatch, argv, budget):
+    # a budget or node ladder too small to converge fails as an unreachable
+    # tolerance does, without spending the default budget's seconds
+    monkeypatch.setattr(bellbound.quad, *budget)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err and err.rstrip().endswith("raise --abs-tol")

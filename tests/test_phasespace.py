@@ -9,10 +9,13 @@ import pytest
 from bellbound import fock, phasespace
 from bellbound.fock import DensityMatrix, FockOperator, bell_pair_state
 from bellbound.phasespace import (
+    _SIGMA_G_MAX,
+    _SIGMA_LEVELS,
     SEPARATION_STEP,
     BipartiteCase,
     SigmaCurve,
     SingleParticleCase,
+    _arc_table,
     _displaced_level_weights,
     _excited_component,
     _excited_kernel,
@@ -33,7 +36,7 @@ from bellbound.quad import (IntegrationSpec, QuadratureError, _gl_segmented,
 from bellbound.specfun import assoc_laguerre_seq
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
-from oracles import displacement_element, kernel_moments_inner, sigma_point
+from oracles import arc_fraction, displacement_element, kernel_moments_inner, sigma_point
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -485,6 +488,45 @@ def test_sigma_curve_error_gate():
         sigma_curve(case)
 
 
+def _level_arc_table(level):
+    spec = BipartiteCase().spec
+    dn = _gl_segmented(0.0, spec.r_max, level[0], spec.split_points)[0]
+    gn = _gl_segmented(0.0, _SIGMA_G_MAX, level[1], ())[0]
+    return dn, gn, _arc_table(dn, gn, SEPARATION_STEP, level[2])
+
+
+@pytest.mark.parametrize("level, tol", zip(_SIGMA_LEVELS, (2e-4, 1e-5)))
+def test_arc_table_matches_psi_oracle(level, tol):
+    # sampled cells with a window, and the corner d ~ g1 ~ g2 ~ j where the
+    # window's two square-root ends meet and the rule is worst (9.6e-5 and
+    # 3.7e-6 at the coarse and fine level)
+    dn, gn, arc = _level_arc_table(level)
+    j = SEPARATION_STEP
+    kd, kg = int(np.argmin(np.abs(dn - j))), int(np.argmin(np.abs(gn - j)))
+    cells = [(kd, kg, kg), (kd, kg, kg + 1), (kd - 1, kg, kg), (kd + 1, kg - 1, kg)]
+    live = np.argwhere((arc > 0.0) & (arc < 1.0))
+    rng = np.random.default_rng(12)
+    cells += [tuple(c) for c in live[rng.choice(len(live), 24, replace=False)]]
+    for k, i2, i1 in cells:
+        assert abs(arc[k, i2, i1] - arc_fraction(dn[k], gn[i1], gn[i2], j)) < tol
+
+
+@pytest.mark.parametrize("level", _SIGMA_LEVELS)
+def test_arc_table_symmetric_and_exact_outside_window(level):
+    dn, gn, arc = _level_arc_table(level)
+    assert np.array_equal(arc, arc.transpose(0, 2, 1))
+    d, g2, g1 = dn[:, None, None], gn[:, None], gn
+    j = SEPARATION_STEP
+    # |g1 e^{i phi1} - g2 e^{i phi2}| stays below |d - j| or above d + j:
+    # the displaced point never meets the circle of radius j
+    inside = np.broadcast_to(g1 + g2 < np.abs(d - j) - 1e-9, arc.shape)
+    outside = np.broadcast_to(np.abs(g1 - g2) > d + j + 1e-9, arc.shape)
+    near = np.broadcast_to(d < j, arc.shape)
+    assert (inside & near).any() and (inside & ~near).any() and outside.any()
+    assert np.all(arc[inside & near] == 1.0)
+    assert np.all(arc[(inside & ~near) | outside] == 0.0)
+
+
 @pytest.fixture(scope="module")
 def default_curve():
     return sigma_curve(BipartiteCase())
@@ -495,11 +537,20 @@ def test_sigma_curve_error_covers_finer_level(default_curve):
     # a level finer in every direction at every point of the default grid
     case = BipartiteCase()
     finer = _sigma_level(case, SEPARATION_STEP, "full", default_curve.points,
-                         (192, 96, 128, 16))
+                         (192, 96, 32, 16))
     assert default_curve.points.size == 55
     gap = np.abs(default_curve.values - finer)
     assert np.all(gap <= default_curve.errors)
     assert default_curve.errors[1] < 1e-4
+
+
+@pytest.mark.parametrize("jump", [0.3, 1.5])
+def test_sigma_curve_error_covers_finer_level_at_other_jumps(jump):
+    case = BipartiteCase(symbol=sign_step(jump),
+                         spec=IntegrationSpec(sigma_step=0.3, sigma_max=1.5))
+    curve = sigma_curve(case)
+    finer = _sigma_level(case, jump, "full", curve.points, (192, 96, 32, 16))
+    assert np.all(np.abs(curve.values - finer) <= curve.errors)
 
 
 def test_sigma_curve_matches_monte_carlo_oracle(default_curve):
