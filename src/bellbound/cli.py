@@ -85,10 +85,6 @@ def build_parser():
                              "for wigner (default 6)")
     common.add_argument("--abs-tol", type=float, default=1e-9,
                         help="absolute quadrature tolerance (default 1e-9)")
-    common.add_argument("--sigma-step", type=float, default=0.05,
-                        help="separation grid spacing (default 0.05)")
-    common.add_argument("--sigma-max", type=float, default=2.7,
-                        help="separation grid end (default 2.7)")
     common.add_argument("--n-max", type=int, default=10,
                         help="highest Fock order in the eigenvalue table, "
                              "at most 20 (default 10)")
@@ -120,8 +116,12 @@ def build_parser():
                           "(alpha, 0) slice (default fock1)")
     wig.add_argument("--points", type=int, default=200,
                      help="grid points per axis (default 200)")
-    sub.add_parser("sigma-curve", parents=[common],
-                   help="per-separation bound density f(s)")
+    curve = sub.add_parser("sigma-curve", parents=[common],
+                           help="per-separation bound density f(s)")
+    curve.add_argument("--sigma-step", type=float, default=0.05,
+                       help="separation grid spacing (default 0.05)")
+    curve.add_argument("--sigma-max", type=float, default=2.7,
+                       help="separation grid end (default 2.7)")
     return parser
 
 
@@ -153,8 +153,8 @@ def _resolve_config(args):
         truncation=truncation,
         r_max=args.r_max,
         abs_tol=args.abs_tol,
-        sigma_step=args.sigma_step,
-        sigma_max=args.sigma_max,
+        sigma_step=getattr(args, "sigma_step", 0.05),
+        sigma_max=getattr(args, "sigma_max", 2.7),
         n_max=args.n_max,
         state=state,
         points=points,
@@ -179,8 +179,6 @@ def _report_payload(rep):
     components = {k: float(v) for k, v in rep.notes["components"].items()}
     errors = {k: float(v) for k, v in rep.notes["component_errors"].items()}
     errors["total"] = float(rep.notes["error_estimate"])
-    if "sigma_tail" in rep.notes:
-        errors["sigma_tail"] = float(rep.notes["sigma_tail"])
     return results, components, errors
 
 
@@ -266,23 +264,21 @@ def _run_wigner(cfg, spec):
 def _run_sigma_curve(cfg, spec):
     case = BipartiteCase(state=bell_pair_state(cfg.truncation), spec=spec)
     curve = sigma_curve(case)
-    value, err, tail = curve.integral()
+    value, err = curve.integral()
+    # what the grid misses: sign_disc integrates f over the whole plane
+    notes = bp_hv_bound(case).notes
     peak = int(np.argmax(curve.values))
     results = {
-        "integral": float(value),
-        "integral_error": float(err),
-        "tail_estimate": float(tail),
+        "integral": value,
+        "integral_error": err,
+        "beyond_grid": notes["components"]["sign_disc"] - value,
         "max_value": float(curve.values[peak]),
         "argmax": float(curve.points[peak]),
     }
-    components = {
-        "points": [float(v) for v in curve.points],
-        "values": [float(v) for v in curve.values],
-        "errors": [float(v) for v in curve.errors],
-    }
-    rows = np.column_stack([curve.points, curve.values, curve.errors])
-    return results, components, {"integral": float(err), "tail": float(tail)}, \
-        (("s", "f", "error"), rows)
+    columns = (curve.points, curve.values, curve.errors)
+    components = dict(zip(("points", "values", "errors"), (c.tolist() for c in columns)))
+    errors = {"integral": err, "beyond_grid": notes["component_errors"]["sign_disc"] + err}
+    return results, components, errors, (("s", "f", "error"), np.column_stack(columns))
 
 
 _RUNNERS = {

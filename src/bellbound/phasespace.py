@@ -139,41 +139,11 @@ class SigmaCurve:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def pairs(self):
-        return list(zip(self.points.tolist(), self.values.tolist()))
-
     def integral(self):
-        """(value, error, tail): trapezoid over the grid plus an error budget.
-
-        The error combines the propagated per-point errors with a
-        step-halving estimate of the trapezoid's discretization error. The
-        tail is the mass of an exponential fitted to the last five points;
-        it stands in for everything beyond the grid and is reported as
-        uncertainty, not added to the value.
-        """
-        pts, vals, errs = self.points, self.values, self.errors
-        value = float(np.trapezoid(vals, pts))
-        halved = float(np.trapezoid(vals[::2], pts[::2]))
-        disc = abs(value - halved) / 3.0
-        w = np.empty_like(pts)
-        w[0] = 0.5 * (pts[1] - pts[0])
-        w[-1] = 0.5 * (pts[-1] - pts[-2])
-        w[1:-1] = 0.5 * (pts[2:] - pts[:-2])
-        point = float(math.sqrt(np.sum((w * errs) ** 2)))
-        tv = vals[-5:]
-        if np.all(tv > 0):
-            slope = float(np.polyfit(pts[-5:], np.log(tv), 1)[0])
-            if slope < 0:
-                tail = float(tv[-1] / -slope)
-            else:
-                tail = float(np.max(tv) * 2.0)
-        else:
-            # a sign change or a slow negative approach to zero: the last
-            # points cannot resolve the decay, so assume two units of decay
-            # length
-            tail = float(np.max(np.abs(tv)) * 2.0)
-        return value, point + disc, tail
+        """(value, error): the trapezoids of the values and of the per-point
+        error bounds over the grid; nothing beyond the grid is counted."""
+        return (float(np.trapezoid(self.values, self.points)),
+                float(np.trapezoid(self.errors, self.points)))
 
 
 def _declared_step(symbol):
@@ -576,9 +546,12 @@ _SIGMA_G_MAX = 4.5
 _SIGMA_MAX_POINTS = 10_000
 # separation nodes per block of the arc table, which bounds its temporaries
 _ARC_BLOCK = 8
+# (n_g, n_d, n_win) per node level of the collapsed sign_disc integral; the
+# coarse level serves the error estimate only
+_COLLAPSE_LEVELS = ((64, 64, 16), (128, 128, 24))
 
 
-def _arc_table(dn, gn, j, n_win):
+def _arc_table(d, g1, g2, j, n_win):
     """A(d, g1, g2): chance that |d + g1 e^{i phi1} - g2 e^{i phi2}| < j.
 
     Both displacement angles are uniform, so g1 e^{i phi1} - g2 e^{i phi2}
@@ -593,32 +566,38 @@ def _arc_table(dn, gn, j, n_win):
 
     The window integral is Gauss-Legendre in t on (0, pi) with
     psi = psi_a + (psi_b - psi_a)(1 - cos t)/2, which absorbs the
-    square-root ends. A is symmetric in g1 <-> g2, so only the pairs
-    g1 <= g2 are evaluated, then mirrored; cells with an empty window take
-    the closed part alone. Built a block of separation nodes at a time,
-    which bounds the temporaries. Indexed [d, g2, g1].
+    square-root ends; cells with an empty window take the closed part
+    alone. d, g1 and g2 broadcast against each other, and A is evaluated
+    on every cell of their common shape: the sigma curve passes a block of
+    separation nodes against the pairs g1 <= g2, the collapsed sign_disc
+    its cells on the diagonal g1 = g2.
     """
-    lo, hi = np.triu_indices(gn.size)
-    sq = gn[lo] ** 2 + gn[hi] ** 2
-    prod = 2.0 * gn[lo] * gn[hi]
+    sq = g1 * g1 + g2 * g2
+    prod = 2.0 * g1 * g2
     t, tw = _gl_segmented(0.0, math.pi, n_win, ())
     ramp = 0.5 * (1.0 - np.cos(t))
     tw = 0.5 * np.sin(t) * tw
+    psi_a, psi_b = (np.arccos(np.clip((sq - e * e) / prod, -1.0, 1.0))
+                    for e in (np.abs(d - j), d + j))
+    width = psi_b - psi_a
+    out = np.where(d < j, psi_a, 0.0)
+    live = np.nonzero(width > 0.0)
+    dk, sq, prod = (np.broadcast_to(x, width.shape)[live][:, None]
+                    for x in (d, sq, prod))
+    rho_sq = sq - prod * np.cos(psi_a[live][:, None] + width[live][:, None] * ramp)
+    kappa = (j * j - dk * dk - rho_sq) / (2.0 * dk * np.sqrt(rho_sq))
+    np.clip(kappa, -1.0, 1.0, out=kappa)
+    out[live] += width[live] * ((1.0 - np.arccos(kappa) / math.pi) @ tw)
+    return out / math.pi
+
+
+def _pair_arc_table(dn, gn, j, n_win):
+    """The arc table on the product grid, indexed [d, g2, g1]: the pairs
+    g1 <= g2 a block of separation nodes at a time, mirrored."""
+    lo, hi = np.triu_indices(gn.size)
     out = np.empty((dn.size, gn.size, gn.size))
     for start in range(0, dn.size, _ARC_BLOCK):
-        d = dn[start:start + _ARC_BLOCK, None]
-        psi_a, psi_b = (np.arccos(np.clip((sq - e * e) / prod, -1.0, 1.0))
-                        for e in (np.abs(d - j), d + j))
-        width = psi_b - psi_a
-        pairs = np.where(d < j, psi_a, 0.0)
-        kd, kp = np.nonzero(width > 0.0)
-        rho_sq = sq[kp, None] - prod[kp, None] * np.cos(
-            psi_a[kd, kp, None] + width[kd, kp, None] * ramp)
-        dk = d[kd]
-        kappa = (j * j - dk * dk - rho_sq) / (2.0 * dk * np.sqrt(rho_sq))
-        np.clip(kappa, -1.0, 1.0, out=kappa)
-        pairs[kd, kp] += width[kd, kp] * ((1.0 - np.arccos(kappa) / math.pi) @ tw)
-        pairs /= math.pi
+        pairs = _arc_table(dn[start:start + _ARC_BLOCK, None], gn[lo], gn[hi], j, n_win)
         block = out[start:start + _ARC_BLOCK]
         block[:, lo, hi] = pairs
         block[:, hi, lo] = pairs
@@ -648,7 +627,7 @@ def _sigma_level(case, j, mode, pts, level):
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
     if mode == "full":
         profile = case.symbol(dn)
-        arc = _arc_table(dn, gn, j, n_win)
+        arc = _pair_arc_table(dn, gn, j, n_win)
     else:
         profile = (dn < j).astype(float) if mode == "disc_unit" else np.ones(n_d)
         arc = np.ones((1, n_g, n_g))
@@ -684,7 +663,8 @@ def sigma_curve(case, mode="full"):
     levels' errors cross, so every point carries the largest difference
     over the curve as its error. f(0) vanishes with the phase-space measure
     and is set exactly. The result is deterministic and has no knob beyond
-    the IntegrationSpec's r_max, split points and grid.
+    the IntegrationSpec's r_max, split points and grid. The curve is a
+    diagnostic: bp_hv_bound integrates f by the collapse of _sign_disc_level.
 
     mode is a validation hook: "disc_unit" and "unit_unit" replace the two
     symbol factors by pairs whose curve is known in closed form
@@ -736,7 +716,36 @@ def _reduced_pair_integral(t_hi):
     return 1.0 if x > 1e3 else 1.0 - (2.0 * x + 1.0) * math.exp(-x)
 
 
-def bp_hv_bound(case, curve=None):
+def _collapsed_cells(j, n_g, n_d):
+    """(d, g, w) with sum w F = int dg int dd d 16 g e^{-4g^2} (1 - 8g^2)
+    J0(4gd) F(d, g) over d < j + 2g, where the arc table's diagonal lives.
+
+    Panels sit at its kinks, g = j/2 and d = j, |j - 2g|; g stops where
+    exp(-4 g^2) passes below 1e-17, as the curve's cut in exp(-2 g^2).
+    """
+    gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX / math.sqrt(2.0), n_g, (0.5 * j,))
+    rules = [_gl_segmented(0.0, j + 2.0 * g, n_d, (j, abs(j - 2.0 * g))) for g in gn]
+    sizes = [len(r[0]) for r in rules]
+    d, dw = (np.concatenate(x) for x in zip(*rules))
+    g = np.repeat(gn, sizes)
+    kernel = 16.0 * g * np.exp(-4.0 * g * g) * (1.0 - 8.0 * g * g) * bessel_j(0, 4 * g * d)
+    return d, g, np.repeat(gw, sizes) * dw * d * kernel
+
+
+def _sign_disc_level(case, j, level):
+    """sign_disc = int_0^inf f(s) ds at one node level, by its collapse.
+
+    The kernel reaches sigma only through J0(2 g1 |sigma + delta|)
+    J0(2 g2 |sigma - delta|) and the product of their gradients, so over
+    the sigma plane the closure of the Hankel transform,
+    int J0(k r) J0(k' r) r dr = delta(k - k')/k, sets g1 = g2: sign_disc is
+    int dd d B(d) int dg 16 g e^{-4g^2} (1 - 8g^2) J0(4gd) A(d, g, g).
+    """
+    d, g, w = _collapsed_cells(j, *level[:2])
+    return float((w * case.symbol(d)) @ _arc_table(d, g, g, j, level[2]))
+
+
+def bp_hv_bound(case):
     """Deterministic bound for the bi-partite setup.
 
     The product of the two symbol factors is split into three pieces,
@@ -748,39 +757,26 @@ def bp_hv_bound(case, curve=None):
     first two reduce to the closed kernel 4 s t (2t^2 - 1) exp(-(s^2+t^2)),
     which integrates in closed form over the plane with no error
     (unit_unit is exactly 1, kept as a consistency component); only
-    sign_disc has no closed form. It is the trapezoid integral of a
-    SigmaCurve (computed here by the deterministic factored quadrature of
-    sigma_curve unless one is passed in). The curve's fitted tail beyond
-    the grid enters the error budget, never the value.
+    sign_disc has no closed form. _sign_disc_level collapses it to a 2-D
+    integral, taken at the two levels of _COLLAPSE_LEVELS: the finer gives
+    the value and their gap the error. No sigma grid enters.
 
     The quantum mean in the report comes from the first eigenvalue of the
     relative-mode profile; bp_qm_mean is the quadrature cross-check.
     """
     _pair_state_checked(case)
     r0 = _declared_step(case.symbol)
-    spec = case.spec
     i11 = _reduced_pair_integral(math.inf)
     comps, errs = {"unit_unit": i11}, {"unit_unit": 0.0}
-    total, err, tail = i11, 0.0, 0.0
+    total, err = i11, 0.0
     if r0 is not None:
         idu = _reduced_pair_integral(r0)
-        if curve is None:
-            curve = sigma_curve(case)
-        elif curve.points[0] != 0.0 or abs(
-            curve.points[1] - curve.points[0] - spec.sigma_step
-        ) > 1e-12:
-            raise ValueError("sigma curve grid does not match the spec")
-        isd, esd, tail = curve.integral()
-        if esd + tail > 0.15 * max(abs(isd), 1e-6):
-            raise QuadratureError(
-                f"sigma-curve error {esd + tail:.2e} above 15 percent of {isd:.2e}",
-                knob="sigma_max",
-            )
+        coarse, isd = (_sign_disc_level(case, r0, lev) for lev in _COLLAPSE_LEVELS)
         comps.update(disc_unit=idu, sign_disc=isd)
-        errs.update(disc_unit=0.0, sign_disc=esd + tail)
+        errs.update(disc_unit=0.0, sign_disc=abs(isd - coarse))
         total = i11 - 2.0 * idu - 2.0 * isd
-        err = 2.0 * (esd + tail)
-    qm = float(quantize_radial(_relative_profile(case.symbol), 2, spec).eigenvalues[1])
+        err = 2.0 * errs["sign_disc"]
+    qm = float(quantize_radial(_relative_profile(case.symbol), 2, case.spec).eigenvalues[1])
     return BellReport(
         label="bipartite",
         qm_mean=qm,
@@ -792,7 +788,6 @@ def bp_hv_bound(case, curve=None):
             "components": comps,
             "component_errors": errs,
             "error_estimate": err,
-            "sigma_tail": tail,
             "violation": bool(qm * qm > total + err),
         },
     )

@@ -100,6 +100,9 @@ def _gauss_legendre(n):
 _GL_COARSE = _gauss_legendre(10)
 _GL_FINE = _gauss_legendre(21)
 _BUDGET_1D = 1_000_000
+# evaluations without a new low of the summed error after which bisection
+# is taken to be reshuffling rounding noise
+_STALL_1D = 20_000
 
 
 def _eval_vec(f, xs):
@@ -126,7 +129,9 @@ def integrate_1d(f, a, b, spec):
     other result raises ValueError. Each panel carries a 21-point
     Gauss-Legendre value and the difference against a 10-point rule as its
     error; the worst panel is bisected until the summed error reaches
-    spec.abs_tol or the evaluation budget runs out.
+    spec.abs_tol; it raises once the evaluation budget runs out, or once the
+    summed error has set no new low for _STALL_1D evaluations, as happens
+    when it sits at its rounding floor.
     """
     a = float(a)
     b = float(b)
@@ -136,6 +141,7 @@ def integrate_1d(f, a, b, spec):
     heap = []
     evals = 0
     counter = 0
+    low, low_at = math.inf, 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         fine, err, n = _panel(f, lo, hi)
         evals += n
@@ -146,10 +152,12 @@ def integrate_1d(f, a, b, spec):
         if total_err <= spec.abs_tol:
             value = sum(item[4] for item in sorted(heap, key=lambda t: t[2]))
             return QuadResult(value, total_err, evals, "adaptive")
-        if evals >= _BUDGET_1D:
+        if total_err < low:
+            low, low_at = total_err, evals
+        if evals >= _BUDGET_1D or evals - low_at >= _STALL_1D:
             raise QuadratureError(
-                f"1d quadrature spent {evals} evaluations on [{a}, {b}] "
-                f"without reaching {spec.abs_tol}", knob="abs_tol"
+                f"1d quadrature spent {evals} evaluations on [{a}, {b}] and stopped "
+                f"at error {total_err:.2e}, above {spec.abs_tol}", knob="abs_tol"
             )
         _, _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -90,12 +91,10 @@ def sizes(low, high, limit):
     return st.integers(low, high) | refused
 
 
-# plausible values as often as any float at all; positive tolerances below
-# 1e-15 are left out: they spend the 1d quadrature's evaluation budget
-# (about 5 s) before the documented exit 2, which
-# test_integrate_1d_budget_raises covers
+# plausible values as often as any float at all; a positive tolerance below
+# the 1d quadrature's rounding floor exits 2 once its error stops shrinking
 REALS = st.floats(1e-3, 1e3) | st.floats()
-TOLERANCES = st.one_of(st.floats(1e-15, 1e-3), st.floats(min_value=1e-15),
+TOLERANCES = st.one_of(st.floats(1e-30, 1e-3), st.floats(min_value=0.0, exclude_min=True),
                        st.floats(max_value=0.0), st.just(math.nan))
 
 
@@ -107,8 +106,6 @@ def numeric_argv(draw):
                               1024),
         "--r-max": REALS,
         "--abs-tol": TOLERANCES,
-        "--sigma-step": REALS,
-        "--sigma-max": REALS,
         "--n-max": st.integers(1, 20) | st.integers(),
     }
     if command == "wigner":
@@ -300,18 +297,36 @@ def test_sigma_curve_round_trip(tmp_path):
     vals = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert vals == da["components"]["values"]
     assert len(vals) == 7
+    # the mass beyond the grid is measured against the bipartite sign_disc
+    bp = tmp_path / "bp.json"
+    assert main(["bipartite", "--out", str(bp)]) == 0
+    sign_disc = read_doc(bp)["components"]["sign_disc"]
+    assert da["results"]["beyond_grid"] == sign_disc - da["results"]["integral"]
 
 
-def test_bipartite_short_grid_exits_two(capsys):
-    # the curve is still rising at 0.3, so the tail estimate blocks the bound
-    rc = main(["bipartite", "--sigma-max", "0.3"])
-    assert rc == 2
+def test_bipartite_refuses_sigma_flags(capsys):
+    # the bound integrates over the whole sigma plane; only sigma-curve
+    # reads the grid
+    for flag in ("--sigma-max", "--sigma-step"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bipartite", flag, "0.3"])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+
+
+def test_unreachable_tolerance_exits_two_at_once(capsys):
+    # the summed error stops shrinking at its rounding floor, and the run
+    # stops a stall's worth of evaluations later, long before the budget
+    start = time.perf_counter()
+    assert main(["eigenvalues", "--abs-tol", "1e-20"]) == 2
+    assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
-    assert "did not converge" in err and "raise --sigma-max" in err
+    assert "stopped at error" in err and err.rstrip().endswith("raise --abs-tol")
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["eigenvalues", "--abs-tol", "1e-20"], ("_BUDGET_1D", 20_000)),
+    # at 1e-15 the higher orders need a few panels more than one
+    (["eigenvalues", "--abs-tol", "1e-15"], ("_BUDGET_1D", 31)),
     (["single-particle"], ("_PAIR_LEVELS", ((8, 8, 2), (8, 8, 3)))),
 ])
 def test_engine_exhaustion_names_abs_tol(capsys, monkeypatch, argv, budget):

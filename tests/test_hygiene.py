@@ -1,12 +1,16 @@
 """Source hygiene checks that need no linter."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import bellbound
+from bellbound.cli import build_parser
+from bellbound.quad import IntegrationSpec
 
 SOURCES = sorted(Path(bellbound.__file__).parent.glob("*.py"))
 
@@ -70,3 +74,35 @@ def test_no_random_numbers(path):
     # oracles only
     uses = random_uses(ast.parse(path.read_text(), filename=str(path)))
     assert not uses, f"{path.name} uses random numbers: {uses}"
+
+
+def knob_literals(tree):
+    """The knob= strings passed to QuadratureError, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "QuadratureError"):
+            for kw in node.keywords:
+                if kw.arg == "knob":
+                    assert isinstance(kw.value, ast.Constant), \
+                        f"line {node.lineno}: knob must be a literal"
+                    found.append((kw.value.value, node.lineno))
+    return found
+
+
+def test_every_knob_hint_names_a_flag():
+    # cli.main turns a knob into "raise --<knob>": each must be a spec field
+    # that the command line can set
+    fields = {f.name for f in dataclasses.fields(IntegrationSpec)}
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {opt for sub in commands.values() for a in sub._actions
+             for opt in a.option_strings}
+    knobs = [(path.name, knob, line) for path in SOURCES
+             for knob, line in knob_literals(ast.parse(path.read_text()))]
+    assert knobs
+    for name, knob, line in knobs:
+        assert knob in fields, f"{name}:{line} knob {knob!r} is no spec field"
+        flag = "--" + knob.replace("_", "-")
+        assert flag in flags, f"{name}:{line} knob {knob!r} has no {flag}"

@@ -9,6 +9,7 @@ import pytest
 from bellbound import fock, phasespace
 from bellbound.fock import DensityMatrix, FockOperator, bell_pair_state
 from bellbound.phasespace import (
+    _COLLAPSE_LEVELS,
     _SIGMA_G_MAX,
     _SIGMA_LEVELS,
     SEPARATION_STEP,
@@ -16,14 +17,18 @@ from bellbound.phasespace import (
     SigmaCurve,
     SingleParticleCase,
     _arc_table,
+    _collapsed_cells,
     _displaced_level_weights,
     _excited_component,
     _excited_kernel,
     _full_disc_mean,
     _kernel_moments_inner,
     _level_transitions,
+    _pair_arc_table,
+    _reduced_pair_integral,
     _relative_profile,
     _sigma_level,
+    _sign_disc_level,
     bp_hv_bound,
     bp_qm_mean,
     coarse_parity_bound,
@@ -492,7 +497,7 @@ def _level_arc_table(level):
     spec = BipartiteCase().spec
     dn = _gl_segmented(0.0, spec.r_max, level[0], spec.split_points)[0]
     gn = _gl_segmented(0.0, _SIGMA_G_MAX, level[1], ())[0]
-    return dn, gn, _arc_table(dn, gn, SEPARATION_STEP, level[2])
+    return dn, gn, _pair_arc_table(dn, gn, SEPARATION_STEP, level[2])
 
 
 @pytest.mark.parametrize("level, tol", zip(_SIGMA_LEVELS, (2e-4, 1e-5)))
@@ -509,6 +514,13 @@ def test_arc_table_matches_psi_oracle(level, tol):
     cells += [tuple(c) for c in live[rng.choice(len(live), 24, replace=False)]]
     for k, i2, i1 in cells:
         assert abs(arc[k, i2, i1] - arc_fraction(dn[k], gn[i1], gn[i2], j)) < tol
+    # the diagonal g1 = g2 on the collapsed sign_disc's own cells, whose
+    # separation nodes depend on g
+    d, g, _ = _collapsed_cells(j, 64, 64)
+    diag = _arc_table(d, g, g, j, level[2])
+    live = np.flatnonzero((diag > 0.0) & (diag < 1.0))
+    for k in rng.choice(live, 12, replace=False):
+        assert abs(diag[k] - arc_fraction(d[k], g[k], g[k], j)) < tol
 
 
 @pytest.mark.parametrize("level", _SIGMA_LEVELS)
@@ -566,7 +578,6 @@ def test_sigma_curve_container():
     vals = np.exp(-pts)
     errs = np.full(10, 1e-3)
     curve = SigmaCurve(pts, vals, errs)
-    assert curve.pairs[0] == (0.0, 1.0)
     with pytest.raises(ValueError):
         curve.points[0] = 1.0
     with pytest.raises(ValueError):
@@ -581,17 +592,15 @@ def test_sigma_curve_container():
 
 def test_sigma_curve_integral():
     pts = 0.1 * np.arange(21)
-    vals = np.exp(-2.0 * pts)
+    vals = np.exp(-0.5 * pts)
     errs = np.full(21, 1e-4)
-    value, err, tail = SigmaCurve(pts, vals, errs).integral()
-    assert abs(value - np.trapezoid(vals, pts)) < 1e-15
-    # exponential tail: mass beyond the grid is f_end / rate
-    assert abs(tail - vals[-1] / 2.0) < 0.1 * tail
-    assert err < 5e-3
-    noisy = vals.copy()
-    noisy[-2] = -1e-4
-    _, _, tail2 = SigmaCurve(pts, noisy, errs).integral()
-    assert abs(tail2 - 2.0 * np.max(np.abs(noisy[-5:]))) < 1e-12
+    errs[0] = 0.0
+    value, err = SigmaCurve(pts, vals, errs).integral()
+    # the grid's trapezoid alone: the mass past s = 2 is not estimated
+    assert value == np.trapezoid(vals, pts)
+    assert abs(value - 2.0 * (1.0 - math.exp(-1.0))) < 1e-3
+    # every point carries the shared bound: the error is its trapezoid
+    assert err == pytest.approx(1.95e-4, rel=1e-12)
 
 
 def test_bp_unit_symbol_report():
@@ -602,23 +611,37 @@ def test_bp_unit_symbol_report():
     assert rep.notes["violation"] is False
 
 
-def test_bp_rejects_foreign_curve_and_state():
-    case = BipartiteCase()
-    bad = SigmaCurve(
-        0.1 * np.arange(10), np.ones(10), np.full(10, 1e-3)
-    )
-    with pytest.raises(ValueError, match="grid"):
-        bp_hv_bound(case, curve=bad)
+def test_bp_rejects_foreign_state():
     vac = np.zeros(36)
     vac[0] = 1.0
     with pytest.raises(ValueError, match="pair state"):
         bp_hv_bound(BipartiteCase(state=DensityMatrix.from_state(vac, modes=2)))
 
 
-def test_bp_short_grid_raises():
-    # a grid that cuts the curve mid-decay produces a tail estimate the
-    # error policy must reject
-    pts = 0.05 * np.arange(25)
-    short = SigmaCurve(pts, 0.3 * pts * np.exp(-pts * pts), np.full(25, 1e-4))
-    with pytest.raises(QuadratureError, match="sigma-curve error"):
-        bp_hv_bound(BipartiteCase(), curve=short)
+def test_collapsed_kernel_closed_component():
+    # with A = 1 and B = 1{d < j} the collapsed integral is disc_unit, which
+    # is closed: the cells resolve the kernel to rounding
+    for j in (0.3, SEPARATION_STEP, 1.5):
+        d, _, w = _collapsed_cells(j, *_COLLAPSE_LEVELS[0][:2])
+        assert abs(w @ (d < j) - _reduced_pair_integral(j)) < 1e-14
+
+
+@pytest.mark.parametrize("jump", [0.3, SEPARATION_STEP, 1.5])
+def test_sign_disc_error_covers_finer_level(jump):
+    case = BipartiteCase(symbol=sign_step(jump))
+    rep = bp_hv_bound(case)
+    value = rep.notes["components"]["sign_disc"]
+    error = rep.notes["component_errors"]["sign_disc"]
+    finer = _sign_disc_level(case, jump, (192, 192, 32))
+    # the panels at the diagonal's kinks keep the level gap near 1e-6
+    assert abs(value - finer) <= error <= 2e-6
+    # the bound reads no sigma grid: a grid far too short changes nothing
+    short = BipartiteCase(symbol=sign_step(jump),
+                          spec=IntegrationSpec(sigma_max=0.3))
+    assert bp_hv_bound(short).notes["components"]["sign_disc"] == value
+
+
+def test_bp_default_sign_disc():
+    rep = bp_hv_bound(BipartiteCase())
+    assert abs(rep.notes["components"]["sign_disc"] - 0.0774787) < 2e-6
+    assert rep.hv_bound == pytest.approx(1.27117, abs=1e-5)

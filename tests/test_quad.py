@@ -8,6 +8,7 @@ import scipy.special
 
 from bellbound.phasespace import _excited_component
 from bellbound.quad import (
+    _STALL_1D,
     IntegrationSpec,
     QuadratureError,
     QuadResult,
@@ -82,6 +83,18 @@ def test_integrate_1d_error_estimate_honest():
         true_err = abs(got.value - exact)
         assert got.error_estimate <= 1e-10
         assert true_err <= max(3 * got.error_estimate, 5e-13)
+
+
+def test_integrate_1d_slow_progress_is_no_stall():
+    # sin(1/x) down to 1e-4 takes about 50,000 evaluations, and its summed
+    # error keeps setting new lows on the way: only a stalled error stops
+    lo = 1e-4
+    res = integrate_1d(lambda x: np.sin(1.0 / x), lo, 1.0, IntegrationSpec(abs_tol=1e-10))
+    u = 1.0 / lo
+    _, ci = scipy.special.sici([1.0, u])
+    exact = math.sin(1.0) - math.sin(u) / u + ci[1] - ci[0]
+    assert res.evaluations > 2 * _STALL_1D
+    assert abs(res.value - exact) <= res.error_estimate
 
 
 def test_integrate_1d_budget_raises():
