@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import (DensityMatrix, _displacement_amplitudes, _displacement_entries,
-                   _pair_vector, bell_pair_state)
+from .fock import DensityMatrix, _displacement_amplitudes, _pair_vector, bell_pair_state
 from .hvbound import BellReport
 from .quad import (
     IntegrationSpec,
@@ -425,6 +424,18 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
     return float(value)
 
 
+def _parity_tail(n, r_max):
+    """(1/2) int_X^inf e^{-x/2} L_n(-x) dx, X = 4 r_max^2, summed in logarithms:
+    as |L_n(x)| <= L_n(-x) = sum_k C(n, k) x^k / k!, it bounds the tail of |n>'s
+    displaced parity integral; x^k / k! gives 2^k e^{-X/2} sum_{i<=k} (X/2)^i / i!."""
+    y = 2.0 * r_max * r_max
+    k = np.arange(n + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))))
+    log_poisson = np.logaddexp.accumulate(k * math.log(y) - y - log_fact)
+    log_binom = log_fact[n] - log_fact - log_fact[::-1]
+    return float(np.exp(log_binom + k * math.log(2.0) + log_poisson).sum())
+
+
 def coarse_parity_bound(rho, symbol, spec=None):
     """Bound from parity-resolved collapses instead of level-resolved ones.
 
@@ -435,47 +446,34 @@ def coarse_parity_bound(rho, symbol, spec=None):
 
         bound = 4 int r B(r) [tr_even(rho~ B~) - tr_odd(rho~ B~)] dr,
 
-    where tr_even keeps the even-even block of both factors.
+    where tr_even keeps the even-even block of both factors. That sandwich
+    is tr(Pi {rho~, B~}) / 2: for a number-diagonal rho (p_n), the only kind
+    taken, and the symbol's eigenvalues lam_n, the displaced parity sum_n p_n
+    lam_n (-1)^n exp(-2r^2) L_n(4r^2). The integral is tr(rho B^2) = sum_n
+    p_n lam_n^2: collapses this coarse can never produce a violation, for
+    any radial symbol, and this function exists to exhibit that.
 
-    The block sandwich collapses to tr(rho~ {Pi, B~}) / 2, so the whole
-    integral reproduces the quantum second moment tr(rho B^2) identically:
-    collapses this coarse can never produce a violation, for any radial
-    symbol, and this function exists to exhibit that. Needs a
-    number-diagonal state (the radial reduction assumes phase symmetry).
-    The radial integral is one integrate_1d call, cut where the displaced
-    state starts to leak past the truncation.
+    The integral is one integrate_1d call on [0, r_max]. Past r_max a
+    declared symbol is its far value, so the dropped tail is at most
+    |far_value| sum_n p_n |lam_n| _parity_tail(n, r_max); above abs_tol it
+    raises QuadratureError naming r_max. As in quantize_radial, the tail of
+    a symbol without a far value is not counted.
     """
     if spec is None:
         spec = IntegrationSpec()
     spec = _merge_jump_splits(spec, symbol)
     levels, probs = _diagonal_weights(rho)
-    dim = rho.dim
-    lam = quantize_radial(symbol, dim, spec).eigenvalues
-    p = np.real(np.diag(rho.entries))
-    # stop where the displaced state would leak past the truncation
-    scan = np.linspace(0.0, spec.r_max, 161)
-    weights = _displaced_level_weights(levels, probs, dim - 1, scan)
-    short = np.maximum(1.0 - weights.sum(axis=0), 0.0)
-    bad = np.nonzero(short > 1e-9)[0]
-    r_cut = float(scan[-1] if bad.size == 0 else scan[max(bad[0] - 1, 1)])
-    if r_cut < 1.5:
-        raise QuadratureError(
-            f"truncation {dim} only covers displacements to {r_cut:.2f}"
-        )
+    weights = probs * quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]
+    tail = 0.0 if symbol.far_value is None else abs(symbol.far_value) * sum(
+        abs(w) * _parity_tail(n, spec.r_max) for n, w in zip(levels, weights))
+    if not tail <= spec.abs_tol:
+        raise QuadratureError(f"the tail past r_max {spec.r_max} is up to {tail:.2e}, "
+                              f"above {spec.abs_tol}", knob="r_max")
 
     def integrand(r):
-        d = _displacement_entries(r, dim)
-        dh = np.conj(np.swapaxes(d, -1, -2))
-        rt = (dh * p) @ d
-        bt = (dh * lam) @ d
-        te = np.einsum("ijk,ikj->i", rt[:, ::2, ::2], bt[:, ::2, ::2])
-        to = np.einsum("ijk,ikj->i", rt[:, 1::2, 1::2], bt[:, 1::2, 1::2])
-        worst = max(np.max(np.abs(te.imag)), np.max(np.abs(to.imag)))
-        if worst > 1e-9:
-            raise ValueError(f"parity traces picked up imaginary part {worst:.2e}")
-        return 4.0 * r * symbol(r) * (te.real - to.real)
+        return 4.0 * r * symbol(r) * _displaced_parity(levels, weights, r)
 
-    return integrate_1d(integrand, 0.0, r_cut, spec).value
+    return integrate_1d(integrand, 0.0, spec.r_max, spec).value
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 import mpmath
 import numpy as np
 
-from bellbound.fock import FockOperator, displacement
+from bellbound.fock import FockOperator, _displacement_entries, displacement
 from bellbound.hvbound import qm_mean
 from bellbound.quad import QuadResult, _gl_segmented
 from bellbound.specfun import assoc_laguerre, assoc_laguerre_seq, bessel_j
@@ -77,6 +77,43 @@ def quantizer(alpha, dim):
     entries = (d * signs[None, :]) @ d.conj().T / math.pi
     entries = 0.5 * (entries + entries.conj().T)
     return FockOperator(entries, hermitian=True)
+
+
+def coarse_parity_integrand(rho, symbol, lam, r):
+    """The coarse parity bound's integrand 4 r B(r) [tr_even - tr_odd].
+
+    Dense route: rho~ = D^dag rho D and B~ = D^dag diag(lam) D on the
+    truncated basis at each center r, with tr_even (tr_odd) the trace of
+    the even-even (odd-odd) blocks of rho~ B~. Exact while the displaced
+    state stays inside the truncation.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    d = _displacement_entries(r, rho.dim)
+    dh = np.conj(np.swapaxes(d, -1, -2))
+    rt = (dh * np.real(np.diag(rho.entries))) @ d
+    bt = (dh * lam) @ d
+    even = np.einsum("ijk,ikj->i", rt[:, ::2, ::2], bt[:, ::2, ::2])
+    odd = np.einsum("ijk,ikj->i", rt[:, 1::2, 1::2], bt[:, 1::2, 1::2])
+    return 4.0 * r * symbol(r) * (even - odd)
+
+
+def radial_eigenvalues(symbol, dim):
+    """Eigenvalues lam_0 .. lam_{dim-1} of a declared radial symbol, closed form.
+
+    With c_k = levels[k-1] - levels[k] and X_k = 4 r_k^2 at the k-th jump,
+    lam_n = levels[-1] + sum_k c_k [1 - e^{-X_k/2} (2 sum_{j<n} (-1)^j
+    L_j(X_k) + (-1)^n L_n(X_k))], the coefficient form of the generating
+    function behind weyl.bell_eigenvalue_generating.
+    """
+    lam = np.full(dim, symbol.levels[-1])
+    signs = (-1.0) ** np.arange(dim)
+    for k, jump in enumerate(symbol.jumps, start=1):
+        x = 4.0 * jump * jump
+        lag = signs * assoc_laguerre_seq(dim - 1, 0, x)
+        below = np.concatenate(([0.0], np.cumsum(lag)[:-1]))
+        c = symbol.levels[k - 1] - symbol.levels[k]
+        lam += c * (1.0 - math.exp(-0.5 * x) * (2.0 * below + lag))
+    return lam
 
 
 def kernel_moments_inner(symbol, n_max, r, n_rho, n_theta):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,13 +19,16 @@ from bellbound.phasespace import (
     SingleParticleCase,
     _arc_table,
     _collapsed_cells,
+    _diagonal_weights,
     _displaced_level_weights,
+    _displaced_parity,
     _excited_component,
     _excited_kernel,
     _full_disc_mean,
     _kernel_moments_inner,
     _level_transitions,
     _pair_arc_table,
+    _parity_tail,
     _reduced_pair_integral,
     _relative_profile,
     _sigma_level,
@@ -41,7 +45,8 @@ from bellbound.quad import (IntegrationSpec, QuadratureError, _gl_segmented,
 from bellbound.specfun import assoc_laguerre_seq
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
-from oracles import arc_fraction, displacement_element, kernel_moments_inner, sigma_point
+from oracles import (arc_fraction, coarse_parity_integrand, displacement_element,
+                     kernel_moments_inner, radial_eigenvalues, sigma_point)
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -409,14 +414,60 @@ def test_coarse_parity_reproduces_second_moment():
     # the even/odd lumping keeps enough coherence that the bound equals
     # tr(rho B^2): no violation from parity-coarse collapses
     case = SingleParticleCase()
-    assert abs(coarse_parity_bound(case.state, unit_symbol()) - 1.0) < 1e-6
+    assert abs(coarse_parity_bound(case.state, unit_symbol()) - 1.0) < 1e-12
     step = coarse_parity_bound(case.state, case.symbol)
-    assert abs(step - QM * QM) < 1e-6
-    assert step > QM * QM - 1e-6
+    assert abs(step - QM * QM) < 1e-12
+    assert step > QM * QM - 1e-12
     lam = quantize_radial(sign_step(0.5), 64).eigenvalues
     mixed = diagonal_state([0.3, 0.2, 0.5], dim=64)
     second = float(0.3 * lam[0] ** 2 + 0.2 * lam[1] ** 2 + 0.5 * lam[2] ** 2)
-    assert abs(coarse_parity_bound(mixed, sign_step(0.5)) - second) < 1e-6
+    assert abs(coarse_parity_bound(mixed, sign_step(0.5)) - second) < 1e-12
+
+
+@pytest.mark.parametrize("symbol", [unit_symbol(), sign_step(0.5)],
+                         ids=["unit", "sign_step"])
+def test_coarse_parity_matches_second_moment_past_low_levels(symbol):
+    # the dense route cut its integral where the displaced state leaked
+    # past the truncation: |12> gave -0.0498 for the sign step, not 0.99356
+    lam = radial_eigenvalues(symbol, 64)
+    for n in range(13):
+        got = coarse_parity_bound(diagonal_state([0.0] * n + [1.0]), symbol)
+        assert abs(got - lam[n] ** 2) < 1e-12, n
+    weights = 0.7 ** np.arange(13)
+    weights /= weights.sum()
+    got = coarse_parity_bound(diagonal_state(weights), symbol)
+    assert abs(got - float(weights @ lam[:13] ** 2)) < 1e-12
+
+
+def test_coarse_parity_integrand_matches_dense_oracle():
+    # tr_even(rho~ B~) - tr_odd(rho~ B~) = tr(Pi {rho~, B~}) / 2 is the
+    # displaced parity of the weights p_n lam_n, while the dim-64 truncation
+    # holds the displaced state (about 1e-15 to r = 3.2, 6e-12 at r = 4)
+    symbol = sign_step(0.5)
+    lam = quantize_radial(symbol, 64).eigenvalues
+    r = np.linspace(0.0, 3.0, 61)
+    for state in (SingleParticleCase().state, diagonal_state([0.3, 0.2, 0.5])):
+        levels, probs = _diagonal_weights(state)
+        fast = 4.0 * r * symbol(r) * _displaced_parity(levels, probs * lam[levels], r)
+        dense = coarse_parity_integrand(state, symbol, lam, r)
+        assert np.max(np.abs(dense - fast)) < 1e-12
+
+
+def test_coarse_parity_tail_names_r_max():
+    # |L_n(x)| <= L_n(-x) bounds the integral past r_max; for |20> it is
+    # 5.1e-6 at r_max 6 and 6.3e-15 at 7
+    assert abs(_parity_tail(1, 6.0) / 7.9088736552e-30 - 1.0) < 1e-9
+    for n, r_max in ((3, 2.0), (20, 6.0)):
+        x = mpmath.mpf(4 * r_max * r_max)
+        want = mpmath.quad(lambda t: mpmath.exp(-t / 2) * mpmath.laguerre(n, 0, -t) / 2,
+                           [x, mpmath.inf])
+        assert abs(_parity_tail(n, r_max) / float(want) - 1.0) < 1e-12
+    state = diagonal_state([0.0] * 20 + [1.0])
+    with pytest.raises(QuadratureError, match="r_max") as err:
+        coarse_parity_bound(state, unit_symbol())
+    assert err.value.knob == "r_max"
+    got = coarse_parity_bound(state, unit_symbol(), IntegrationSpec(r_max=7.0))
+    assert abs(got - 1.0) < 1e-12
 
 
 def test_bipartite_case_validation():

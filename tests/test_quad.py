@@ -16,7 +16,7 @@ from bellbound.quad import (
     integrate_1d,
     integrate_radial_pair,
 )
-from bellbound.specfun import bessel_j
+from bellbound.specfun import assoc_laguerre_seq, bessel_j, laguerre
 from oracles import mc_integrate
 
 SPEC = IntegrationSpec()
@@ -83,6 +83,21 @@ def test_integrate_1d_error_estimate_honest():
         true_err = abs(got.value - exact)
         assert got.error_estimate <= 1e-10
         assert true_err <= max(3 * got.error_estimate, 5e-13)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("a", [0.01, 0.25, 2.25, 9.0])
+def test_integrate_1d_error_covers_laguerre_closed_form(a, abs_tol):
+    # int_0^a e^{-2s} L_n(4s) ds = (-1)^n [1 - e^{-2a} (2 sum_{j<n} (-1)^j
+    # L_j(4a) + (-1)^n L_n(4a))] / 2, the integral behind every eigenvalue
+    spec = IntegrationSpec(abs_tol=abs_tol)
+    signs = (-1.0) ** np.arange(64)
+    lag = signs * assoc_laguerre_seq(63, 0, 4.0 * a)
+    below = np.concatenate(([0.0], np.cumsum(lag)[:-1]))
+    exact = signs * (1.0 - math.exp(-2.0 * a) * (2.0 * below + lag)) / 2.0
+    for n in range(64):
+        got = integrate_1d(lambda s: np.exp(-2.0 * s) * laguerre(n, 4.0 * s), 0.0, a, spec)
+        assert abs(got.value - exact[n]) <= got.error_estimate + 1e-14, n
 
 
 def test_integrate_1d_slow_progress_is_no_stall():

@@ -25,7 +25,7 @@ from bellbound.weyl import (
     unit_symbol,
     wigner,
 )
-from oracles import quantizer
+from oracles import quantizer, radial_eigenvalues
 
 STEP_EV0 = 2.0 * math.exp(-0.5) - 1.0
 STEP_EV1 = 4.0 * math.exp(-0.5) - 1.0
@@ -213,6 +213,17 @@ def test_quantize_radial_step():
     assert exp.eigenvalues[1] > 1.0 + 0.4
     assert np.max(exp.eigenvalues) == exp.eigenvalues[1]
     assert np.max(np.abs(exp.eigenvalues)) < 1.5
+
+
+@pytest.mark.parametrize("symbol", [
+    *(sign_step(r0) for r0 in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0)),
+    piecewise_symbol((0.4, 1.1, 2.0), (2.0, -1.0, 0.25, -0.5)),
+], ids=lambda sym: sym.description or f"{len(sym.jumps)} steps")
+def test_quantize_radial_matches_closed_form(symbol):
+    # every level's quadrature against the jumps' Laguerre partial sums
+    got = quantize_radial(symbol, 64).eigenvalues
+    assert np.max(np.abs(got - radial_eigenvalues(symbol, 64))) < 1e-13
 
 
 def test_quantize_radial_gaussian():
