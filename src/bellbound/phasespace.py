@@ -1,16 +1,19 @@
 """Deterministic bounds for the two concrete measurement setups.
 
 Single particle: a piecewise-constant radial symbol, the sign step by
-default, measured on the first excited state of one mode. Bi-partite: the
-sign step in the separation of two modes, measured on the antisymmetric pair
-state. Both admit a bound assembled from
-collapse probabilities, compared against the quantum mean of the quantized
-symbol; the quantum mean squared exceeding the bound is the violation.
+default, measured on the first excited state of one mode. Bi-partite: a
+piecewise-constant profile of the separation of two modes, the sign step by
+default, measured on the antisymmetric pair state. Both bounds are one
+bilinear form over pairs of regions of the declared levels
+(_bilinear_report), each setup passing its own pair integral of collapse
+probabilities; they are compared against the quantum mean of the quantized
+symbol, and the quantum mean squared exceeding the bound is the violation.
 
 Conventions follow the rest of the package: hbar = 1, alpha = (q + ip)/sqrt 2,
 and all integrals over phase space carry d^2 alpha.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -49,14 +52,15 @@ _DEFAULT_BP_DIM = 32
 
 
 def _merge_jump_splits(spec, symbol):
-    # no engine counts the mass beyond r_max; below 5 it exceeds 1e-9 unseen
+    # its callers count no mass beyond r_max; below 5 it exceeds 1e-9 unseen
     if spec.r_max < 5.0:
         raise ValueError(f"r_max must be at least 5, got {spec.r_max}")
-    splits = set(spec.split_points)
-    splits.update(symbol.jumps)
-    if symbol.far_radius > 0:
-        splits.add(float(symbol.far_radius))
-    return replace(spec, split_points=tuple(sorted(splits)))
+    return _with_jump_splits(spec, symbol)
+
+
+def _with_jump_splits(spec, symbol):
+    far = (float(symbol.far_radius),) if symbol.far_radius > 0 else ()
+    return replace(spec, split_points=tuple(sorted({*spec.split_points, *symbol.jumps, *far})))
 
 
 def _first_excited(dim):
@@ -92,8 +96,9 @@ class BipartiteCase:
     """A separation symbol measured on a two-mode pair state.
 
     The symbol profile is a function of the separation |alpha_1 - alpha_2|;
-    the default steps at SEPARATION_STEP. The state must be pure within
-    1e-12 in tr(rho^2): the reduced bound formulas project onto one vector.
+    the default steps from -1 to +1 at SEPARATION_STEP, and bp_hv_bound takes
+    any profile with declared levels. The state must be pure within 1e-12 in
+    tr(rho^2): the reduced bound formulas project onto one vector.
     """
 
     symbol: RadialSymbol = field(
@@ -145,13 +150,53 @@ class SigmaCurve:
                 float(np.trapezoid(self.errors, self.points)))
 
 
-def _declared_step(symbol):
-    """None for the unit profile, the jump radius of a declared (-1, +1) step;
-    the bi-partite route has one arc table, so it refuses anything else."""
-    if symbol.levels in ((1.0,), (-1.0, 1.0)):
-        return symbol.jumps[0] if symbol.jumps else None
-    raise ValueError(f"the bi-partite route takes the unit and sign-step levels "
-                     f"only; got levels {symbol.levels} at jumps {symbol.jumps}")
+def _bilinear_report(label, case, pair, one_mode):
+    """The bound of a declared symbol B = c_inf + sum_k c_k 1{r < r_k} (c_inf
+    the last level, c_k the drop at jump r_k) as the bilinear form
+
+        total = sum_kl c_k c_l I(r_k, r_l)
+
+    over the regions full (r = None, the plane), core, core2, ... (the discs
+    inside each jump). pair(r1, r2, spec) gives I and its error; the
+    component r1_r2 is named first slot first. The quantum mean is the first
+    eigenvalue of one_mode(symbol). Returns a BellReport with the components
+    and their errors in notes["components"] / notes["component_errors"];
+    notes["violation"] says whether the squared quantum mean clears the bound
+    plus its error.
+    """
+    lv = case.symbol.levels
+    if lv is None:
+        raise ValueError(f"the {label} bound needs declared levels, as sign-step or "
+                         "piecewise_symbol give; sp_hv_bound_generic takes any "
+                         "single-mode symbol")
+    regions = [("full", None, lv[-1])] + [
+        (f"core{k}" if k > 1 else "core", r, lv[k - 1] - lv[k])
+        for k, r in enumerate(case.symbol.jumps, 1)
+    ]
+    comps, errs, total, err = {}, {}, 0.0, 0.0
+    for name2, r2, c2 in regions:
+        for name1, r1, c1 in regions:
+            value, error = pair(r1, r2, case.spec)
+            name = f"{name1}_{name2}"
+            comps[name] = value
+            errs[name] = error
+            total += c1 * c2 * value
+            err += abs(c1 * c2) * error
+    qm = float(quantize_radial(one_mode(case.symbol), 2, case.spec).eigenvalues[1])
+    return BellReport(
+        label=label,
+        qm_mean=qm,
+        qm_second_moment=qm * qm,
+        hv_bound=total,
+        bound_difference=qm * qm - total,
+        skipped_terms=0,
+        notes={
+            "components": comps,
+            "component_errors": errs,
+            "error_estimate": err,
+            "violation": bool(qm * qm > total + err),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +253,14 @@ def sp_hv_bound(case):
 
     Restricted to the first excited state, whose collapse sum has the closed
     kernel (4/pi^2)(1 - 4 d^2) exp(-2 d^2) J0(4 d r), and to symbols that
-    declare levels, B = c_inf + sum_k c_k 1{r < r_k} (c_inf the last level,
-    c_k the drop at jump r_k). The bound is the bilinear form
-
-        total = sum_kl c_k c_l I(r_k, r_l),
-
-    I restricting the state side (first slot) and the symbol side to discs:
-    full is the plane, core, core2, ... the discs inside each jump. The sign
-    step gives full_full - 2 core_full - 2 full_core + 4 core_core, the unit
+    declare levels. The bound is _bilinear_report's form, I restricting the
+    state side (first slot) and the symbol side to discs. The sign step
+    gives full_full - 2 core_full - 2 full_core + 4 core_core, the unit
     symbol full_full alone. Every component with a full-plane slot is a
     closed form (see _excited_component): full_full = 1 and core_full are
     exact, full_core is a phi mean resolved to about 1e-13. Only the
     disc-disc components, core_core for the sign step, are radial pair
     quadratures.
-
-    Returns a BellReport; the components and their errors sit in
-    notes["components"] / notes["component_errors"], and notes["violation"]
-    says whether the squared quantum mean clears the bound plus its error.
     """
     state = case.state
     if state.dim < 2 or abs(state.entries[1, 1] - 1.0) > 1e-9:
@@ -232,38 +268,7 @@ def sp_hv_bound(case):
             "kernel route needs the first excited state; "
             "sp_hv_bound_generic handles other number-diagonal states"
         )
-    lv = case.symbol.levels
-    if lv is None:
-        raise ValueError("kernel route needs declared levels, as sign-step or "
-                         "piecewise_symbol give; sp_hv_bound_generic takes the rest")
-    regions = [("full", None, lv[-1])] + [
-        (f"core{k}" if k > 1 else "core", r, lv[k - 1] - lv[k])
-        for k, r in enumerate(case.symbol.jumps, 1)
-    ]
-    comps, errs, total, err = {}, {}, 0.0, 0.0
-    for name2, r2, c2 in regions:
-        for name1, r1, c1 in regions:
-            value, error = _excited_component(r1, r2, case.spec)
-            name = f"{name1}_{name2}"
-            comps[name] = value
-            errs[name] = error
-            total += c1 * c2 * value
-            err += abs(c1 * c2) * error
-    qm = float(quantize_radial(case.symbol, 2, case.spec).eigenvalues[1])
-    return BellReport(
-        label="single-particle",
-        qm_mean=qm,
-        qm_second_moment=qm * qm,
-        hv_bound=total,
-        bound_difference=qm * qm - total,
-        skipped_terms=0,
-        notes={
-            "components": comps,
-            "component_errors": errs,
-            "error_estimate": err,
-            "violation": bool(qm * qm > total + err),
-        },
-    )
+    return _bilinear_report("single-particle", case, _excited_component, lambda s: s)
 
 
 def _diagonal_weights(rho):
@@ -461,7 +466,8 @@ def coarse_parity_bound(rho, symbol, spec=None):
     """
     if spec is None:
         spec = IntegrationSpec()
-    spec = _merge_jump_splits(spec, symbol)
+    # the tail past r_max is counted below, so no r_max floor applies
+    spec = _with_jump_splits(spec, symbol)
     levels, probs = _diagonal_weights(rho)
     weights = probs * quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]
     tail = 0.0 if symbol.far_value is None else abs(symbol.far_value) * sum(
@@ -544,8 +550,8 @@ _SIGMA_G_MAX = 4.5
 _SIGMA_MAX_POINTS = 10_000
 # separation nodes per block of the arc table, which bounds its temporaries
 _ARC_BLOCK = 8
-# (n_g, n_d, n_win) per node level of the collapsed sign_disc integral; the
-# coarse level serves the error estimate only
+# (n_g, n_d, n_win) per node level of the collapsed pair integrals of
+# bp_hv_bound; the coarse level serves the error estimate only
 _COLLAPSE_LEVELS = ((64, 64, 16), (128, 128, 24))
 
 
@@ -567,8 +573,8 @@ def _arc_table(d, g1, g2, j, n_win):
     square-root ends; cells with an empty window take the closed part
     alone. d, g1 and g2 broadcast against each other, and A is evaluated
     on every cell of their common shape: the sigma curve passes a block of
-    separation nodes against the pairs g1 <= g2, the collapsed sign_disc
-    its cells on the diagonal g1 = g2.
+    separation nodes against the pairs g1 <= g2, the collapsed pair
+    integrals their cells on the diagonal g1 = g2.
     """
     sq = g1 * g1 + g2 * g2
     prod = 2.0 * g1 * g2
@@ -662,7 +668,8 @@ def sigma_curve(case, mode="full"):
     over the curve as its error. f(0) vanishes with the phase-space measure
     and is set exactly. The result is deterministic and has no knob beyond
     the IntegrationSpec's r_max, split points and grid. The curve is a
-    diagnostic: bp_hv_bound integrates f by the collapse of _sign_disc_level.
+    diagnostic of the sign step: its integral over s is core_full - 2 core_core
+    of bp_hv_bound, which takes it by collapse instead.
 
     mode is a validation hook: "disc_unit" and "unit_unit" replace the two
     symbol factors by pairs whose curve is known in closed form
@@ -677,9 +684,11 @@ def sigma_curve(case, mode="full"):
     _pair_state_checked(case)
     if mode not in ("full", "disc_unit", "unit_unit"):
         raise ValueError(f"unknown mode {mode!r}")
-    j = None if mode == "unit_unit" else _declared_step(case.symbol)
-    if j is None and mode != "unit_unit":
-        raise ValueError("sigma reduction needs the sign-step profile")
+    levels = case.symbol.levels
+    if mode != "unit_unit" and levels != (-1.0, 1.0):
+        raise ValueError(f"the sigma curve takes the sign-step levels (-1.0, 1.0) "
+                         f"only; got levels {levels}")
+    j = case.symbol.jumps[0] if case.symbol.jumps else None
     spec = case.spec
     ratio = spec.sigma_max / spec.sigma_step
     size = math.floor(min(ratio, _SIGMA_MAX_POINTS) + 1e-9) + 1
@@ -714,15 +723,17 @@ def _reduced_pair_integral(t_hi):
     return 1.0 if x > 1e3 else 1.0 - (2.0 * x + 1.0) * math.exp(-x)
 
 
-def _collapsed_cells(j, n_g, n_d):
+def _collapsed_cells(j, n_g, n_d, splits):
     """(d, g, w) with sum w F = int dg int dd d 16 g e^{-4g^2} (1 - 8g^2)
     J0(4gd) F(d, g) over d < j + 2g, where the arc table's diagonal lives.
 
-    Panels sit at its kinks, g = j/2 and d = j, |j - 2g|; g stops where
-    exp(-4 g^2) passes below 1e-17, as the curve's cut in exp(-2 g^2).
+    Panels sit at its kinks, g = j/2 and d = j, |j - 2g|, and at the
+    separations in splits; g stops where exp(-4 g^2) passes below 1e-17, as
+    the curve's cut in exp(-2 g^2).
     """
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX / math.sqrt(2.0), n_g, (0.5 * j,))
-    rules = [_gl_segmented(0.0, j + 2.0 * g, n_d, (j, abs(j - 2.0 * g))) for g in gn]
+    rules = [_gl_segmented(0.0, j + 2.0 * g, n_d, (j, abs(j - 2.0 * g), *splits))
+             for g in gn]
     sizes = [len(r[0]) for r in rules]
     d, dw = (np.concatenate(x) for x in zip(*rules))
     g = np.repeat(gn, sizes)
@@ -730,62 +741,47 @@ def _collapsed_cells(j, n_g, n_d):
     return d, g, np.repeat(gw, sizes) * dw * d * kernel
 
 
-def _sign_disc_level(case, j, level):
-    """sign_disc = int_0^inf f(s) ds at one node level, by its collapse.
-
-    The kernel reaches sigma only through J0(2 g1 |sigma + delta|)
-    J0(2 g2 |sigma - delta|) and the product of their gradients, so over
-    the sigma plane the closure of the Hankel transform,
-    int J0(k r) J0(k' r) r dr = delta(k - k')/k, sets g1 = g2: sign_disc is
-    int dd d B(d) int dg 16 g e^{-4g^2} (1 - 8g^2) J0(4gd) A(d, g, g).
-    """
-    d, g, w = _collapsed_cells(j, *level[:2])
-    return float((w * case.symbol(d)) @ _arc_table(d, g, g, j, level[2]))
+def _collapsed_arc(j, level, splits):
+    """(d, w A_j(d, g, g)) on _collapsed_cells at one node level."""
+    d, g, w = _collapsed_cells(j, level[0], level[1], splits)
+    return d, w * _arc_table(d, g, g, j, level[2])
 
 
 def bp_hv_bound(case):
     """Deterministic bound for the bi-partite setup.
 
-    The product of the two symbol factors is split into three pieces,
+    Any separation profile with declared levels, through _bilinear_report.
+    The first slot of I(r, r') is the arc side, the chance A_r that the
+    collapse-displaced separation stays inside r (A = 1 on the full plane);
+    the second is the profile side 1{d < r'}. Both factors reach sigma only
+    through J0(2 g1 |sigma + delta|) J0(2 g2 |sigma - delta|) and their
+    gradients, so over the sigma plane the closure of the Hankel transform,
+    int J0(k r) J0(k' r) r dr = delta(k - k')/k, sets g1 = g2:
 
-        total = unit_unit - 2 disc_unit - 2 sign_disc,
+        I(r, r') = int dd d 1{d < r'} int dg 16 g e^{-4g^2} (1 - 8g^2)
+                   J0(4gd) A_r(d, g, g).
 
-    where disc means the factor is replaced by the indicator of separations
-    inside the jump radius and sign keeps the full signed profile. The
-    first two reduce to the closed kernel 4 s t (2t^2 - 1) exp(-(s^2+t^2)),
-    which integrates in closed form over the plane with no error
-    (unit_unit is exactly 1, kept as a consistency component); only
-    sign_disc has no closed form. _sign_disc_level collapses it to a 2-D
-    integral, taken at the two levels of _COLLAPSE_LEVELS: the finer gives
-    the value and their gap the error. No sigma grid enters.
+    A full arc side leaves the closed 1 - (2 r'^2 + 1) e^{-r'^2}, exact. A
+    disc takes _collapsed_arc's table once per jump and level of
+    _COLLAPSE_LEVELS, and every profile slot reads it as a dot product: the
+    finer level gives the value, the gap the error. No sigma grid enters;
+    the sign step's curve integrates to core_full - 2 core_core.
 
-    The quantum mean in the report comes from the first eigenvalue of the
-    relative-mode profile; bp_qm_mean is the quadrature cross-check.
+    The quantum mean comes from the first eigenvalue of the relative-mode
+    profile; bp_qm_mean is the quadrature cross-check.
     """
     _pair_state_checked(case)
-    r0 = _declared_step(case.symbol)
-    i11 = _reduced_pair_integral(math.inf)
-    comps, errs = {"unit_unit": i11}, {"unit_unit": 0.0}
-    total, err = i11, 0.0
-    if r0 is not None:
-        idu = _reduced_pair_integral(r0)
-        coarse, isd = (_sign_disc_level(case, r0, lev) for lev in _COLLAPSE_LEVELS)
-        comps.update(disc_unit=idu, sign_disc=isd)
-        errs.update(disc_unit=0.0, sign_disc=abs(isd - coarse))
-        total = i11 - 2.0 * idu - 2.0 * isd
-        err = 2.0 * errs["sign_disc"]
-    qm = float(quantize_radial(_relative_profile(case.symbol), 2, case.spec).eigenvalues[1])
-    return BellReport(
-        label="bipartite",
-        qm_mean=qm,
-        qm_second_moment=qm * qm,
-        hv_bound=total,
-        bound_difference=qm * qm - total,
-        skipped_terms=0,
-        notes={
-            "components": comps,
-            "component_errors": errs,
-            "error_estimate": err,
-            "violation": bool(qm * qm > total + err),
-        },
-    )
+    jumps = case.symbol.jumps
+
+    @functools.cache
+    def tables(r1):
+        return [_collapsed_arc(r1, level, jumps) for level in _COLLAPSE_LEVELS]
+
+    def pair(r1, r2, spec):
+        r2 = math.inf if r2 is None else r2
+        if r1 is None:
+            return _reduced_pair_integral(r2), 0.0
+        coarse, fine = (float(wa @ (d < r2)) for d, wa in tables(r1))
+        return fine, abs(fine - coarse)
+
+    return _bilinear_report("bipartite", case, pair, _relative_profile)

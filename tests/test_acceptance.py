@@ -290,19 +290,22 @@ def test_criterion_06_route_equivalence():
 def test_criterion_07_bipartite_components(sigma_documents, bp_results):
     rep = bp_results["report"]
     comps = rep.notes["components"]
+    # I_11 is full_full, I_theta1 full_core, and I_Btheta, the signed profile
+    # against the arc table, core_full - 2 core_core
+    i_b_theta = comps["core_full"] - 2.0 * comps["core_core"]
     checks = {
-        "unit_unit": abs(comps["unit_unit"] - 1.0) < 1e-6,
-        "disc_unit": abs(comps["disc_unit"]
-                         - (1.0 - 2.0 / math.sqrt(math.e))) < 1e-6,
-        "sign_disc": abs(comps["sign_disc"] - 0.078) <= 0.1 * 0.078,
+        "I_11": abs(comps["full_full"] - 1.0) < 1e-6,
+        "I_theta1": abs(comps["full_core"]
+                        - (1.0 - 2.0 / math.sqrt(math.e))) < 1e-6,
+        "I_Btheta": abs(i_b_theta - 0.078) <= 0.1 * 0.078,
         "total": abs(rep.hv_bound - 1.27) <= 0.05,
         "violation": rep.notes["violation"] is True,
     }
     elapsed = sigma_documents["t_first"] + bp_results["seconds"]
     failed = [k for k, ok in checks.items() if not ok]
     announce("7", not failed and elapsed < 1200.0,
-             f"I_11 {comps['unit_unit']:.8f}, I_theta1 "
-             f"{comps['disc_unit']:.8f}, I_Btheta {comps['sign_disc']:.6f}, "
+             f"I_11 {comps['full_full']:.8f}, I_theta1 "
+             f"{comps['full_core']:.8f}, I_Btheta {i_b_theta:.6f}, "
              f"total {rep.hv_bound:.6f}, {elapsed:.1f}s"
              + (f"; failed {failed}" if failed else ""))
 
@@ -327,15 +330,17 @@ def test_criterion_08_curve_shape(sigma_documents, bp_results):
     integral = doc["results"]["integral"]
     recomputed = float(np.trapezoid(values, points))
     consistent = abs(integral - recomputed) < 1e-12
-    # the collapsed sign_disc against a second route over the curve itself:
-    # the default grid's trapezoid to 2.7, a finer curve level on [2.7, 8]
-    # whose points carry their largest gap to the default fine level, and an
-    # s^-p tail past 8 with p bracketed in [2.5, 3.5] (a fit on [10, 16]
-    # gives 3.07); the tolerance is the sum of the stated errors, about
-    # 4e-4, far short of the 5.8e-3 between the route and the grid-only
-    # trapezoid 0.08306 that bp_hv_bound used to report
+    # the collapsed I_Btheta = core_full - 2 core_core against a second route
+    # over the curve itself: the default grid's trapezoid to 2.7, a finer
+    # curve level on [2.7, 8] whose points carry their largest gap to the
+    # default fine level, and an s^-p tail past 8 with p bracketed in
+    # [2.5, 3.5] (a fit on [10, 16] gives 3.07); the tolerance is the sum of
+    # the stated errors, about 4e-4, far short of the 5.8e-3 between the
+    # route and the grid-only trapezoid 0.08306 that bp_hv_bound used to
+    # report
     rep = bp_results["report"]
-    sign_disc = rep.notes["components"]["sign_disc"]
+    comps, errs = rep.notes["components"], rep.notes["component_errors"]
+    sign_disc = comps["core_full"] - 2.0 * comps["core_core"]
     far = 2.7 + 0.1 * np.arange(54)
     finer = _sigma_level(BipartiteCase(), SEPARATION_STEP, "full", far,
                          (192, 96, 32, 16))
@@ -345,7 +350,7 @@ def test_criterion_08_curve_shape(sigma_documents, bp_results):
     tails = [finer[-1] * far[-1] / (p - 1.0) for p in (2.5, 3.5)]
     route = integral + float(np.trapezoid(finer, far)) + 0.5 * sum(tails)
     tol = (doc["results"]["integral_error"] + far_err
-           + 0.5 * abs(tails[0] - tails[1]) + rep.notes["component_errors"]["sign_disc"])
+           + 0.5 * abs(tails[0] - tails[1]) + errs["core_full"] + 2.0 * errs["core_core"])
     reproduced = abs(route - sign_disc) <= tol
     ok = (finite and single_max and tail_small and tail_trend and consistent
           and reproduced)

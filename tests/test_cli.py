@@ -297,10 +297,12 @@ def test_sigma_curve_round_trip(tmp_path):
     vals = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert vals == da["components"]["values"]
     assert len(vals) == 7
-    # the mass beyond the grid is measured against the bipartite sign_disc
+    # the mass beyond the grid is measured against the bipartite signed disc
+    # integral core_full - 2 core_core
     bp = tmp_path / "bp.json"
     assert main(["bipartite", "--out", str(bp)]) == 0
-    sign_disc = read_doc(bp)["components"]["sign_disc"]
+    comps = read_doc(bp)["components"]
+    sign_disc = comps["core_full"] - 2.0 * comps["core_core"]
     assert da["results"]["beyond_grid"] == sign_disc - da["results"]["integral"]
 
 

@@ -18,6 +18,7 @@ from bellbound.phasespace import (
     SigmaCurve,
     SingleParticleCase,
     _arc_table,
+    _collapsed_arc,
     _collapsed_cells,
     _diagonal_weights,
     _displaced_level_weights,
@@ -32,7 +33,6 @@ from bellbound.phasespace import (
     _reduced_pair_integral,
     _relative_profile,
     _sigma_level,
-    _sign_disc_level,
     bp_hv_bound,
     bp_qm_mean,
     coarse_parity_bound,
@@ -60,6 +60,8 @@ TWO_STEP = RadialSymbol(
     lambda r: np.select([r < 0.3, r < 0.8], [-1.0, 0.5], 1.0), "two steps",
     (0.3, 0.8), 1.0, 0.8,
 )
+# a separation profile: -1 inside 0.4, 1/2 up to 0.9, 1 beyond
+PAIR_TWO_STEP = piecewise_symbol((0.4, 0.9), (-1.0, 0.5, 1.0), "two steps")
 # structure a symbol leaves undeclared: -1 on a ring behind the unit
 # profile's far value, and a dip to -1 on (1.5, 1.75) past a declared step
 RING = RadialSymbol(lambda r: np.where((1.0 < r) & (r < 1.5), -1.0, 1.0), "ring",
@@ -93,19 +95,25 @@ def test_single_particle_case_defaults():
 
 
 def test_truncating_r_max_is_refused():
-    # no engine counts the mass beyond r_max; at 4.5 the pair mean is off by
-    # 6.9e-8 while its reported error stays far below that
+    # the case classes and the generic route count no mass beyond r_max; at
+    # 4.5 the pair mean is off by 6.9e-8 while its reported error stays far
+    # below that
     short = IntegrationSpec(r_max=4.5)
     state = SingleParticleCase().state
     for build in (
         lambda: SingleParticleCase(spec=short),
         lambda: BipartiteCase(spec=short),
         lambda: sp_hv_bound_generic(state, sign_step(0.5), spec=short),
-        lambda: coarse_parity_bound(state, sign_step(0.5), spec=short),
     ):
         with pytest.raises(ValueError, match="r_max"):
             build()
     assert SingleParticleCase(spec=IntegrationSpec(r_max=5.0)).spec.r_max == 5.0
+    # the coarse parity bound counts its own tail past r_max: 4.5 is exact to
+    # rounding, while at 3.0 the tail passes abs_tol and is refused by name
+    assert abs(coarse_parity_bound(state, sign_step(0.5), spec=short) - QM * QM) < 1e-12
+    with pytest.raises(QuadratureError, match="r_max") as info:
+        coarse_parity_bound(state, sign_step(0.5), spec=IntegrationSpec(r_max=3.0))
+    assert info.value.knob == "r_max"
 
 
 def test_kernel_route_components():
@@ -226,9 +234,8 @@ def test_kernel_route_takes_declared_steps():
     assert abs(rep.hv_bound - generic) < budget
     # the generic route reads the function alone, declared or not
     assert sp_hv_bound_generic(state, TWO_STEP, n_max=48) == generic
-    # the bi-partite route has one arc table per jump: it names what it got
-    with pytest.raises(ValueError, match=r"\(-1.0, 0.5, 1.0\)"):
-        bp_hv_bound(BipartiteCase(symbol=two))
+    # the bi-partite route takes the same declared steps
+    assert len(bp_hv_bound(BipartiteCase(symbol=two)).notes["components"]) == 9
 
 
 def test_generic_route_matches_kernel():
@@ -565,9 +572,9 @@ def test_arc_table_matches_psi_oracle(level, tol):
     cells += [tuple(c) for c in live[rng.choice(len(live), 24, replace=False)]]
     for k, i2, i1 in cells:
         assert abs(arc[k, i2, i1] - arc_fraction(dn[k], gn[i1], gn[i2], j)) < tol
-    # the diagonal g1 = g2 on the collapsed sign_disc's own cells, whose
+    # the diagonal g1 = g2 on the collapsed pair integrals' own cells, whose
     # separation nodes depend on g
-    d, g, _ = _collapsed_cells(j, 64, 64)
+    d, g, _ = _collapsed_cells(j, 64, 64, (j,))
     diag = _arc_table(d, g, g, j, level[2])
     live = np.flatnonzero((diag > 0.0) & (diag < 1.0))
     for k in rng.choice(live, 12, replace=False):
@@ -658,7 +665,7 @@ def test_bp_unit_symbol_report():
     rep = bp_hv_bound(BipartiteCase(symbol=unit_symbol()))
     assert abs(rep.hv_bound - 1.0) < 1e-6
     assert abs(rep.qm_mean - 1.0) < 1e-9
-    assert list(rep.notes["components"]) == ["unit_unit"]
+    assert list(rep.notes["components"]) == ["full_full"]
     assert rep.notes["violation"] is False
 
 
@@ -670,29 +677,108 @@ def test_bp_rejects_foreign_state():
 
 
 def test_collapsed_kernel_closed_component():
-    # with A = 1 and B = 1{d < j} the collapsed integral is disc_unit, which
+    # with A = 1 and B = 1{d < j} the collapsed integral is full_core, which
     # is closed: the cells resolve the kernel to rounding
     for j in (0.3, SEPARATION_STEP, 1.5):
-        d, _, w = _collapsed_cells(j, *_COLLAPSE_LEVELS[0][:2])
+        d, _, w = _collapsed_cells(j, *_COLLAPSE_LEVELS[0][:2], (j,))
         assert abs(w @ (d < j) - _reduced_pair_integral(j)) < 1e-14
 
 
-@pytest.mark.parametrize("jump", [0.3, SEPARATION_STEP, 1.5])
-def test_sign_disc_error_covers_finer_level(jump):
-    case = BipartiteCase(symbol=sign_step(jump))
+def regions(symbol):
+    # bp_hv_bound's region names and radii, the full plane at infinity
+    cores = {(f"core{k}" if k > 1 else "core"): r for k, r in enumerate(symbol.jumps, 1)}
+    return {"full": math.inf, **cores}
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [pytest.param(sign_step(j), id=str(j)) for j in (0.3, SEPARATION_STEP, 1.5)]
+    + [pytest.param(PAIR_TWO_STEP, id="two-step")],
+)
+def test_sign_disc_error_covers_finer_level(symbol):
+    # every collapsed component against a level finer in every direction
+    case = BipartiteCase(symbol=symbol)
     rep = bp_hv_bound(case)
-    value = rep.notes["components"]["sign_disc"]
-    error = rep.notes["component_errors"]["sign_disc"]
-    finer = _sign_disc_level(case, jump, (192, 192, 32))
-    # the panels at the diagonal's kinks keep the level gap near 1e-6
-    assert abs(value - finer) <= error <= 2e-6
+    comps, errs = rep.notes["components"], rep.notes["component_errors"]
+    for name1, r1 in list(regions(symbol).items())[1:]:
+        d, wa = _collapsed_arc(r1, (192, 192, 32), symbol.jumps)
+        for name2, r2 in regions(symbol).items():
+            name = f"{name1}_{name2}"
+            assert abs(comps[name] - wa @ (d < r2)) <= errs[name]
+    if len(symbol.jumps) == 1:
+        # the panels at the diagonal's kinks keep the level gap near 1e-6
+        assert errs["core_full"] + 2.0 * errs["core_core"] <= 2e-6
+        assert rep.notes["error_estimate"] <= 3e-6
     # the bound reads no sigma grid: a grid far too short changes nothing
-    short = BipartiteCase(symbol=sign_step(jump),
-                          spec=IntegrationSpec(sigma_max=0.3))
-    assert bp_hv_bound(short).notes["components"]["sign_disc"] == value
+    short = BipartiteCase(symbol=symbol, spec=IntegrationSpec(sigma_max=0.3))
+    assert bp_hv_bound(short).notes["components"] == comps
+
+
+def test_bp_two_step_profile():
+    case = BipartiteCase(symbol=PAIR_TWO_STEP)
+    rep = bp_hv_bound(case)
+    assert abs(rep.qm_mean - bp_qm_mean(case)) < 1e-12
+    # c_inf = 1 on the plane, then the drops 0.5 - (-1) and 1 - 0.5 at the jumps
+    c = {"full": 1.0, "core": -1.5, "core2": -0.5}
+    comps, errs = rep.notes["components"], rep.notes["component_errors"]
+    assert len(comps) == 9
+    pairs = [(a, b) for b in c for a in c]
+    total = sum(c[a] * c[b] * comps[f"{a}_{b}"] for a, b in pairs)
+    err = sum(abs(c[a] * c[b]) * errs[f"{a}_{b}"] for a, b in pairs)
+    assert rep.hv_bound == pytest.approx(total, rel=1e-14, abs=0.0)
+    assert rep.notes["error_estimate"] == pytest.approx(err, rel=1e-14, abs=0.0)
+    # the full arc side is closed
+    assert comps["full_core2"] == _reduced_pair_integral(0.9)
+    assert errs["full_core"] == errs["full_core2"] == 0.0
+    assert rep.notes["violation"] is True
+
+
+def simpson(values, step):
+    weights = np.ones(values.size)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return step / 3.0 * float(weights @ values)
+
+
+def test_disc_disc_component_matches_curve_route():
+    # I(0.9, 0.4), arc radius 0.9 against the profile disc 0.4, which no sign
+    # step has: it is the integral over s of the sigma curve of the profile
+    # 1{d < 0.4} at arc radius 0.9. As in criterion 8, the curve runs to
+    # s = 8 at a finer level whose points carry their largest gap to the
+    # fine level, with an s^-p tail past 8, p in [2.5, 3.5]; Simpson's rule
+    # carries its gap to the rule on every other node
+    rep = bp_hv_bound(BipartiteCase(symbol=PAIR_TWO_STEP))
+    value = rep.notes["components"]["core2_core"]
+    case = BipartiteCase(symbol=piecewise_symbol((0.4,), (1.0, 0.0)))
+    s = 0.2 * np.arange(41)
+    fine = _sigma_level(case, 0.9, "full", s, _SIGMA_LEVELS[1])
+    finer = _sigma_level(case, 0.9, "full", s, (192, 96, 32, 16))
+    tails = [finer[-1] * s[-1] / (p - 1.0) for p in (2.5, 3.5)]
+    rule = simpson(finer, 0.2)
+    route = rule + 0.5 * sum(tails)
+    tol = (float(np.max(np.abs(finer - fine))) * s[-1] + abs(rule - simpson(finer[::2], 0.4))
+           + 0.5 * abs(tails[0] - tails[1]) + rep.notes["component_errors"]["core2_core"])
+    assert abs(route - value) <= tol < 1e-4
+    # the kernel is not symmetric in its slots: I(0.4, 0.9) is far off
+    assert abs(route - rep.notes["components"]["core_core2"]) > 100.0 * tol
+
+
+def test_bp_reads_one_arc_table_per_jump_and_level(monkeypatch):
+    # each jump's diagonal table serves every profile slot of its row
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _arc_table(*args)
+
+    monkeypatch.setattr(phasespace, "_arc_table", counted)
+    for symbol, tables in ((sign_step(SEPARATION_STEP), 2), (PAIR_TWO_STEP, 4)):
+        calls.clear()
+        bp_hv_bound(BipartiteCase(symbol=symbol))
+        assert len(calls) == tables
 
 
 def test_bp_default_sign_disc():
     rep = bp_hv_bound(BipartiteCase())
-    assert abs(rep.notes["components"]["sign_disc"] - 0.0774787) < 2e-6
+    comps = rep.notes["components"]
+    assert abs(comps["core_full"] - 2.0 * comps["core_core"] - 0.0774787) < 2e-6
     assert rep.hv_bound == pytest.approx(1.27117, abs=1e-5)
