@@ -216,11 +216,9 @@ def test_undeclared_symbols_are_refused():
             sigma_curve(case)
 
 
-def test_kernel_route_takes_declared_steps():
-    two = piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0), "two steps")
-    state = diagonal_state([0.0, 1.0], dim=128)
-    rep = sp_hv_bound(SingleParticleCase(symbol=two, state=state))
-    # c_inf = 1 on the plane, then the drops 0.5 - (-1) and 1 - 0.5 at the jumps
+def assert_two_step_form(rep):
+    # the report of levels (-1, 0.5, 1) is its bilinear form: c_inf = 1 on the
+    # plane, then the drops 0.5 - (-1) and 1 - 0.5 at the jumps
     c = {"full": 1.0, "core": -1.5, "core2": -0.5}
     comps, errs = rep.notes["components"], rep.notes["component_errors"]
     assert len(comps) == 9
@@ -229,6 +227,13 @@ def test_kernel_route_takes_declared_steps():
     err = sum(abs(c[a] * c[b]) * errs[f"{a}_{b}"] for a, b in pairs)
     assert rep.hv_bound == pytest.approx(total, rel=1e-14, abs=0.0)
     assert rep.notes["error_estimate"] == pytest.approx(err, rel=1e-14, abs=0.0)
+
+
+def test_kernel_route_takes_declared_steps():
+    two = piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0), "two steps")
+    state = diagonal_state([0.0, 1.0], dim=128)
+    rep = sp_hv_bound(SingleParticleCase(symbol=two, state=state))
+    assert_two_step_form(rep)
     generic, info = sp_hv_bound_generic(state, two, n_max=48, details=True)
     budget = info["n_tail"] + info["quad_error"] + rep.notes["error_estimate"]
     assert abs(rep.hv_bound - generic) < budget
@@ -718,16 +723,9 @@ def test_bp_two_step_profile():
     case = BipartiteCase(symbol=PAIR_TWO_STEP)
     rep = bp_hv_bound(case)
     assert abs(rep.qm_mean - bp_qm_mean(case)) < 1e-12
-    # c_inf = 1 on the plane, then the drops 0.5 - (-1) and 1 - 0.5 at the jumps
-    c = {"full": 1.0, "core": -1.5, "core2": -0.5}
-    comps, errs = rep.notes["components"], rep.notes["component_errors"]
-    assert len(comps) == 9
-    pairs = [(a, b) for b in c for a in c]
-    total = sum(c[a] * c[b] * comps[f"{a}_{b}"] for a, b in pairs)
-    err = sum(abs(c[a] * c[b]) * errs[f"{a}_{b}"] for a, b in pairs)
-    assert rep.hv_bound == pytest.approx(total, rel=1e-14, abs=0.0)
-    assert rep.notes["error_estimate"] == pytest.approx(err, rel=1e-14, abs=0.0)
+    assert_two_step_form(rep)
     # the full arc side is closed
+    comps, errs = rep.notes["components"], rep.notes["component_errors"]
     assert comps["full_core2"] == _reduced_pair_integral(0.9)
     assert errs["full_core"] == errs["full_core2"] == 0.0
     assert rep.notes["violation"] is True
