@@ -45,6 +45,7 @@ from .phasespace import (
     bp_qm_mean,
     coarse_parity_bound,
     sigma_curve,
+    sign_disc,
     sp_hv_bound,
     sp_hv_bound_generic,
 )

@@ -26,6 +26,7 @@ from .phasespace import (
     SingleParticleCase,
     bp_hv_bound,
     sigma_curve,
+    sign_disc,
     sp_hv_bound,
 )
 from .quad import IntegrationSpec, QuadratureError
@@ -265,21 +266,19 @@ def _run_sigma_curve(cfg, spec):
     case = BipartiteCase(state=bell_pair_state(cfg.truncation), spec=spec)
     curve = sigma_curve(case)
     value, err = curve.integral()
-    # what the grid misses: core_full - 2 core_core integrates f over the plane
-    notes = bp_hv_bound(case).notes
-    comps, comp_errs = notes["components"], notes["component_errors"]
+    # what the grid misses: sign_disc integrates f over the plane
+    disc, disc_err = sign_disc(bp_hv_bound(case))
     peak = int(np.argmax(curve.values))
     results = {
         "integral": value,
         "integral_error": err,
-        "beyond_grid": comps["core_full"] - 2.0 * comps["core_core"] - value,
+        "beyond_grid": disc - value,
         "max_value": float(curve.values[peak]),
         "argmax": float(curve.points[peak]),
     }
     columns = (curve.points, curve.values, curve.errors)
     components = dict(zip(("points", "values", "errors"), (c.tolist() for c in columns)))
-    errors = {"integral": err,
-              "beyond_grid": comp_errs["core_full"] + 2.0 * comp_errs["core_core"] + err}
+    errors = {"integral": err, "beyond_grid": disc_err + err}
     return results, components, errors, (("s", "f", "error"), np.column_stack(columns))
 
 

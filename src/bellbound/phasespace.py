@@ -13,7 +13,6 @@ Conventions follow the rest of the package: hbar = 1, alpha = (q + ip)/sqrt 2,
 and all integrals over phase space carry d^2 alpha.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -41,6 +40,7 @@ __all__ = [
     "coarse_parity_bound",
     "bp_qm_mean",
     "bp_hv_bound",
+    "sign_disc",
     "sigma_curve",
 ]
 
@@ -150,7 +150,7 @@ class SigmaCurve:
                 float(np.trapezoid(self.errors, self.points)))
 
 
-def _bilinear_report(label, case, pair, one_mode):
+def _bilinear_report(label, case, pair, one_mode, fallback=""):
     """The bound of a declared symbol B = c_inf + sum_k c_k 1{r < r_k} (c_inf
     the last level, c_k the drop at jump r_k) as the bilinear form
 
@@ -159,7 +159,8 @@ def _bilinear_report(label, case, pair, one_mode):
     over the regions full (r = None, the plane), core, core2, ... (the discs
     inside each jump). pair(r1, r2, spec) gives I and its error; the
     component r1_r2 is named first slot first. The quantum mean is the first
-    eigenvalue of one_mode(symbol). Returns a BellReport with the components
+    eigenvalue of one_mode(symbol). A symbol without levels is refused, with
+    fallback appended to the message. Returns a BellReport with the components
     and their errors in notes["components"] / notes["component_errors"];
     notes["violation"] says whether the squared quantum mean clears the bound
     plus its error.
@@ -167,8 +168,7 @@ def _bilinear_report(label, case, pair, one_mode):
     lv = case.symbol.levels
     if lv is None:
         raise ValueError(f"the {label} bound needs declared levels, as sign-step or "
-                         "piecewise_symbol give; sp_hv_bound_generic takes any "
-                         "single-mode symbol")
+                         f"piecewise_symbol give{fallback}")
     regions = [("full", None, lv[-1])] + [
         (f"core{k}" if k > 1 else "core", r, lv[k - 1] - lv[k])
         for k, r in enumerate(case.symbol.jumps, 1)
@@ -268,7 +268,8 @@ def sp_hv_bound(case):
             "kernel route needs the first excited state; "
             "sp_hv_bound_generic handles other number-diagonal states"
         )
-    return _bilinear_report("single-particle", case, _excited_component, lambda s: s)
+    return _bilinear_report("single-particle", case, _excited_component, lambda s: s,
+                            "; sp_hv_bound_generic takes any single-mode symbol")
 
 
 def _diagonal_weights(rho):
@@ -461,16 +462,16 @@ def coarse_parity_bound(rho, symbol, spec=None):
     The integral is one integrate_1d call on [0, r_max]. Past r_max a
     declared symbol is its far value, so the dropped tail is at most
     |far_value| sum_n p_n |lam_n| _parity_tail(n, r_max); above abs_tol it
-    raises QuadratureError naming r_max. As in quantize_radial, the tail of
-    a symbol without a far value is not counted.
+    raises QuadratureError naming r_max. A symbol without a far value has no
+    tail to count, so it keeps the r_max >= 5 floor of the other routes.
     """
     if spec is None:
         spec = IntegrationSpec()
-    # the tail past r_max is counted below, so no r_max floor applies
-    spec = _with_jump_splits(spec, symbol)
+    counted = symbol.far_value is not None
+    spec = (_with_jump_splits if counted else _merge_jump_splits)(spec, symbol)
     levels, probs = _diagonal_weights(rho)
     weights = probs * quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]
-    tail = 0.0 if symbol.far_value is None else abs(symbol.far_value) * sum(
+    tail = 0.0 if not counted else abs(symbol.far_value) * sum(
         abs(w) * _parity_tail(n, spec.r_max) for n, w in zip(levels, weights))
     if not tail <= spec.abs_tol:
         raise QuadratureError(f"the tail past r_max {spec.r_max} is up to {tail:.2e}, "
@@ -668,8 +669,8 @@ def sigma_curve(case, mode="full"):
     over the curve as its error. f(0) vanishes with the phase-space measure
     and is set exactly. The result is deterministic and has no knob beyond
     the IntegrationSpec's r_max, split points and grid. The curve is a
-    diagnostic of the sign step: its integral over s is core_full - 2 core_core
-    of bp_hv_bound, which takes it by collapse instead.
+    diagnostic of the sign step: its integral over s is sign_disc of
+    bp_hv_bound's report, which takes it by collapse instead.
 
     mode is a validation hook: "disc_unit" and "unit_unit" replace the two
     symbol factors by pairs whose curve is known in closed form
@@ -765,23 +766,30 @@ def bp_hv_bound(case):
     disc takes _collapsed_arc's table once per jump and level of
     _COLLAPSE_LEVELS, and every profile slot reads it as a dot product: the
     finer level gives the value, the gap the error. No sigma grid enters;
-    the sign step's curve integrates to core_full - 2 core_core.
+    the sign step's curve integrates to sign_disc of the report.
 
     The quantum mean comes from the first eigenvalue of the relative-mode
     profile; bp_qm_mean is the quadrature cross-check.
     """
     _pair_state_checked(case)
     jumps = case.symbol.jumps
-
-    @functools.cache
-    def tables(r1):
-        return [_collapsed_arc(r1, level, jumps) for level in _COLLAPSE_LEVELS]
+    tables = {r: [_collapsed_arc(r, level, jumps) for level in _COLLAPSE_LEVELS]
+              for r in jumps}
 
     def pair(r1, r2, spec):
         r2 = math.inf if r2 is None else r2
         if r1 is None:
             return _reduced_pair_integral(r2), 0.0
-        coarse, fine = (float(wa @ (d < r2)) for d, wa in tables(r1))
+        coarse, fine = (float(wa @ (d < r2)) for d, wa in tables[r1])
         return fine, abs(fine - coarse)
 
     return _bilinear_report("bipartite", case, pair, _relative_profile)
+
+
+def sign_disc(report):
+    """(value, error) of core_full - 2 core_core in the bp_hv_bound report of
+    a one-jump profile: its sigma curve integrated over the plane."""
+    c, e = report.notes["components"], report.notes["component_errors"]
+    if len(c) != 4:
+        raise ValueError(f"sign_disc needs a one-jump profile; got components {sorted(c)}")
+    return c["core_full"] - 2.0 * c["core_core"], e["core_full"] + 2.0 * e["core_core"]

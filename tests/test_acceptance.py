@@ -29,6 +29,7 @@ from bellbound import (
     hv_bound,
     quantize_radial,
     sign_step,
+    sign_disc,
     sp_hv_bound,
     sp_hv_bound_generic,
     unit_symbol,
@@ -291,8 +292,8 @@ def test_criterion_07_bipartite_components(sigma_documents, bp_results):
     rep = bp_results["report"]
     comps = rep.notes["components"]
     # I_11 is full_full, I_theta1 full_core, and I_Btheta, the signed profile
-    # against the arc table, core_full - 2 core_core
-    i_b_theta = comps["core_full"] - 2.0 * comps["core_core"]
+    # against the arc table, sign_disc
+    i_b_theta = sign_disc(rep)[0]
     checks = {
         "I_11": abs(comps["full_full"] - 1.0) < 1e-6,
         "I_theta1": abs(comps["full_core"]
@@ -330,7 +331,7 @@ def test_criterion_08_curve_shape(sigma_documents, bp_results):
     integral = doc["results"]["integral"]
     recomputed = float(np.trapezoid(values, points))
     consistent = abs(integral - recomputed) < 1e-12
-    # the collapsed I_Btheta = core_full - 2 core_core against a second route
+    # the collapsed I_Btheta = sign_disc against a second route
     # over the curve itself: the default grid's trapezoid to 2.7, a finer
     # curve level on [2.7, 8] whose points carry their largest gap to the
     # default fine level, and an s^-p tail past 8 with p bracketed in
@@ -338,9 +339,7 @@ def test_criterion_08_curve_shape(sigma_documents, bp_results):
     # the stated errors, about 4e-4, far short of the 5.8e-3 between the
     # route and the grid-only trapezoid 0.08306 that bp_hv_bound used to
     # report
-    rep = bp_results["report"]
-    comps, errs = rep.notes["components"], rep.notes["component_errors"]
-    sign_disc = comps["core_full"] - 2.0 * comps["core_core"]
+    disc, disc_err = sign_disc(bp_results["report"])
     far = 2.7 + 0.1 * np.arange(54)
     finer = _sigma_level(BipartiteCase(), SEPARATION_STEP, "full", far,
                          (192, 96, 32, 16))
@@ -350,15 +349,15 @@ def test_criterion_08_curve_shape(sigma_documents, bp_results):
     tails = [finer[-1] * far[-1] / (p - 1.0) for p in (2.5, 3.5)]
     route = integral + float(np.trapezoid(finer, far)) + 0.5 * sum(tails)
     tol = (doc["results"]["integral_error"] + far_err
-           + 0.5 * abs(tails[0] - tails[1]) + errs["core_full"] + 2.0 * errs["core_core"])
-    reproduced = abs(route - sign_disc) <= tol
+           + 0.5 * abs(tails[0] - tails[1]) + disc_err)
+    reproduced = abs(route - disc) <= tol
     ok = (finite and single_max and tail_small and tail_trend and consistent
           and reproduced)
     announce("8", ok,
              f"peak f={np.max(values):.5f} at s={points[peak]:.2f}, "
              f"f(0)={values[0]}, tail |f| max "
              f"{np.max(np.abs(values[-5:])):.5f}, integral {integral:.6f}, "
-             f"curve route {route:.6f} vs sign_disc {sign_disc:.6f} within {tol:.1e}")
+             f"curve route {route:.6f} vs sign_disc {disc:.6f} within {tol:.1e}")
 
 
 def test_criterion_09_wigner_properties():

@@ -298,12 +298,14 @@ def test_sigma_curve_round_trip(tmp_path):
     assert vals == da["components"]["values"]
     assert len(vals) == 7
     # the mass beyond the grid is measured against the bipartite signed disc
-    # integral core_full - 2 core_core
-    bp = tmp_path / "bp.json"
-    assert main(["bipartite", "--out", str(bp)]) == 0
-    comps = read_doc(bp)["components"]
-    sign_disc = comps["core_full"] - 2.0 * comps["core_core"]
-    assert da["results"]["beyond_grid"] == sign_disc - da["results"]["integral"]
+    # integral of the same configuration, with its error
+    cfg = da["config"]
+    case = bellbound.BipartiteCase(
+        state=bellbound.bell_pair_state(cfg["truncation"]),
+        spec=bellbound.IntegrationSpec(r_max=cfg["r_max"], abs_tol=cfg["abs_tol"]))
+    disc, disc_err = bellbound.sign_disc(bellbound.bp_hv_bound(case))
+    assert da["results"]["beyond_grid"] == disc - da["results"]["integral"]
+    assert da["errors"]["beyond_grid"] == disc_err + da["errors"]["integral"]
 
 
 def test_bipartite_refuses_sigma_flags(capsys):

@@ -37,6 +37,7 @@ from bellbound.phasespace import (
     bp_qm_mean,
     coarse_parity_bound,
     sigma_curve,
+    sign_disc,
     sp_hv_bound,
     sp_hv_bound_generic,
 )
@@ -114,6 +115,9 @@ def test_truncating_r_max_is_refused():
     with pytest.raises(QuadratureError, match="r_max") as info:
         coarse_parity_bound(state, sign_step(0.5), spec=IntegrationSpec(r_max=3.0))
     assert info.value.knob == "r_max"
+    # a symbol without a far value has no tail to count and keeps the floor
+    with pytest.raises(ValueError, match="r_max"):
+        coarse_parity_bound(state, RadialSymbol(lambda r: np.exp(-r * r)), spec=short)
 
 
 def test_kernel_route_components():
@@ -214,6 +218,15 @@ def test_undeclared_symbols_are_refused():
             bp_hv_bound(case)
         with pytest.raises(ValueError, match="levels"):
             sigma_curve(case)
+
+
+def test_refusal_hints_fit_their_route():
+    # only the single-particle refusal points at the generic route
+    with pytest.raises(ValueError, match="sp_hv_bound_generic"):
+        sp_hv_bound(SingleParticleCase(symbol=RING))
+    with pytest.raises(ValueError, match="levels") as info:
+        bp_hv_bound(BipartiteCase(symbol=RING))
+    assert "sp_hv_bound_generic" not in str(info.value)
 
 
 def assert_two_step_form(rep):
@@ -712,7 +725,7 @@ def test_sign_disc_error_covers_finer_level(symbol):
             assert abs(comps[name] - wa @ (d < r2)) <= errs[name]
     if len(symbol.jumps) == 1:
         # the panels at the diagonal's kinks keep the level gap near 1e-6
-        assert errs["core_full"] + 2.0 * errs["core_core"] <= 2e-6
+        assert sign_disc(rep)[1] <= 2e-6
         assert rep.notes["error_estimate"] <= 3e-6
     # the bound reads no sigma grid: a grid far too short changes nothing
     short = BipartiteCase(symbol=symbol, spec=IntegrationSpec(sigma_max=0.3))
@@ -729,6 +742,9 @@ def test_bp_two_step_profile():
     assert comps["full_core2"] == _reduced_pair_integral(0.9)
     assert errs["full_core"] == errs["full_core2"] == 0.0
     assert rep.notes["violation"] is True
+    # the signed disc is a sign-step quantity
+    with pytest.raises(ValueError, match="one-jump"):
+        sign_disc(rep)
 
 
 def simpson(values, step):
@@ -777,6 +793,9 @@ def test_bp_reads_one_arc_table_per_jump_and_level(monkeypatch):
 
 def test_bp_default_sign_disc():
     rep = bp_hv_bound(BipartiteCase())
-    comps = rep.notes["components"]
-    assert abs(comps["core_full"] - 2.0 * comps["core_core"] - 0.0774787) < 2e-6
+    comps, errs = rep.notes["components"], rep.notes["component_errors"]
+    value, error = sign_disc(rep)
+    assert value == comps["core_full"] - 2.0 * comps["core_core"]
+    assert error == errs["core_full"] + 2.0 * errs["core_core"]
+    assert abs(value - 0.0774787) < 2e-6
     assert rep.hv_bound == pytest.approx(1.27117, abs=1e-5)
