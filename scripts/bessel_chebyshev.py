@@ -1,14 +1,18 @@
-"""Derive the Chebyshev coefficients behind bellbound.specfun.bessel_j.
+"""Derive the monomial coefficients behind bellbound.specfun.bessel_j.
 
-Below the Hankel seam at x = 16, bessel_j evaluates J0(x) = P0(u) and
-J1(x) = x P1(u) with u = x^2, each P a Chebyshev series in
-t = u / 128 - 1 on [-1, 1]. This script computes the series in 50-digit
-mpmath arithmetic, independent of the platform's floating-point types:
-interpolation at 64 first-kind Chebyshev nodes, whose aliasing error is
-far below float64 resolution at the degrees kept, rounding to float64 and
-truncation after the last coefficient above 1e-18. The constant term of
-P0 is then moved by the few ulps that make the float64 recurrence return
-J0(0) = 1 exactly.
+Below the Hankel seam at x = 16, bessel_j evaluates J0(x) = P0(t) and
+J1(x) = x P1(t), each P a polynomial in t = x^2 / 128 - 1 on [-1, 1),
+summed by Horner's rule on frozen monomial coefficients. This script
+computes them in 50-digit mpmath arithmetic, independent of the
+platform's floating-point types, by greedy rounding: fit the residual at
+64 first-kind Chebyshev nodes (whose aliasing error is far below float64
+resolution), round its highest-degree monomial coefficient to float64,
+subtract that term and refit the lower degrees to what is left, down to
+the constant. Each rounding error is thus absorbed by the degrees below
+it instead of piling up as a bias; plain rounding of the exact
+coefficients biases J0 by about -1e-15 over [0, 16). The degree is the
+last Chebyshev coefficient above 1e-18. The constant term of P0 is then
+moved by the few ulps that make Horner's rule return J0(0) = 1 exactly.
 
 Run from the repository root:
 
@@ -42,35 +46,50 @@ def p_function(order, u):
     return mpmath.besselj(1, mpmath.sqrt(u)) / mpmath.sqrt(u)
 
 
-def chebyshev_series(order):
-    """Float64 coefficients of P_order in T_k(t), t = u / 128 - 1."""
+def _chebyshev_coefficient(k, angles, values):
+    """The T_k coefficient of the values at the nodes cos(angles)."""
+    c = 2 * mpmath.fsum(v * mpmath.cos(k * a) for a, v in zip(angles, values)) / NODES
+    return c / 2 if k == 0 else c
+
+
+def monomial_series(order, greedy=True):
+    """Float64 monomial coefficients of P_order in t = u / 128 - 1.
+
+    greedy=False subtracts each coefficient unrounded, so that every one is
+    the exact coefficient rounded on its own: the biased table that the
+    greedy scheme replaces.
+    """
     with mpmath.workdps(50):
         angles = [mpmath.pi * (j + mpmath.mpf(1) / 2) / NODES for j in range(NODES)]
-        values = [p_function(order, (1 + mpmath.cos(a)) * U_MAX / 2) for a in angles]
-        coef = [
-            2 * mpmath.fsum(v * mpmath.cos(k * a) for a, v in zip(angles, values))
-            / NODES
-            for k in range(NODES)
-        ]
-        coef[0] /= 2
-        last = max(k for k, c in enumerate(coef) if abs(c) > CUTOFF)
-        return [float(c) for c in coef[: last + 1]]
+        nodes = [mpmath.cos(a) for a in angles]
+        values = [p_function(order, (1 + t) * U_MAX / 2) for t in nodes]
+        degree = max(k for k in range(NODES)
+                     if abs(_chebyshev_coefficient(k, angles, values)) > CUTOFF)
+        coef = [0.0] * (degree + 1)
+        residual = list(values)
+        for k in range(degree, -1, -1):
+            # T_k leads with 2^(k - 1) t^k
+            top = _chebyshev_coefficient(k, angles, residual) * 2 ** max(k - 1, 0)
+            coef[k] = float(top)
+            kept = coef[k] if greedy else top
+            residual = [r - kept * t**k for r, t in zip(residual, nodes)]
+        return coef
 
 
-def derive():
-    """Both series, with P0's constant term pinned so that J0(0) == 1."""
-    p0, p1 = chebyshev_series(0), chebyshev_series(1)
+def derive(greedy=True):
+    """Both tables, with P0's constant term pinned so that J0(0) == 1."""
+    p0, p1 = monomial_series(0, greedy), monomial_series(1, greedy)
     start = np.array([-1.0])
-    while (value := specfun._clenshaw(p0, start)[0]) != 1.0:
+    while (value := specfun._horner(p0, start)[0]) != 1.0:
         p0[0] = math.nextafter(p0[0], math.inf if value < 1.0 else -math.inf)
     return tuple(p0), tuple(p1)
 
 
 def render(series):
     lines = [
-        "# Chebyshev coefficients of J0(x) and J1(x)/x in t = x^2/128 - 1 for",
-        "# 0 <= x < 16, indexed by order; generated by scripts/bessel_chebyshev.py.",
-        "_J_CHEBYSHEV = (",
+        "# Monomial coefficients of J0(x) and J1(x)/x in t = x^2/128 - 1 for",
+        "# 0 <= x < 16, indexed by power; generated by scripts/bessel_chebyshev.py.",
+        "_J_MONOMIAL = (",
     ]
     for coef in series:
         lines.append("    (")
@@ -90,7 +109,7 @@ def main(argv=None):
     if not args.check:
         print(render(series))
         return 0
-    frozen = specfun._J_CHEBYSHEV
+    frozen = specfun._J_MONOMIAL
     for order, (new, old) in enumerate(zip(series, frozen)):
         if new != old:
             gap = max((abs(a - b) for a, b in zip(new, old)), default=0.0)

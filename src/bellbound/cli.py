@@ -227,8 +227,8 @@ def _run_eigenvalues(cfg, spec):
         raise ValueError(f"n_max must lie in [1, 20], got {cfg.n_max}")
     if cfg.n_max + 1 > cfg.truncation:
         raise ValueError("truncation must exceed n_max")
-    expansion = quantize_radial(sign_step(0.5), cfg.truncation, spec)
-    by_quadrature = [float(v) for v in expansion.eigenvalues[: cfg.n_max + 1]]
+    expansion = quantize_radial(sign_step(0.5), cfg.n_max + 1, spec)
+    by_quadrature = [float(v) for v in expansion.eigenvalues]
     by_generating = [float(bell_eigenvalue_generating(k))
                      for k in range(cfg.n_max + 1)]
     gap = max(abs(a - b) for a, b in zip(by_quadrature, by_generating))

@@ -206,13 +206,13 @@ def _bilinear_report(label, case, pair, one_mode, fallback=""):
 def _excited_kernel(r1, d):
     # collapse sum for the first excited state in closed form: the state
     # side enters through its radius r1, the symbol side only through the
-    # separation d
-    return (
-        (4.0 / math.pi**2)
-        * (1.0 - 4.0 * d * d)
-        * np.exp(-2.0 * d * d)
-        * bessel_j(0, 4.0 * d * r1)
-    )
+    # separation d; J0 carries the full broadcast shape, so it takes the
+    # products in place
+    d2 = d * d
+    out = bessel_j(0, 4.0 * d * r1)
+    out *= (4.0 / math.pi**2) * (1.0 - 4.0 * d2)
+    out *= np.exp(-2.0 * d2)
+    return out
 
 
 def _full_disc_mean(R, n):

@@ -187,7 +187,8 @@ def _gl_segmented(a, b, n, splits):
 # (n1, n2, n_ang) per refinement level; the angle count serves the direct
 # route only
 _PAIR_LEVELS = ((96, 96, 64), (144, 144, 96), (216, 216, 144), (320, 320, 216))
-_PAIR_BLOCK = 16
+# r1 rows per block of the direct route: a block's arrays stay in cache
+_PAIR_BLOCK = 4
 
 
 def _sweep_relative(f, rn, rw, sn, sw):
@@ -204,15 +205,16 @@ def _sweep_direct(f, rn, rw, sn, sw, n_ang):
     w_ang = 2.0 * np.pi / n_ang  # integrand even in the angle
     cos_a = np.cos(ang)
     s = sn[None, :, None]
-    ws = sw[None, :, None]
+    weight = np.outer(rw * rn, sw * sn)
     total = 0.0
     for i in range(0, rn.size, _PAIR_BLOCK):
         r1 = rn[i : i + _PAIR_BLOCK][:, None, None]
-        w1 = rw[i : i + _PAIR_BLOCK][:, None, None]
-        d2 = r1 * r1 + s * s - 2.0 * r1 * s * cos_a
-        d = np.sqrt(np.maximum(d2, 0.0))
+        d = (-2.0 * r1 * s) * cos_a
+        d += r1 * r1 + s * s
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
         vals = np.broadcast_to(np.asarray(f(r1, d), dtype=float), d.shape)
-        total += float(np.sum(w1 * r1 * ws * s * vals)) * w_ang
+        total += float(np.vdot(weight[i : i + _PAIR_BLOCK], vals.sum(axis=2))) * w_ang
     return 2.0 * np.pi * total
 
 

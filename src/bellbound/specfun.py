@@ -1,10 +1,11 @@
 """Special functions used by the operator and integral machinery.
 
 Laguerre and associated Laguerre polynomials by upward recurrence and
-Bessel J0/J1 on the nonnegative half line: a float64 Chebyshev expansion
-in x^2 below x = 16 and the Hankel asymptotic form from there on. All
-functions accept scalars or numpy arrays, are pure and compute in float64
-only, so results do not depend on the platform's long double.
+Bessel J0/J1 on the nonnegative half line: below x = 16 a polynomial in
+x^2, by Horner on frozen monomial coefficients, greedy-rounded, and the
+Hankel asymptotic form from there on. All functions accept scalars or
+numpy arrays, are pure and compute in float64 only, so results do not
+depend on the platform's long double.
 """
 
 from fractions import Fraction
@@ -18,37 +19,33 @@ __all__ = [
     "bessel_j",
 ]
 
-# The seam of bessel_j. Below it the Chebyshev series in u = x^2 is
-# accurate to about 4e-15, with no cancellation to fight; from it on the
+# The seam of bessel_j. Below it the polynomial in u = x^2 is accurate
+# to about 6e-15, with no cancellation to fight; from it on the
 # Hankel asymptotic form is accurate to about 1e-14 at the order used here.
 _SEAM = 16.0
 _ASYMPTOTIC_TERMS = 28
-# Arguments per Clenshaw pass; the recurrence's buffers then stay in
-# cache instead of streaming through memory once per term.
-_CLENSHAW_BLOCK = 32768
-
-# Chebyshev coefficients of J0(x) and J1(x)/x in t = x^2/128 - 1 for
-# 0 <= x < 16, indexed by order; generated by scripts/bessel_chebyshev.py.
-_J_CHEBYSHEV = (
+# Monomial coefficients of J0(x) and J1(x)/x in t = x^2/128 - 1 for
+# 0 <= x < 16, indexed by power; generated by scripts/bessel_chebyshev.py.
+_J_MONOMIAL = (
     (
-        0.029463999590974177, -0.11010843052990106, 0.02553425776878477,
-        -0.16951592398218499, 0.022200378167043643, -0.06902453196491139,
-        0.22791497667500515, -0.2055547138399103, 0.09986426185034321,
-        -0.03191393688692502, 0.007385263085965114, -0.0013103792567849537,
-        0.00018523589254524584, -2.1448541310698738e-05, 2.0777662537973135e-06,
-        -1.7123343976994822e-07, 1.2169995467604185e-08, -7.544462540815381e-10,
-        4.1188593289172724e-11, -1.9967610937657387e-12, 8.657650939938552e-14,
-        -3.378672628122662e-15, 1.1934417264336173e-16, -3.834808224744028e-18,
+        -0.10912268766620964, 1.2191121429906173, 1.1364069311640463,
+        -7.259536050059323, 2.4142335544403664, 9.68387083654262,
+        -10.645074821855214, 1.7461625432720187, 4.555007672839699,
+        -4.824967950645295, 2.7229128719059346, -1.0717482979072743,
+        0.3223358495838805, -0.07769497953719054, 0.015470903062932447,
+        -0.0026002745365855057, 0.00037497028250289, -4.699857453010922e-05,
+        5.174985494792435e-06, -5.050704788106389e-07, 4.4014469173074494e-08,
+        -3.4503100087177572e-09, 2.5028287034737135e-10, -1.6084351476276776e-11,
     ),
     (
-        0.04225910742796213, -0.07444933527560388, 0.08107732640186485,
-        -0.07285344416505483, 0.065185208528535, -0.07007839689417437,
-        0.054400125409017605, -0.027344338767610915, 0.009435031756537223,
-        -0.0023782733050251117, 0.0004592370070895608, -7.037859066101349e-05,
-        8.794137569732918e-06, -9.151309565463038e-07, 8.066766226155603e-08,
-        -6.108220509979256e-09, 4.019873693927925e-10, -2.3222776177163183e-11,
-        1.187796911975406e-12, -5.4192452003526783e-14, 2.2200125519986062e-15,
-        -8.213362891083214e-17, 2.7586397931092898e-18,
+        -0.019048627234228392, -0.03551271659887644, 0.3402907523465307,
+        -0.1508895971525229, -0.7565524091048922, 0.9979757645489247,
+        -0.1909865281703769, -0.5693759591049439, 0.6785111180594927,
+        -0.42545513623541054, 0.18420673870282248, -0.06043797179659959,
+        0.015781792718461776, -0.0033842600458403186, 0.0006094393445716725,
+        -9.374256949587632e-05, 1.2483996284263698e-05, -1.4554656174873196e-06,
+        1.4994285745303633e-07, -1.37540785396513e-08, 1.1321068625855524e-09,
+        -8.612335206880472e-11, 5.785286959398733e-12,
     ),
 )
 
@@ -86,36 +83,6 @@ def assoc_laguerre_seq(n_max, a, x):
     for k in range(n_max):
         prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
         out[k + 1] = cur
-    return out
-
-
-def _clenshaw(coef, t):
-    """sum_k coef[k] T_k(t) by Clenshaw's recurrence, on three reused buffers."""
-    t2 = t + t
-    b1 = np.full_like(t, coef[-1])
-    b2 = np.zeros_like(t)
-    tmp = np.empty_like(t)
-    for c in coef[-2:0:-1]:
-        np.multiply(t2, b1, out=tmp)
-        tmp -= b2
-        tmp += c
-        b1, b2, tmp = tmp, b1, b2
-    np.multiply(t, b1, out=tmp)
-    tmp -= b2
-    tmp += coef[0]
-    return tmp
-
-
-def _j_chebyshev(order, x):
-    # J0 = P0(u), J1 = x P1(u), u = x^2 mapped to t = u/128 - 1 on [-1, 1)
-    coef = _J_CHEBYSHEV[order]
-    out = np.empty_like(x)
-    for i in range(0, x.size, _CLENSHAW_BLOCK):
-        xb = x[i : i + _CLENSHAW_BLOCK]
-        p = _clenshaw(coef, xb * xb * (1.0 / 128.0) - 1.0)
-        if order == 1:
-            p *= xb
-        out[i : i + _CLENSHAW_BLOCK] = p
     return out
 
 
@@ -167,27 +134,45 @@ def _j_asymptotic(order, x):
     return p
 
 
+def _j_polynomial(order, x):
+    # J0 = P0(t), J1 = x P1(t), t = x^2/128 - 1 on [-1, 1)
+    t = x * x
+    t *= 1.0 / 128.0
+    t -= 1.0
+    p = _horner(_J_MONOMIAL[order], t)
+    if order == 1:
+        p *= x
+    return p
+
+
 def bessel_j(order, x):
     """Bessel function J0(x) or J1(x) for x >= 0.
 
     Below x = 16, J0(x) = P0(x^2) and J1(x) = x P1(x^2) with P0, P1 fixed
-    Chebyshev series (coefficients derived in mpmath by
-    scripts/bessel_chebyshev.py and frozen here), evaluated by Clenshaw's
-    recurrence; J0(0) = 1 and J1(0) = 0 exactly. From 16 on, the Hankel
-    asymptotic expansion, its P and Q series frozen per order and summed by
-    Horner's rule in 1/x^2. Both stay within 2e-14 of the true value.
-    Negative arguments are rejected because every caller passes a modulus.
+    polynomials, by Horner on frozen monomial coefficients, greedy-rounded
+    (derived in mpmath by scripts/bessel_chebyshev.py, so that their
+    rounding leaves no bias); J0(0) = 1 and J1(0) = 0 exactly. From 16 on,
+    the Hankel asymptotic expansion, its P and Q series frozen per order
+    and summed by Horner's rule in 1/x^2. Both stay within 2e-14 of the
+    true value. An array that lies in one band is evaluated in place of
+    the two gathers. Negative arguments are rejected because every caller
+    passes a modulus.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("bessel_j expects x >= 0")
     flat = x.ravel()
-    out = np.empty_like(flat)
-    hi = flat >= _SEAM
-    if hi.any():
+    low, high = flat.min(initial=np.inf), flat.max(initial=-np.inf)
+    if low < 0:
+        raise ValueError("bessel_j expects x >= 0")
+    if high < _SEAM:
+        out = _j_polynomial(order, flat)
+    elif low >= _SEAM:
+        out = _j_asymptotic(order, flat)
+    else:
+        out = np.empty_like(flat)
+        hi = flat >= _SEAM
         out[hi] = _j_asymptotic(order, flat[hi])
-    lo = ~hi
-    out[lo] = _j_chebyshev(order, flat[lo])
+        lo = ~hi
+        out[lo] = _j_polynomial(order, flat[lo])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -329,8 +329,8 @@ def test_unreachable_tolerance_exits_two_at_once(capsys):
 
 
 @pytest.mark.parametrize("argv, budget", [
-    # at 1e-15 the higher orders need a few panels more than one
-    (["eigenvalues", "--abs-tol", "1e-15"], ("_BUDGET_1D", 31)),
+    # at 3e-16 order 6 needs a second panel; only the reported orders are solved
+    (["eigenvalues", "--abs-tol", "3e-16"], ("_BUDGET_1D", 31)),
     (["single-particle"], ("_PAIR_LEVELS", ((8, 8, 2), (8, 8, 3)))),
 ])
 def test_engine_exhaustion_names_abs_tol(capsys, monkeypatch, argv, budget):

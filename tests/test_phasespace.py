@@ -136,6 +136,33 @@ def test_kernel_route_components():
     assert rep.notes["error_estimate"] < 1e-6
 
 
+# sp_hv_bound (core_full, full_core, core_core, total) per sign-step radius
+# and the default bp_hv_bound total, recorded from the Clenshaw-band Bessel
+# scheme; a faster kernel evaluation may move them by rounding only
+SP_PINS = {
+    0.45: (-0.20722802765383874, 0.09644571777224066, 0.04514457871561662,
+           1.4021429346256626),
+    0.5: (-0.21306131942526685, 0.1158701442507462, 0.051543641935492754,
+          1.4005569180910125),
+    0.55: (-0.20682448287375776, 0.13610307945866335, 0.05651407376724349,
+           1.367499101899163),
+}
+BP_PIN = 1.2711649288075457
+
+
+@pytest.mark.parametrize("r0", sorted(SP_PINS))
+def test_kernel_route_values_pinned(r0):
+    rep = sp_hv_bound(SingleParticleCase(symbol=sign_step(r0)))
+    comps = rep.notes["components"]
+    got = (comps["core_full"], comps["full_core"], comps["core_core"], rep.hv_bound)
+    assert comps["full_full"] == 1.0
+    assert np.max(np.abs(np.subtract(got, SP_PINS[r0]))) <= 1e-14
+
+
+def test_bp_default_total_pinned():
+    assert abs(bp_hv_bound(BipartiteCase()).hv_bound - BP_PIN) <= 1e-12
+
+
 def test_kernel_route_unit_symbol():
     rep = sp_hv_bound(SingleParticleCase(symbol=unit_symbol()))
     assert abs(rep.hv_bound - 1.0) < 1e-6

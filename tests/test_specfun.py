@@ -1,5 +1,6 @@
 """Special-function checks against independent oracles."""
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import scipy.special
 
 import bellbound
+from bellbound import specfun
 from bellbound.specfun import (
     _j_asymptotic,
     assoc_laguerre,
@@ -217,6 +219,53 @@ def test_frozen_chebyshev_coefficients_rederive():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def _window_means(seed=16, n=4000, windows=8):
+    """Per-window mean error of J0 and J1 against mpmath on [0, 16)."""
+    x = np.random.default_rng(seed).uniform(0.0, 16.0, n)
+    which = np.minimum((x * (windows / 16.0)).astype(int), windows - 1)
+    with mpmath.workdps(30):
+        want = [np.array([float(mpmath.besselj(order, v)) for v in x])
+                for order in (0, 1)]
+
+    def means():
+        errors = [bessel_j(order, x) - want[order] for order in (0, 1)]
+        return np.array([[e[which == w].mean() for w in range(windows)]
+                         for e in errors])
+
+    return means
+
+
+def test_bessel_polynomial_band_unbiased(monkeypatch):
+    # the greedy rounding leaves no window-wide bias; rounding each exact
+    # coefficient on its own and pinning J0(0) == 1 through the constant
+    # term shifts J0 by about -1e-15 everywhere, which this check sees
+    means = _window_means()
+    assert np.max(np.abs(means())) < 7e-16
+    loader = importlib.util.spec_from_file_location(
+        "bessel_chebyshev", REPO / "scripts" / "bessel_chebyshev.py")
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    monkeypatch.setattr(specfun, "_J_MONOMIAL", script.derive(greedy=False))
+    assert np.max(np.abs(means())) > 1e-15
+
+
+def test_bessel_one_band_arrays_match_mixed_bitwise():
+    # an array within one band skips the gathers and gives the same bits
+    rng = np.random.default_rng(21)
+    low = np.concatenate([[0.0, 8.0, np.nextafter(16.0, 0.0)],
+                          rng.uniform(0.0, 16.0, 997)])
+    high = np.concatenate([[16.0, 1e4], rng.uniform(16.0, 200.0, 998)])
+    mixed = rng.permutation(np.concatenate([low, high]))
+    for order in (0, 1):
+        got = dict(zip(mixed, bessel_j(order, mixed)))
+        for band in (low, high):
+            one = bessel_j(order, band)
+            assert np.array_equal(one, [got[v] for v in band])
+        assert bessel_j(order, low[:1])[0] == 1.0 - order
+    assert bessel_j(0, 0.0) == 1.0 and bessel_j(1, 0.0) == 0.0
+    assert bessel_j(0, np.empty((0, 3))).shape == (0, 3)
 
 
 def test_bessel_derivative_relation():
