@@ -4,15 +4,16 @@ Below the Hankel seam at x = 16, bessel_j evaluates J0(x) = P0(t) and
 J1(x) = x P1(t), each P a polynomial in t = x^2 / 128 - 1 on [-1, 1),
 summed by Horner's rule on frozen monomial coefficients. This script
 computes them in 50-digit mpmath arithmetic, independent of the
-platform's floating-point types, by greedy rounding: fit the residual at
-64 first-kind Chebyshev nodes (whose aliasing error is far below float64
-resolution), round its highest-degree monomial coefficient to float64,
-subtract that term and refit the lower degrees to what is left, down to
-the constant. Each rounding error is thus absorbed by the degrees below
-it instead of piling up as a bias; plain rounding of the exact
-coefficients biases J0 by about -1e-15 over [0, 16). The degree is the
-last Chebyshev coefficient above 1e-18. The constant term of P0 is then
-moved by the few ulps that make Horner's rule return J0(0) = 1 exactly.
+platform's floating-point types. P is fitted at 64 first-kind Chebyshev
+nodes (whose aliasing error is far below float64 resolution) and its
+Chebyshev series kept up to the last coefficient above 1e-18. The series
+is then turned into monomials by greedy rounding: round its highest-degree
+monomial coefficient to float64, subtract that rounded term from the
+series and read the next degree from what is left, down to the constant.
+Each rounding error is thus absorbed by the degrees below it instead of
+piling up as a bias; plain rounding of the exact coefficients biases J0
+by about -1e-15 over [0, 16). The constant term of P0 is then moved by
+the few ulps that make Horner's rule return J0(0) = 1 exactly.
 
 Run from the repository root:
 
@@ -52,37 +53,41 @@ def _chebyshev_coefficient(k, angles, values):
     return c / 2 if k == 0 else c
 
 
-def monomial_series(order, greedy=True):
-    """Float64 monomial coefficients of P_order in t = u / 128 - 1.
-
-    greedy=False subtracts each coefficient unrounded, so that every one is
-    the exact coefficient rounded on its own: the biased table that the
-    greedy scheme replaces.
-    """
+def chebyshev_series(order):
+    """P_order's Chebyshev coefficients in t, exact to 50 digits, by degree."""
     with mpmath.workdps(50):
         angles = [mpmath.pi * (j + mpmath.mpf(1) / 2) / NODES for j in range(NODES)]
-        nodes = [mpmath.cos(a) for a in angles]
-        values = [p_function(order, (1 + t) * U_MAX / 2) for t in nodes]
-        degree = max(k for k in range(NODES)
-                     if abs(_chebyshev_coefficient(k, angles, values)) > CUTOFF)
-        coef = [0.0] * (degree + 1)
-        residual = list(values)
-        for k in range(degree, -1, -1):
-            # T_k leads with 2^(k - 1) t^k
-            top = _chebyshev_coefficient(k, angles, residual) * 2 ** max(k - 1, 0)
-            coef[k] = float(top)
-            kept = coef[k] if greedy else top
-            residual = [r - kept * t**k for r, t in zip(residual, nodes)]
+        values = [p_function(order, (1 + mpmath.cos(a)) * U_MAX / 2) for a in angles]
+        c = [_chebyshev_coefficient(k, angles, values) for k in range(NODES)]
+        return c[: max(k for k in range(NODES) if abs(c[k]) > CUTOFF) + 1]
+
+
+def monomial_series(order):
+    """Float64 monomial coefficients of P_order in t = u / 128 - 1."""
+    with mpmath.workdps(50):
+        residual = chebyshev_series(order)
+        coef = [0.0] * len(residual)
+        for k in range(len(residual) - 1, -1, -1):
+            # t^k = 2^(1 - k) sum_j C(k, (k - j) / 2) T_j over j = k, k - 2, ...,
+            # the T_0 term halved; so T_k leads with 2^(k - 1) t^k
+            coef[k] = float(residual[k] * 2 ** max(k - 1, 0))
+            for j in range(k, -1, -2):
+                share = mpmath.binomial(k, (k - j) // 2) * mpmath.mpf(2) ** (1 - k)
+                residual[j] -= coef[k] * (share / 2 if j == 0 else share)
         return coef
 
 
-def derive(greedy=True):
-    """Both tables, with P0's constant term pinned so that J0(0) == 1."""
-    p0, p1 = monomial_series(0, greedy), monomial_series(1, greedy)
+def pin_j0_at_zero(p0):
+    """Move P0's constant term until Horner's rule returns J0(0) == 1."""
     start = np.array([-1.0])
     while (value := specfun._horner(p0, start)[0]) != 1.0:
         p0[0] = math.nextafter(p0[0], math.inf if value < 1.0 else -math.inf)
-    return tuple(p0), tuple(p1)
+    return p0
+
+
+def derive():
+    """Both tables, with P0's constant term pinned so that J0(0) == 1."""
+    return tuple(pin_j0_at_zero(monomial_series(0))), tuple(monomial_series(1))
 
 
 def render(series):

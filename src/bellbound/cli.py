@@ -225,8 +225,6 @@ def _run_bipartite(cfg, spec):
 def _run_eigenvalues(cfg, spec):
     if not 1 <= cfg.n_max <= 20:
         raise ValueError(f"n_max must lie in [1, 20], got {cfg.n_max}")
-    if cfg.n_max + 1 > cfg.truncation:
-        raise ValueError("truncation must exceed n_max")
     expansion = quantize_radial(sign_step(0.5), cfg.n_max + 1, spec)
     by_quadrature = [float(v) for v in expansion.eigenvalues]
     by_generating = [float(bell_eigenvalue_generating(k))

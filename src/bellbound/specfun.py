@@ -154,21 +154,19 @@ def bessel_j(order, x):
     rounding leaves no bias); J0(0) = 1 and J1(0) = 0 exactly. From 16 on,
     the Hankel asymptotic expansion, its P and Q series frozen per order
     and summed by Horner's rule in 1/x^2. Both stay within 2e-14 of the
-    true value. An array that lies in one band is evaluated in place of
-    the two gathers. Negative arguments are rejected because every caller
-    passes a modulus.
+    true value. An array that lies below 16 is evaluated without the two
+    gathers. Negative arguments are rejected because every caller passes
+    a modulus.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    low, high = flat.min(initial=np.inf), flat.max(initial=-np.inf)
-    if low < 0:
+    # fmin skips NaN, so a NaN cannot hide a negative argument
+    if np.fmin.reduce(flat, initial=np.inf) < 0:
         raise ValueError("bessel_j expects x >= 0")
-    if high < _SEAM:
+    if flat.max(initial=-np.inf) < _SEAM:
         out = _j_polynomial(order, flat)
-    elif low >= _SEAM:
-        out = _j_asymptotic(order, flat)
     else:
         out = np.empty_like(flat)
         hi = flat >= _SEAM

@@ -35,8 +35,9 @@ def test_usage_errors_exit_one(capsys):
     assert main(["chsh", "--format", "csv"]) == 1
     assert "sigma-curve" in capsys.readouterr().err
     assert main(["chsh", "--truncation", "1"]) == 1
-    assert main(["eigenvalues", "--truncation", "5", "--n-max", "10"]) == 1
     capsys.readouterr()
+    assert main(["eigenvalues", "--n-max", "0"]) == 1
+    assert "n_max" in capsys.readouterr().err
     assert main(["eigenvalues", "--n-max", "25"]) == 1  # generating route cap
     assert "n_max" in capsys.readouterr().err
 
@@ -211,7 +212,12 @@ def test_eigenvalues_document(tmp_path):
     assert len(doc["components"]["quadrature"]) == 11
     assert len(doc["components"]["generating"]) == 11
     assert main(["eigenvalues", "--n-max", "3", "--out", str(out)]) == 0
-    assert len(read_doc(out)["components"]["quadrature"]) == 4
+    four = read_doc(out)
+    assert len(four["components"]["quadrature"]) == 4
+    # the command quantizes the n_max + 1 orders it reports, whatever the cutoff
+    assert main(["eigenvalues", "--truncation", "2", "--n-max", "3",
+                 "--out", str(out)]) == 0
+    assert read_doc(out)["components"] == four["components"]
 
 
 def test_single_particle_document(tmp_path):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 import scipy.special
 
 import bellbound
@@ -247,12 +248,18 @@ def test_bessel_polynomial_band_unbiased(monkeypatch):
         "bessel_chebyshev", REPO / "scripts" / "bessel_chebyshev.py")
     script = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(script)
-    monkeypatch.setattr(specfun, "_J_MONOMIAL", script.derive(greedy=False))
+    with mpmath.workdps(50):
+        plain = [[float(c) for c in np.polynomial.chebyshev.cheb2poly(
+                     np.array(script.chebyshev_series(order), dtype=object))]
+                 for order in (0, 1)]
+    monkeypatch.setattr(specfun, "_J_MONOMIAL",
+                        (script.pin_j0_at_zero(plain[0]), plain[1]))
     assert np.max(np.abs(means())) > 1e-15
 
 
 def test_bessel_one_band_arrays_match_mixed_bitwise():
-    # an array within one band skips the gathers and gives the same bits
+    # an array below the seam skips the gathers and gives the same bits;
+    # one above it takes the mixed path, checked here against that path too
     rng = np.random.default_rng(21)
     low = np.concatenate([[0.0, 8.0, np.nextafter(16.0, 0.0)],
                           rng.uniform(0.0, 16.0, 997)])
@@ -266,6 +273,9 @@ def test_bessel_one_band_arrays_match_mixed_bitwise():
         assert bessel_j(order, low[:1])[0] == 1.0 - order
     assert bessel_j(0, 0.0) == 1.0 and bessel_j(1, 0.0) == 0.0
     assert bessel_j(0, np.empty((0, 3))).shape == (0, 3)
+    # a NaN beside a negative argument does not let it through
+    with pytest.raises(ValueError):
+        bessel_j(0, np.array([np.nan, -1.0]))
 
 
 def test_bessel_derivative_relation():
