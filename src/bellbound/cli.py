@@ -130,6 +130,9 @@ def _resolve_config(args):
     truncation = args.truncation
     if truncation is None:
         truncation = _TRUNCATION_DEFAULTS[args.command]
+    elif args.command == "eigenvalues":
+        raise ValueError("--truncation does not apply to eigenvalues, which "
+                         "quantizes exactly the --n-max + 1 orders it reports")
     for flag in _RETIRED_FLAGS:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} is retired: the sigma curve is "

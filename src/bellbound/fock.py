@@ -1,9 +1,10 @@
 """Truncated Fock-space operator algebra.
 
-Number projectors, parity, displacement operators from one Laguerre sweep
-over all diagonals, tensor products, traces and projective state collapse.
-Operators are dense complex matrices on the first `dim` levels; two-mode
-operators live on the Kronecker basis |n1, n2> with n2 fastest.
+Number projectors, parity, displacement operators from one bounded amplitude
+recurrence over the levels they read, tensor products, traces and projective
+state collapse. Operators are dense complex matrices on the first `dim`
+levels; two-mode operators live on the Kronecker basis |n1, n2> with n2
+fastest.
 
 Conventions: hbar = 1 and the length scale is 1, so alpha = (q + i p)/sqrt(2)
 is dimensionless.
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .specfun import assoc_laguerre_seq
 
 __all__ = [
     "PROBABILITY_FLOOR",
@@ -181,35 +180,67 @@ def parity(dim):
     return FockOperator(np.diag(signs.astype(complex)), hermitian=True)
 
 
-def _displacement_amplitudes(x, n_max, a_max):
-    """e^{-x/2} sqrt(n!/(n+a)!) L_n^{(a)}(x), indexed [n, a, i] at points x[i].
+def _displacement_amplitudes(x, top, n_max=None):
+    """B[n, m, i] = e^{-x/2} sqrt(n!/m!) x^{(m-n)/2} L_n^{(m-n)}(x) at a 1-D x[i].
 
-    The real amplitude of <n+a|D(alpha)|n> at x = |alpha|^2 (Cahill and
-    Glauber) for n <= n_max and a <= a_max, every order from one Laguerre sweep.
+    |<m|D(alpha)|n>| up to sign at x = |alpha|^2 (Cahill and Glauber), for
+    n <= m <= top and n <= n_max (default top); zero below the diagonal.
+    Laguerre's recurrence runs on B itself, one row n at a time over every
+    column m at once,
+        B[n+1, m] = ((m + n - x) B[n, m-1] - sqrt(n (m-1)) B[n-1, m-2]) / sqrt((n+1) m),
+    from B[0, m] = e^{-x/2} x^{m/2} / sqrt(m!), a running product. Every B is
+    an element of a unitary, so it lies in [-1, 1] and no factor overflows.
+    Past x = 1490 the start e^{-x/2} is 0 in float64 and so is every B; x is
+    capped at 1500 there, so an infinite x gives those zeros too.
     """
-    n, a = np.arange(n_max + 1)[:, None], np.arange(a_max + 1)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + a_max + 1)])
-    lag = assoc_laguerre_seq(n_max, a[:, None], x)
-    return np.exp(-0.5 * x + 0.5 * (log_fact[n] - log_fact[n + a])[..., None]) * lag
+    n_max = top if n_max is None else min(n_max, top)
+    x = np.minimum(np.asarray(x, dtype=float), 1500.0)
+    cols = np.arange(top + 1.0)
+    root = np.sqrt(cols)
+    rows = np.arange(n_max)[:, None]
+    # [n, m] coefficients of the step to row n + 1; column 0 is never read
+    inv = np.divide(1.0, root[rows + 1] * root, out=np.zeros((n_max, top + 1)),
+                    where=cols > 0)
+    gain = (cols + rows) * inv
+    back = root[rows] * np.sqrt(np.maximum(cols - 1.0, 0.0)) * inv
+    kernel = gain[..., None] - inv[..., None] * x
+    table = np.zeros((n_max + 1, top + 1, x.size))
+    first, ratio = table[0], np.multiply.outer(1.0 / root[1:], np.sqrt(x))
+    first[0] = np.exp(-0.5 * x)
+    for m in range(top):
+        np.multiply(first[m], ratio[m], out=first[m + 1])
+    for n in range(n_max):
+        new = table[n + 1, n + 1:]
+        np.multiply(kernel[n, n + 1:], table[n, n:top], out=new)
+        if n:
+            new -= back[n, n + 1:, None] * table[n - 1, n - 1:top - 1]
+    return table
 
 
 def _displacement_entries(alpha, dim):
     """D(alpha) entries, shape alpha.shape + (dim, dim).
 
-    Entry (n+a, n) is amplitude [n, a] times alpha^a, (n, n+a) times (-conj alpha)^a;
-    the table's n + a >= dim half goes unread. The result views a table whose
-    level axes lead, so every pass runs along the points.
+    <m|D(alpha)|n> = u^m B[n, m] conj(u)^n on and below the diagonal and
+    u^m (-1)^(n-m) B[m, n] conj(u)^n above it, with u = alpha/|alpha| (1 at
+    0): D(alpha) is D(|alpha|) rotated by the phase, whose powers are running
+    products. The result views a table whose level axes lead, so every pass
+    runs along the points.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
     flat = np.asarray(alpha, dtype=complex).ravel()
-    x = np.hypot(flat.real, flat.imag) ** 2
-    amp = _displacement_amplitudes(x, dim - 1, dim - 1)
-    order = np.arange(dim)
-    gap = order[:, None] - order
-    a = abs(gap)
-    phase = np.stack([flat, -flat.conj()])[:, None] ** order[:, None]
-    entries = amp[np.minimum.outer(order, order), a] * phase[(gap < 0).astype(int), a]
+    r = np.abs(flat)
+    with np.errstate(over="ignore"):  # an infinite x reads as x = 1500
+        amp = _displacement_amplitudes(r * r, dim - 1)
+    signs = (-1.0) ** np.arange(dim)
+    above = np.triu(np.outer(signs, signs), 1)[..., None]
+    u = np.divide(flat, r, out=np.ones_like(flat), where=r > 0)
+    phase = np.empty((dim, flat.size), dtype=complex)
+    phase[0] = 1.0
+    for m in range(1, dim):
+        np.multiply(phase[m - 1], u, out=phase[m])
+    entries = phase[:, None] * phase.conj()
+    entries *= amp.transpose(1, 0, 2) + above * amp
     return np.moveaxis(entries.reshape(dim, dim, *np.shape(alpha)), (0, 1), (-2, -1))
 
 

@@ -286,10 +286,10 @@ def _diagonal_weights(rho):
 
 
 def _level_transitions(x, m, n):
-    """x^a amp[min(m, n), a]^2 = |<m|D|n>|^2 at x = |alpha|^2, a = |m - n|."""
-    a, low = abs(m - n), np.minimum(m, n)
-    amp = _displacement_amplitudes(x, int(low.max()), int(a.max()))
-    return x ** a[..., None] * amp[low, a] ** 2
+    """|<m|D|n>|^2 = B[min(m, n), max(m, n)]^2 at x = |alpha|^2."""
+    low, high = np.minimum(m, n), np.maximum(m, n)
+    amp = _displacement_amplitudes(x, int(high.max()), int(low.max()))
+    return amp[low, high] ** 2
 
 
 def _displaced_level_weights(levels, probs, n_max, r):

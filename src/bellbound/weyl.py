@@ -117,24 +117,22 @@ def _symbol_values(op, points):
     # operator's row levels, and 2 pi / pi leaves a factor 2 per mode
     parity = 2.0 * (-1.0) ** np.arange(k)
     rho = op.entries.reshape((op.dim,) * 2 * op.modes)[(slice(k),) * 2 * op.modes]
+    # weights against the level-leading tables: one mode sums rho[n, m] D[m, n];
+    # two modes sum rho[a, b, c, d] D1[c, a] D2[d, b], D1 by a matmul into
+    # rows (d, b), then D2 by a multiply-sum
     if op.modes == 1:
-        rho, subscripts = parity[:, None] * rho, "nm,pmn->p"
+        weights = (parity[:, None] * rho).T.reshape(k * k)
     else:
         rho = np.multiply.outer(parity, parity)[:, :, None, None] * rho
-        subscripts = "abcd,pca,pdb->p"
+        weights = rho.transpose(3, 1, 2, 0).reshape(k * k, k * k)
     vals = np.empty(len(points), dtype=complex)
     step = max(1, _SYMBOL_BLOCK // (k * k))
     for lo in range(0, len(points), step):
-        pts = points[lo : lo + step]
-        # every entry is exactly 0 in float64 once |alpha| passes 30 (for k up
-        # to about 300), so pulling a point in along its ray to a coordinate
-        # of 30 changes no value and keeps every factor finite (for k < 150)
-        big = np.maximum(np.abs(pts.real), np.abs(pts.imag))
-        pts = np.where(big > 30.0, pts * (30.0 / np.maximum(big, 30.0)), pts)
-        blocks = np.moveaxis(_displacement_entries(2 * pts, k), 1, 0)
-        # two modes need a pairwise path; one mode is fastest unoptimized
-        vals[lo : lo + step] = np.einsum(subscripts, rho, *blocks,
-                                         optimize=op.modes == 2)
+        pts = points[lo : lo + step].T
+        entries = _displacement_entries(2 * pts, k)
+        table = np.moveaxis(entries, (-2, -1), (0, 1)).reshape(k * k, *pts.shape)
+        part = weights @ table[:, 0]
+        vals[lo : lo + step] = part if op.modes == 1 else (part * table[:, 1]).sum(axis=0)
     return vals
 
 

@@ -13,6 +13,7 @@ from bellbound.fock import (
     CollapseError,
     DensityMatrix,
     FockOperator,
+    _displacement_amplitudes,
     _displacement_entries,
     _pair_vector,
     bell_pair_state,
@@ -24,7 +25,6 @@ from bellbound.fock import (
     tensor,
     trace_product,
 )
-from bellbound.specfun import assoc_laguerre_seq
 from oracles import displacement_element, quantizer
 
 
@@ -129,13 +129,27 @@ def test_displacement_entries_batch_matches_scalar():
         assert np.max(np.abs(entries - displacement(a, 40).entries)) < 1e-15
 
 
+def cahill_glauber_amplitude_mp(n, a, x):
+    """e^{-x/2} sqrt(n!/(n+a)!) L_n^{(a)}(x) at the working mpmath precision.
+
+    The series terms of L_n^{(a)} are (-x)^k binom(n+a, n-k) / k!, each from
+    the previous one.
+    """
+    term = mpmath.binomial(n + a, n)
+    lag = term
+    for k in range(n):
+        term *= -x * (n - k) / ((k + 1) * (k + 1 + a))
+        lag += term
+    return mpmath.exp(-x / 2) * mpmath.sqrt(
+        mpmath.factorial(n) / mpmath.factorial(n + a)) * lag
+
+
 def cahill_glauber_mp(alpha, dim):
     """<m|D(alpha)|n> from the Laguerre series summed in 60-digit arithmetic.
 
     With n = min(row, col), a = |row - col| and x = |alpha|^2 the element is
-    e^{-x/2} sqrt(n!/(n+a)!) L_n^{(a)}(x) times alpha^a on and below the
-    diagonal, (-conj(alpha))^a above it; the series terms of L_n^{(a)} are
-    (-x)^k binom(n+a, n-k) / k!, each from the previous one.
+    the amplitude times alpha^a on and below the diagonal, (-conj(alpha))^a
+    above it.
     """
     out = np.empty((dim, dim), dtype=complex)
     with mpmath.workdps(60):
@@ -143,13 +157,7 @@ def cahill_glauber_mp(alpha, dim):
         x = abs(z) ** 2
         for n in range(dim):
             for a in range(dim - n):
-                term = mpmath.binomial(n + a, n)
-                lag = term
-                for k in range(n):
-                    term *= -x * (n - k) / ((k + 1) * (k + 1 + a))
-                    lag += term
-                amp = mpmath.exp(-x / 2) * mpmath.sqrt(
-                    mpmath.factorial(n) / mpmath.factorial(n + a)) * lag
+                amp = cahill_glauber_amplitude_mp(n, a, x)
                 out[n + a, n] = complex(amp * z**a)
                 out[n, n + a] = complex(amp * (-mpmath.conj(z)) ** a)
     return out
@@ -163,19 +171,53 @@ def test_displacement_entries_against_mpmath(dim):
         assert np.max(np.abs(entries - cahill_glauber_mp(a, dim))) < 5e-14
 
 
-def test_displacement_entries_make_one_laguerre_sweep(monkeypatch):
-    calls = []
+def test_displacement_entries_dim150_against_mpmath():
+    # sampled entries of dim 150 at |alpha| up to 8; the series cancels so
+    # deeply there that 60 digits are off by 6.8e-6 at (149, 149), alpha = 8,
+    # so the reference sums it in 200
+    rng = np.random.default_rng(150)
+    alphas = np.array([0.3 + 0.2j, 2.5j, 4.0 - 3.0j, -7.9 + 1.2j, 5.6 + 5.6j, 8.0])
+    batch = _displacement_entries(alphas, 150)
+    corners = [(149, 149), (149, 0), (0, 149), (140, 130), (100, 120)]
+    for alpha, entries in zip(alphas, batch):
+        picks = corners + [tuple(map(int, rng.integers(0, 150, 2))) for _ in range(25)]
+        with mpmath.workdps(200):
+            z = mpmath.mpc(alpha.real, alpha.imag)
+            for row, col in picks:
+                a = abs(row - col)
+                amp = cahill_glauber_amplitude_mp(min(row, col), a, abs(z) ** 2)
+                want = complex(amp * (z if row >= col else -mpmath.conj(z)) ** a)
+                assert abs(entries[row, col] - want) < 5e-14, (alpha, row, col)
 
-    def counted(*args):
-        calls.append(args)
-        return assoc_laguerre_seq(*args)
 
-    monkeypatch.setattr(fock, "assoc_laguerre_seq", counted)
+def test_displacement_entries_build_one_amplitude_table(monkeypatch):
+    # every entry comes from one bounded table over the dim levels, however
+    # many points
+    tops = []
+
+    def counted(x, top, *rest):
+        tops.append(top)
+        return _displacement_amplitudes(x, top, *rest)
+
+    monkeypatch.setattr(fock, "_displacement_amplitudes", counted)
     alphas = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.5j])
     _displacement_entries(alphas, 64)
-    assert len(calls) == 1
+    assert tops == [63]
     _displacement_entries(0.7 - 0.1j, 64)
-    assert len(calls) == 2
+    assert tops == [63, 63]
+
+
+def test_displacement_stays_finite_past_float64_factors():
+    # x^(a/2) and L_n^(a)(x) pass float64 here, but no amplitude does: at dim
+    # 520 (any alpha) and at |alpha| = 85 (dim 150) the entries stay finite
+    for alpha, dim in ((0.1, 520), (0.5, 520), (60 + 60j, 150)):
+        entries = displacement(alpha, dim).entries
+        assert np.all(np.isfinite(entries)), (alpha, dim)
+    # and the protected block of the dim-520 one is unitary to rounding
+    d = displacement(0.5, 520).entries
+    assert np.abs((d.conj().T @ d - np.eye(520))[:200, :200]).max() < 1e-13
+    # far out every amplitude is 0 in float64, an infinite x included
+    assert not np.any(_displacement_amplitudes(np.array([1e4, np.inf]), 40))
 
 
 def test_displacement_protected_block_unitarity():

@@ -325,20 +325,21 @@ def test_displaced_weights_against_matrix_elements():
 
 
 def test_displaced_weights_read_one_amplitude_sweep(monkeypatch):
-    # the weights square fock's amplitude table: one sweep in fock, none here
-    calls = []
+    # the weights square fock's bounded amplitude table: one table, up to the
+    # highest level and the lowest level of any pair, and no sweep of their own
+    tables = []
 
-    def counted(*args):
-        calls.append(args)
-        return assoc_laguerre_seq(*args)
+    def counted(x, top, n_max):
+        tables.append((top, n_max))
+        return fock._displacement_amplitudes(x, top, n_max)
 
     def refused(*args):
         raise AssertionError("level weights must not run a sweep of their own")
 
-    monkeypatch.setattr(fock, "assoc_laguerre_seq", counted)
+    monkeypatch.setattr(phasespace, "_displacement_amplitudes", counted)
     monkeypatch.setattr(phasespace, "assoc_laguerre_seq", refused)
     _displaced_level_weights([0, 2], [0.4, 0.6], 30, np.linspace(0.0, 6.0, 161))
-    assert len(calls) == 1
+    assert tables == [(30, 2)]
 
 
 def outer_nodes(symbol):

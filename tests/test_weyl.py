@@ -102,6 +102,21 @@ def test_symbol_of_number_states():
     assert np.isscalar(symbol_of(number_projector(0, 16), 0.3 + 0.1j))
 
 
+def test_symbol_of_high_levels_needs_no_pull_in():
+    # at level 149 the old factors x^(a/2) and L_n^(a)(x) passed float64 by
+    # |alpha| = 30; the bounded amplitudes keep every point finite, the far
+    # ones exact zeros, with no point moved along its ray first
+    op = number_projector(149, 150)
+    far = np.array([29.9 + 29.9j, 40.0, 1e5j, 1e200, -1e200 - 1e200j])
+    assert np.array_equal(symbol_of(op, far), np.zeros(5))
+    from bellbound.specfun import laguerre
+
+    pts = np.array([0.3, 1.5 + 2.0j, -3.0j, 4.5 + 1.0j, 6.0])
+    x = np.abs(pts) ** 2
+    want = -2.0 * np.exp(-2 * x) * laguerre(149, 4 * x)
+    assert np.max(np.abs(symbol_of(op, pts) - want)) < 1e-13
+
+
 def test_symbol_of_offdiagonal_and_residue():
     # Smb[|0><1|](alpha) = 4 alpha e^{-2|alpha|^2}, genuinely complex
     entries = np.zeros((32, 32), dtype=complex)
