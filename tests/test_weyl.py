@@ -91,30 +91,21 @@ def test_symbol_of_number_states():
         for dim in (n + 1, n + 2, 64):
             got = symbol_of(number_projector(n, dim), pts)
             assert np.max(np.abs(got - want)) < 1e-12, (n, dim)
-    # far points give exact zeros, with no overflow on the way
-    far = np.array([1e200, 25.0, 1e5j])
-    for n in (0, 3, 63):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = symbol_of(number_projector(n, 64), far)
-        assert np.array_equal(got, np.zeros(3)), n
-    # scalar input comes back as a scalar
-    assert np.isscalar(symbol_of(number_projector(0, 16), 0.3 + 0.1j))
-
-
-def test_symbol_of_high_levels_needs_no_pull_in():
-    # at level 149 the old factors x^(a/2) and L_n^(a)(x) passed float64 by
-    # |alpha| = 30; the bounded amplitudes keep every point finite, the far
-    # ones exact zeros, with no point moved along its ray first
-    op = number_projector(149, 150)
-    far = np.array([29.9 + 29.9j, 40.0, 1e5j, 1e200, -1e200 - 1e200j])
-    assert np.array_equal(symbol_of(op, far), np.zeros(5))
-    from bellbound.specfun import laguerre
-
+    # level 149, where the unscaled factors x^(a/2) L_n^(a)(x) once overflowed
     pts = np.array([0.3, 1.5 + 2.0j, -3.0j, 4.5 + 1.0j, 6.0])
     x = np.abs(pts) ** 2
     want = -2.0 * np.exp(-2 * x) * laguerre(149, 4 * x)
-    assert np.max(np.abs(symbol_of(op, pts) - want)) < 1e-13
+    assert np.max(np.abs(symbol_of(number_projector(149, 150), pts) - want)) < 1e-13
+    # far points give exact zeros, with no overflow on the way and no point
+    # pulled in along its ray first
+    far = np.array([1e200, 25.0, 1e5j, 29.9 + 29.9j, -1e200 - 1e200j])
+    for n, dim in ((0, 64), (3, 64), (63, 64), (149, 150)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = symbol_of(number_projector(n, dim), far)
+        assert np.array_equal(got, np.zeros(5)), n
+    # scalar input comes back as a scalar
+    assert np.isscalar(symbol_of(number_projector(0, 16), 0.3 + 0.1j))
 
 
 def test_symbol_of_offdiagonal_and_residue():
