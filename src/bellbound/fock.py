@@ -205,10 +205,17 @@ def _displacement_amplitudes(x, top, n_max=None):
     back = root[rows] * np.sqrt(np.maximum(cols - 1.0, 0.0)) * inv
     kernel = gain[..., None] - inv[..., None] * x
     table = np.zeros((n_max + 1, top + 1, x.size))
-    first, ratio = table[0], np.multiply.outer(1.0 / root[1:], np.sqrt(x))
+    first = table[0]
     first[0] = np.exp(-0.5 * x)
-    for m in range(top):
-        np.multiply(first[m], ratio[m], out=first[m + 1])
+    first[1:] = np.multiply.outer(1.0 / root[1:], np.sqrt(x))
+    # the same products either way: accumulating along the leading axis runs
+    # one short loop per point, slow for many points, and a loop over the
+    # columns is slow for many columns, so the longer axis takes the loop
+    if top >= x.size:
+        np.cumprod(first, axis=0, out=first)
+    else:
+        for m in range(top):
+            first[m + 1] *= first[m]
     for n in range(n_max):
         new = table[n + 1, n + 1:]
         np.multiply(kernel[n, n + 1:], table[n, n:top], out=new)
@@ -240,6 +247,7 @@ def _displacement_entries(alpha, dim):
     for m in range(1, dim):
         np.multiply(phase[m - 1], u, out=phase[m])
     entries = phase[:, None] * phase.conj()
+    entries[np.arange(dim), np.arange(dim)] = 1.0  # |u|^2n, exactly 1 in full
     entries *= amp.transpose(1, 0, 2) + above * amp
     return np.moveaxis(entries.reshape(dim, dim, *np.shape(alpha)), (0, 1), (-2, -1))
 

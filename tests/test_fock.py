@@ -207,6 +207,17 @@ def test_displacement_entries_build_one_amplitude_table(monkeypatch):
     assert tops == [63, 63]
 
 
+def test_displacement_amplitudes_do_not_depend_on_the_batch():
+    # the first row's running product is accumulated along the points when
+    # they outnumber the levels and by a loop over the levels otherwise; both
+    # multiply in the same order, so every point's table is bit for bit its
+    # own call's
+    x = np.linspace(0.0, 30.0, 200)
+    batch = _displacement_amplitudes(x, 40)
+    for i in (0, 7, 199):
+        assert np.array_equal(batch[..., i], _displacement_amplitudes(x[i:i + 1], 40)[..., 0])
+
+
 def test_displacement_stays_finite_past_float64_factors():
     # x^(a/2) and L_n^(a)(x) pass float64 here, but no amplitude does: at dim
     # 520 (any alpha) and at |alpha| = 85 (dim 150) the entries stay finite
