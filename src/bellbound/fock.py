@@ -190,8 +190,10 @@ def _displacement_amplitudes(x, top, n_max=None):
         B[n+1, m] = ((m + n - x) B[n, m-1] - sqrt(n (m-1)) B[n-1, m-2]) / sqrt((n+1) m),
     from B[0, m] = e^{-x/2} x^{m/2} / sqrt(m!), a running product. Every B is
     an element of a unitary, so it lies in [-1, 1] and no factor overflows.
-    Past x = 1490 the start e^{-x/2} is 0 in float64 and so is every B; x is
-    capped at 1500 there, so an infinite x gives those zeros too.
+    Past x = 1490 the start e^{-x/2} underflows to 0 and so does every B,
+    which is right only while top stays below about x/4 (the levels that
+    D(alpha) can reach); x is capped at 1500 there, so an infinite x gives
+    those zeros too.
     """
     n_max = top if n_max is None else min(n_max, top)
     x = np.minimum(np.asarray(x, dtype=float), 1500.0)
