@@ -190,13 +190,19 @@ def _displacement_amplitudes(x, top, n_max=None):
         B[n+1, m] = ((m + n - x) B[n, m-1] - sqrt(n (m-1)) B[n-1, m-2]) / sqrt((n+1) m),
     from B[0, m] = e^{-x/2} x^{m/2} / sqrt(m!), a running product. Every B is
     an element of a unitary, so it lies in [-1, 1] and no factor overflows.
-    Past x = 1490 the start e^{-x/2} underflows to 0 and so does every B,
-    which is right only while top stays below about x/4 (the levels that
-    D(alpha) can reach); x is capped at 1500 there, so an infinite x gives
-    those zeros too.
+    Past x = 1416 the start e^{-x/2} is subnormal, with few bits left, and
+    past 1490 it is 0, as is every B. Below level x/5 every B is under 1e-20
+    there (3e-21 at x = 1400), so those errors are negligible; a table that
+    reaches level x/5 at such an x is refused. x is capped at 1500 after
+    that check, so an infinite x gives zeros at any top.
     """
     n_max = top if n_max is None else min(n_max, top)
-    x = np.minimum(np.asarray(x, dtype=float), 1500.0)
+    x = np.asarray(x, dtype=float)
+    if 5 * top > 1416 and np.any((x > 1416.0) & (5 * top >= x)):
+        raise ValueError(f"displacement amplitudes up to level {top} at |alpha|^2 "
+                         f"= {float(np.max(x)):.6g} leave float64's normal range: "
+                         "past |alpha|^2 = 1416 levels must stay below |alpha|^2/5")
+    x = np.minimum(x, 1500.0)
     cols = np.arange(top + 1.0)
     root = np.sqrt(cols)
     rows = np.arange(n_max)[:, None]
@@ -210,14 +216,8 @@ def _displacement_amplitudes(x, top, n_max=None):
     first = table[0]
     first[0] = np.exp(-0.5 * x)
     first[1:] = np.multiply.outer(1.0 / root[1:], np.sqrt(x))
-    # the same products either way: accumulating along the leading axis runs
-    # one short loop per point, slow for many points, and a loop over the
-    # columns is slow for many columns, so the longer axis takes the loop
-    if top >= x.size:
-        np.cumprod(first, axis=0, out=first)
-    else:
-        for m in range(top):
-            first[m + 1] *= first[m]
+    for m in range(top):
+        first[m + 1] *= first[m]
     for n in range(n_max):
         new = table[n + 1, n + 1:]
         np.multiply(kernel[n, n + 1:], table[n, n:top], out=new)
@@ -238,9 +238,10 @@ def _displacement_entries(alpha, dim):
     if dim < 1:
         raise ValueError("dim must be at least 1")
     flat = np.asarray(alpha, dtype=complex).ravel()
-    r = np.abs(flat)
-    with np.errstate(over="ignore"):  # an infinite x reads as x = 1500
-        amp = _displacement_amplitudes(r * r, dim - 1)
+    with np.errstate(over="ignore"):  # past float64, |alpha| and x read as inf
+        r = np.abs(flat)
+        x = r * r
+    amp = _displacement_amplitudes(x, dim - 1)
     signs = (-1.0) ** np.arange(dim)
     above = np.triu(np.outer(signs, signs), 1)[..., None]
     u = np.divide(flat, r, out=np.ones_like(flat), where=r > 0)

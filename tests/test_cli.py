@@ -272,6 +272,10 @@ def test_wigner_far_grid_stays_finite(tmp_path, capsys):
     assert abs(res["w_min"] + 1.0 / math.pi) < 1e-15  # first excited state at 0
     assert res["w_max"] == 0.0
     assert res["negative_points"] == 1
+    # the corners of an 8e307 grid sit past float64 in |2 alpha| alone
+    assert main(["wigner", "--r-max", "8e307", "--points", "3",
+                 "--out", str(out)]) == 0
+    assert read_doc(out)["results"]["w_max"] == 0.0
     assert main(["wigner", "--r-max", "1e308", "--points", "3"]) == 1
     err = capsys.readouterr().err
     assert "r_max" in err and "Traceback" not in err

@@ -207,17 +207,6 @@ def test_displacement_entries_build_one_amplitude_table(monkeypatch):
     assert tops == [63, 63]
 
 
-def test_displacement_amplitudes_do_not_depend_on_the_batch():
-    # the first row's running product is accumulated along the points when
-    # they outnumber the levels and by a loop over the levels otherwise; both
-    # multiply in the same order, so every point's table is bit for bit its
-    # own call's
-    x = np.linspace(0.0, 30.0, 200)
-    batch = _displacement_amplitudes(x, 40)
-    for i in (0, 7, 199):
-        assert np.array_equal(batch[..., i], _displacement_amplitudes(x[i:i + 1], 40)[..., 0])
-
-
 def test_displacement_stays_finite_past_float64_factors():
     # x^(a/2) and L_n^(a)(x) pass float64 here, but no amplitude does: at dim
     # 520 (any alpha) and at |alpha| = 85 (dim 150) the entries stay finite
@@ -229,6 +218,21 @@ def test_displacement_stays_finite_past_float64_factors():
     assert np.abs((d.conj().T @ d - np.eye(520))[:200, :200]).max() < 1e-13
     # far out every amplitude is 0 in float64, an infinite x included
     assert not np.any(_displacement_amplitudes(np.array([1e4, np.inf]), 40))
+
+
+def test_displacement_refuses_levels_past_a_subnormal_start():
+    # past x = 1416 the start e^{-x/2} is subnormal (0 past 1490): tables
+    # below level x/5 are still right, since every amplitude there is under
+    # 1e-20, but one that reaches level x/5 would read wrong or zero values
+    # (<600|D(39)|600> is 0.0184, not 0)
+    with pytest.raises(ValueError, match="normal range"):
+        displacement(39.0, 620)
+    with pytest.raises(ValueError, match="normal range"):
+        _displacement_amplitudes(np.array([1.0, 1500.0]), 300)
+    assert not np.any(_displacement_amplitudes(np.array([1500.0]), 299))
+    assert np.all(np.isfinite(displacement(39.0, 300).entries))
+    # an infinite x reaches no level at all
+    assert not np.any(_displacement_amplitudes(np.array([np.inf]), 600))
 
 
 def test_displacement_protected_block_unitarity():

@@ -97,13 +97,14 @@ def test_symbol_of_number_states():
     want = -2.0 * np.exp(-2 * x) * laguerre(149, 4 * x)
     assert np.max(np.abs(symbol_of(number_projector(149, 150), pts) - want)) < 1e-13
     # far points give exact zeros, with no overflow on the way and no point
-    # pulled in along its ray first
-    far = np.array([1e200, 25.0, 1e5j, 29.9 + 29.9j, -1e200 - 1e200j])
+    # pulled in along its ray first; at 8e307 + 8e307j even |2 alpha| passes
+    # float64
+    far = np.array([1e200, 25.0, 1e5j, 29.9 + 29.9j, -1e200 - 1e200j, 8e307 + 8e307j])
     for n, dim in ((0, 64), (3, 64), (63, 64), (149, 150)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = symbol_of(number_projector(n, dim), far)
-        assert np.array_equal(got, np.zeros(5)), n
+        assert np.array_equal(got, np.zeros(6)), n
     # scalar input comes back as a scalar
     assert np.isscalar(symbol_of(number_projector(0, 16), 0.3 + 0.1j))
 
