@@ -579,20 +579,40 @@ def _arc_table(d, g1, g2, j, n_win):
     """
     sq = g1 * g1 + g2 * g2
     prod = 2.0 * g1 * g2
-    t, tw = _gl_segmented(0.0, math.pi, n_win, ())
-    ramp = 0.5 * (1.0 - np.cos(t))
-    tw = 0.5 * np.sin(t) * tw
     psi_a, psi_b = (np.arccos(np.clip((sq - e * e) / prod, -1.0, 1.0))
                     for e in (np.abs(d - j), d + j))
     width = psi_b - psi_a
     out = np.where(d < j, psi_a, 0.0)
-    live = np.nonzero(width > 0.0)
-    dk, sq, prod = (np.broadcast_to(x, width.shape)[live][:, None]
-                    for x in (d, sq, prod))
-    rho_sq = sq - prod * np.cos(psi_a[live][:, None] + width[live][:, None] * ramp)
-    kappa = (j * j - dk * dk - rho_sq) / (2.0 * dk * np.sqrt(rho_sq))
+    live = np.flatnonzero(width > 0.0)
+    dk, gap, prod, psi_a, width = (np.broadcast_to(x, out.shape).reshape(-1)[live]
+                                   for x in (d, (g1 - g2) ** 2, prod, psi_a, width))
+    t, tw = _gl_segmented(0.0, math.pi, n_win, ())
+    tw = 0.5 * np.sin(t) * tw
+    # window-leading, (n_win, live cells), so that numpy's inner loops run
+    # along the cells, in place. rho^2 = (g1 - g2)^2 + q with
+    # q = prod (1 - cos psi) = 2 prod / (1 + cot^2(psi/2)), free of
+    # cancellation at small psi, and kappa = (c - q) / (2 d rho) with the
+    # cell constant c = j^2 - d^2 - (g1 - g2)^2. numpy's tan runs vectorized
+    # where its cos does not, and psi/2 is exactly half of psi's node.
+    c = j * j - dk * dk
+    c -= gap
+    dk *= 2.0
+    prod *= 2.0
+    q = np.multiply.outer(0.25 * (1.0 - np.cos(t)), width)
+    q += 0.5 * psi_a
+    np.tan(q, out=q)
+    q *= q
+    np.reciprocal(q, out=q)
+    q += 1.0
+    np.divide(prod, q, out=q)
+    kappa = c - q
+    q += gap
+    np.sqrt(q, out=q)
+    q *= dk
+    kappa /= q
     np.clip(kappa, -1.0, 1.0, out=kappa)
-    out[live] += width[live] * ((1.0 - np.arccos(kappa) / math.pi) @ tw)
+    np.arccos(kappa, out=kappa)
+    out.reshape(-1)[live] += width * (tw.sum() - (tw @ kappa) / math.pi)
     return out / math.pi
 
 
@@ -609,7 +629,7 @@ def _pair_arc_table(dn, gn, j, n_win):
     return out
 
 
-def _sigma_level(case, j, mode, pts, level):
+def _sigma_level(spec, pts, level, profile, j):
     """f at every grid point from one node level of the factored route.
 
     Rotating all three displacements by -arg(e) leaves the indicator alone,
@@ -620,46 +640,48 @@ def _sigma_level(case, j, mode, pts, level):
                <kern(s, d, theta, g1, g2)>_theta,  m(g) = 4 g exp(-2 g^2).
 
     For fixed (s, d, theta) the (g1, g2) double sum is three bilinear forms
-    u^T A_d v, done for all (d, theta) by one batched matmul. mode picks B
-    and A: the signed profile against the arc table ("full"), or A = 1
-    with B = 1{d < j} ("disc_unit") or B = 1 ("unit_unit").
+    u^T A_d v, done for all (d, theta) by one batched matmul. profile(d)
+    gives B on the separation nodes, and A is the arc table of radius j, or
+    1 when j is None.
     """
     n_d, n_g, n_win, n_theta = level
-    spec = case.spec
     dn, dw = _gl_segmented(0.0, spec.r_max, n_d, spec.split_points)
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
-    if mode == "full":
-        profile = case.symbol(dn)
-        arc = _pair_arc_table(dn, gn, j, n_win)
-    else:
-        profile = (dn < j).astype(float) if mode == "disc_unit" else np.ones(n_d)
-        arc = np.ones((1, n_g, n_g))
-    wd = dw * dn * profile
+    arc = np.ones((1, n_g, n_g)) if j is None else _pair_arc_table(dn, gn, j, n_win)
+    wd = dw * dn * profile(dn)
     cos_t = np.cos((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
-    d = dn[:, None, None]
+    # the three right-hand blocks u and their products u^T A_d, reused per point
+    rhs = np.empty((dn.size, 3 * n_theta, gn.size))
+    lhs = np.empty_like(rhs)
     values = np.zeros(pts.size)
     for i, s in enumerate(pts):
         if s == 0.0:
             continue
         # y = 4 a1 g with a1 = |s + d e^{i theta}| / 2; the second slot's
         # a2(theta) = a1(pi - theta) is the first slot reversed along theta
-        y = 2.0 * np.sqrt(s * s + d * d + 2.0 * s * d * cos_t[:, None]) * gn
-        j0 = bessel_j(0, y) * m
-        rat = bessel_j(1, y) / y * (g_sq * m)
-        rev0 = j0[:, ::-1]
-        rhs = np.concatenate((rev0, 2.0 * g_sq * rev0, rat[:, ::-1]), axis=1)
-        lhs0, lhs1, lhs2 = np.split(np.matmul(rhs, arc), 3, axis=1)
-        kern = (
-            np.sum(((1.0 - 2.0 * g_sq) * lhs0 - lhs1) * j0, axis=-1)
-            - 16.0 * (s * s - dn[:, None] ** 2) * np.sum(lhs2 * rat, axis=-1)
-        )
-        values[i] = 4.0 * s / n_theta * float(wd @ kern.sum(axis=1))
+        a1 = np.multiply.outer(2.0 * s * dn, cos_t)
+        a1 += (s * s + dn * dn)[:, None]
+        y = np.multiply.outer(2.0 * np.sqrt(a1), gn)
+        j0, rat = bessel_j((0, 1), y)
+        j0 *= m
+        rat /= y
+        rat *= g_sq * m
+        rhs[:, :n_theta] = j0[:, ::-1]
+        np.multiply(rhs[:, :n_theta], 2.0 * g_sq, out=rhs[:, n_theta:-n_theta])
+        rhs[:, -n_theta:] = rat[:, ::-1]
+        np.matmul(rhs, arc, out=lhs)
+        lhs0, lhs1, lhs2 = np.split(lhs, 3, axis=1)
+        lhs0 *= 1.0 - 2.0 * g_sq
+        lhs0 -= lhs1
+        kern = (np.einsum("dtg,dtg->d", lhs0, j0)
+                - 16.0 * (s * s - dn * dn) * np.einsum("dtg,dtg->d", lhs2, rat))
+        values[i] = 4.0 * s / n_theta * float(wd @ kern)
     return values
 
 
-def sigma_curve(case, mode="full"):
+def sigma_curve(case):
     """The reduced integrand f(|sigma|) on the uniform grid, by quadrature.
 
     Every grid point comes from the factored route of _sigma_level at the
@@ -672,24 +694,17 @@ def sigma_curve(case, mode="full"):
     diagnostic of the sign step: its integral over s is sign_disc of
     bp_hv_bound's report, which takes it by collapse instead.
 
-    mode is a validation hook: "disc_unit" and "unit_unit" replace the two
-    symbol factors by pairs whose curve is known in closed form
-    (4 C s exp(-s^2) with C the inner-disc moment, and 2 s exp(-s^2)).
-
     Raises ValueError for grids of fewer than six or more than
-    _SIGMA_MAX_POINTS points, and QuadratureError when any point's error
-    passes 15 percent of the larger of the point itself and a fifth of the
-    curve maximum (the floor keeps near-zero points from tripping the
-    relative test).
+    _SIGMA_MAX_POINTS points, and QuadratureError naming r_max when a value
+    is not finite, or when any point's error passes 15 percent of the larger
+    of the point itself and a fifth of the curve maximum (the floor keeps
+    near-zero points from tripping the relative test).
     """
     _pair_state_checked(case)
-    if mode not in ("full", "disc_unit", "unit_unit"):
-        raise ValueError(f"unknown mode {mode!r}")
     levels = case.symbol.levels
-    if mode != "unit_unit" and levels != (-1.0, 1.0):
+    if levels != (-1.0, 1.0):
         raise ValueError(f"the sigma curve takes the sign-step levels (-1.0, 1.0) "
                          f"only; got levels {levels}")
-    j = case.symbol.jumps[0] if case.symbol.jumps else None
     spec = case.spec
     ratio = spec.sigma_max / spec.sigma_step
     size = math.floor(min(ratio, _SIGMA_MAX_POINTS) + 1e-9) + 1
@@ -699,7 +714,15 @@ def sigma_curve(case, mode="full"):
             f"{ratio:.4g} steps; the grid needs six to {_SIGMA_MAX_POINTS} points"
         )
     pts = spec.sigma_step * np.arange(size)
-    coarse, values = (_sigma_level(case, j, mode, pts, lev) for lev in _SIGMA_LEVELS)
+    # past float64 range a level goes to inf or NaN, which fails its point below
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, values = (_sigma_level(spec, pts, lev, case.symbol, case.symbol.jumps[0])
+                          for lev in _SIGMA_LEVELS)
+    finite = np.isfinite(coarse) & np.isfinite(values)
+    if not finite.all():
+        raise QuadratureError(
+            f"f at sigma = {pts[np.argmin(finite)]:.4g} is not finite: r_max "
+            f"{spec.r_max:g} or sigma_max {spec.sigma_max:g} is too large for float64")
     errors = np.where(pts > 0.0, np.max(np.abs(values - coarse)), 0.0)
     floor = 0.2 * float(np.max(np.abs(values)))
     scale = np.maximum(np.abs(values), floor)

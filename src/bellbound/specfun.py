@@ -116,37 +116,63 @@ def _horner(coef, z):
     return out
 
 
-def _j_asymptotic(order, x):
+def _j_asymptotic(orders, x):
     # Hankel expansion: J = sqrt(2/(pi x)) (P cos chi - Q sin chi) with
     # chi = x - (2 order + 1) pi/4. Terms decrease through the order kept
-    # here for every x >= 16.
-    x = np.asarray(x, dtype=float)
-    p_coef, q_coef = _HANKEL[order]
+    # here for every x >= 16. chi_1 = chi_0 - pi/2, so J1 = sqrt(2/(pi x))
+    # (P sin chi_0 + Q cos chi_0), and one tau = tan(chi_0/2) serves both
+    # orders: cos chi_0 and sin chi_0 are 1 - tau^2 and 2 tau over
+    # 1 + tau^2, which joins the amplitude. numpy's tan runs vectorized
+    # where its cos and sin take the scalar libm path (4 against 12-24 ns
+    # per argument, numpy 2.4 on x86-64). Returns one array per order.
+    out = []
     z = 1.0 / (x * x)
-    p = _horner(p_coef, z)
-    q = _horner(q_coef, z)
-    q /= x
-    chi = x - (2 * order + 1) * np.pi / 4
-    p *= np.cos(chi)
-    q *= np.sin(chi)
-    p -= q
-    p *= np.sqrt(2.0 / (np.pi * x))
-    return p
+    tau = 0.5 * x
+    tau -= np.pi / 8
+    np.tan(tau, out=tau)
+    amp = tau * tau
+    cos = 1.0 - amp
+    amp += 1.0
+    np.divide(np.sqrt(2.0 / (np.pi * x)), amp, out=amp)
+    sin = tau
+    sin *= 2.0
+    for order in orders:
+        p_coef, q_coef = _HANKEL[order]
+        p = _horner(p_coef, z)
+        q = _horner(q_coef, z)
+        q /= x
+        p *= sin if order else cos
+        q *= cos if order else sin
+        if order:
+            p += q
+        else:
+            p -= q
+        p *= amp
+        out.append(p)
+    return out
 
 
-def _j_polynomial(order, x):
-    # J0 = P0(t), J1 = x P1(t), t = x^2/128 - 1 on [-1, 1)
+def _j_polynomial(orders, x):
+    # J0 = P0(t), J1 = x P1(t), t = x^2/128 - 1 on [-1, 1); one array per order
     t = x * x
     t *= 1.0 / 128.0
     t -= 1.0
-    p = _horner(_J_MONOMIAL[order], t)
-    if order == 1:
-        p *= x
-    return p
+    out = []
+    for order in orders:
+        p = _horner(_J_MONOMIAL[order], t)
+        if order:
+            p *= x
+        out.append(p)
+    return out
 
 
 def bessel_j(order, x):
     """Bessel function J0(x) or J1(x) for x >= 0.
+
+    order is 0, 1 or a tuple of them, such as (0, 1); a tuple gives a tuple
+    of results, one per order, from one pass over x: one band split, one
+    t = x^2/128 - 1 and one tangent of the Hankel half-phase. Each order's
+    values are those of its own call.
 
     Below x = 16, J0(x) = P0(x^2) and J1(x) = x P1(x^2) with P0, P1 fixed
     polynomials, by Horner on frozen monomial coefficients, greedy-rounded
@@ -154,23 +180,28 @@ def bessel_j(order, x):
     rounding leaves no bias); J0(0) = 1 and J1(0) = 0 exactly. From 16 on,
     the Hankel asymptotic expansion, its P and Q series frozen per order
     and summed by Horner's rule in 1/x^2. Both stay within 2e-14 of the
-    true value. An array that lies below 16 is evaluated without the two
-    gathers. Negative arguments are rejected because every caller passes
-    a modulus.
+    true value. An array that lies below 16 is evaluated without the
+    gather and scatter. Negative arguments are rejected because every
+    caller passes a modulus.
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    orders = order if isinstance(order, tuple) else (order,)
+    if not orders or any(o not in (0, 1) for o in orders):
+        raise ValueError("order must be 0, 1 or a tuple of them")
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     # fmin skips NaN, so a NaN cannot hide a negative argument
     if np.fmin.reduce(flat, initial=np.inf) < 0:
         raise ValueError("bessel_j expects x >= 0")
     if flat.max(initial=-np.inf) < _SEAM:
-        out = _j_polynomial(order, flat)
+        out = _j_polynomial(orders, flat)
     else:
-        out = np.empty_like(flat)
+        # integer indices: a boolean gather or scatter on a mixed mask costs
+        # several times as much
+        out = [np.empty_like(flat) for _ in orders]
         hi = flat >= _SEAM
-        out[hi] = _j_asymptotic(order, flat[hi])
-        lo = ~hi
-        out[lo] = _j_polynomial(order, flat[lo])
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        for band, part in ((np.flatnonzero(hi), _j_asymptotic),
+                           (np.flatnonzero(~hi), _j_polynomial)):
+            for row, values in zip(out, part(orders, flat.take(band))):
+                row[band] = values
+    got = tuple(float(row[0]) if x.ndim == 0 else row.reshape(x.shape) for row in out)
+    return got if isinstance(order, tuple) else got[0]

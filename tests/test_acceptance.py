@@ -341,10 +341,9 @@ def test_criterion_08_curve_shape(sigma_documents, bp_results):
     # report
     disc, disc_err = sign_disc(bp_results["report"])
     far = 2.7 + 0.1 * np.arange(54)
-    finer = _sigma_level(BipartiteCase(), SEPARATION_STEP, "full", far,
-                         (192, 96, 32, 16))
-    fine = _sigma_level(BipartiteCase(), SEPARATION_STEP, "full", far,
-                        _SIGMA_LEVELS[1])
+    case = BipartiteCase()
+    finer, fine = (_sigma_level(case.spec, far, level, case.symbol, SEPARATION_STEP)
+                   for level in ((192, 96, 32, 16), _SIGMA_LEVELS[1]))
     far_err = float(np.max(np.abs(finer - fine))) * (far[-1] - far[0])
     tails = [finer[-1] * far[-1] / (p - 1.0) for p in (2.5, 3.5)]
     route = integral + float(np.trapezoid(finer, far)) + 0.5 * sum(tails)
@@ -446,7 +445,7 @@ def test_special_function_suite():
         hi = j_series(order, np.array([8.0]), np.longdouble)[0]
         worst_seam = max(worst_seam, abs(lo - hi))
         lo = j_series(order, np.array([16.0]), np.longdouble)[0]
-        hi = _j_asymptotic(order, np.array([16.0]))[0]
+        hi = _j_asymptotic((order,), np.array([16.0]))[0][0]
         worst_seam = max(worst_seam, abs(lo - hi))
     elapsed = time.perf_counter() - t0
     announce("special functions",

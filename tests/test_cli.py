@@ -317,6 +317,15 @@ def test_sigma_curve_round_trip(tmp_path):
     assert da["errors"]["beyond_grid"] == disc_err + da["errors"]["integral"]
 
 
+def test_sigma_curve_fails_non_finite_points(capsys):
+    # an r_max past float64 range leaves the curve's points non-finite: the
+    # run fails with exit 2, naming r_max, instead of printing NaN, and no
+    # floating-point warning (an error under this suite) escapes
+    assert main(["sigma-curve", "--r-max", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "not finite: r_max 1e+300" in err and "Traceback" not in err
+
+
 def test_bipartite_refuses_sigma_flags(capsys):
     # the bound integrates over the whole sigma plane; only sigma-curve
     # reads the grid

@@ -43,7 +43,7 @@ from bellbound.phasespace import (
 )
 from bellbound.quad import (IntegrationSpec, QuadratureError, _gl_segmented,
                             integrate_radial_pair)
-from bellbound.specfun import assoc_laguerre_seq
+from bellbound.specfun import assoc_laguerre_seq, bessel_j
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
 from oracles import (arc_fraction, coarse_parity_integrand, displacement_element,
@@ -556,36 +556,97 @@ def test_bp_qm_mean_quadrature():
         bp_qm_mean(BipartiteCase(state=DensityMatrix.from_state(lopsided, modes=2)))
 
 
+def closed_curve(case, profile):
+    """The curve route with A = 1, both levels as sigma_curve takes them:
+    (points, fine level, the largest level gap at every s > 0)."""
+    spec = case.spec
+    pts = spec.sigma_step * np.arange(round(spec.sigma_max / spec.sigma_step) + 1)
+    coarse, fine = (_sigma_level(spec, pts, level, profile, None) for level in _SIGMA_LEVELS)
+    return pts, fine, np.where(pts > 0.0, np.max(np.abs(fine - coarse)), 0.0)
+
+
+def disc_profile(d):
+    return (d < SEPARATION_STEP).astype(float)
+
+
 def test_sigma_curve_closed_modes():
-    spec = IntegrationSpec(mc_samples=200_000, sigma_max=1.0)
-    case = BipartiteCase(spec=spec)
+    # with A = 1 the curve is closed: 2 s exp(-s^2) for B = 1, and
+    # 4 C s exp(-s^2) for B = 1{d < j}, C the inner-disc moment
+    case = BipartiteCase(spec=IntegrationSpec(sigma_max=1.0))
     j = SEPARATION_STEP
-    unit = sigma_curve(case, mode="unit_unit")
-    s = unit.points
+    s, values, errors = closed_curve(case, np.ones_like)
     closed = 2.0 * s * np.exp(-s * s)
-    assert np.all(np.abs(unit.values - closed) < 4.0 * unit.errors + 1e-12)
-    disc = sigma_curve(case, mode="disc_unit")
+    assert np.all(np.abs(values - closed) < 4.0 * errors + 1e-12)
+    s, values, errors = closed_curve(case, disc_profile)
     c = 0.5 * (1.0 - math.exp(-j * j) * (2.0 * j * j + 1.0))
     closed = 4.0 * c * s * np.exp(-s * s)
-    assert np.all(np.abs(disc.values - closed) < 4.0 * disc.errors + 1e-12)
-    assert disc.values[0] == 0.0 and disc.errors[0] == 0.0
-    with pytest.raises(ValueError, match="mode"):
-        sigma_curve(case, mode="both_unit")
+    assert np.all(np.abs(values - closed) < 4.0 * errors + 1e-12)
+    assert values[0] == 0.0 and errors[0] == 0.0
 
 
 def test_sigma_curve_grid_and_determinism():
-    spec = IntegrationSpec(mc_samples=100_000, sigma_max=0.5)
-    case = BipartiteCase(spec=spec)
-    curve = sigma_curve(case, mode="disc_unit")
-    assert np.allclose(curve.points, 0.05 * np.arange(11))
-    again = sigma_curve(case, mode="disc_unit")
+    case = BipartiteCase(spec=IntegrationSpec(sigma_max=0.5))
+    assert np.allclose(sigma_curve(case).points, 0.05 * np.arange(11))
+    curve = closed_curve(case, disc_profile)
+    assert np.allclose(curve[0], 0.05 * np.arange(11))
+    again = closed_curve(case, disc_profile)
+    assert all(np.array_equal(x, y) for x, y in zip(curve, again))
+    # no random numbers: the seed the Monte Carlo oracle reads changes nothing
+    reseeded = BipartiteCase(spec=replace(case.spec, seed=43))
+    other = closed_curve(reseeded, disc_profile)
+    assert all(np.array_equal(x, y) for x, y in zip(curve, other))
+
+
+# the default sign-step curve on the benchmark's grid and on the default grid
+# to s = 1: a change that moves values by rounding only keeps every value and
+# error within 1e-14 of these
+PINNED_CURVES = {
+    (0.3, 1.5): ([0.0, 0.05501870575578106, 0.08241858131013215, 0.0751048157865318,
+                  0.04743440438011238, 0.01942015559728376], 1.7027930495877586e-05),
+    (0.05, 1.0): ([0.0, 0.010056629287688574, 0.01995520686754955, 0.02954152402480436,
+                   0.03866893249992655, 0.04720181604511456, 0.055018705755781064,
+                   0.06201494331555187, 0.0681048144433272, 0.07322309579237576,
+                   0.07732598132245055, 0.08039137768034196, 0.08241858131013215,
+                   0.0834273718511659, 0.08345657595269017, 0.08256217217068104,
+                   0.08081502052814077, 0.07829830923278512, 0.07510481578653178,
+                   0.0713340803304496, 0.06708958578259705], 1.708487881381393e-05),
+}
+
+
+@pytest.mark.parametrize("grid", PINNED_CURVES)
+def test_sigma_curve_pinned(grid):
+    values, error = PINNED_CURVES[grid]
+    case = BipartiteCase(spec=IntegrationSpec(sigma_step=grid[0], sigma_max=grid[1]))
+    curve = sigma_curve(case)
+    assert np.allclose(curve.points, grid[0] * np.arange(len(values)), rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(curve.values - values)) <= 1e-14
+    errors = np.where(curve.points > 0.0, error, 0.0)
+    assert np.max(np.abs(curve.errors - errors)) <= 1e-14
+    again = sigma_curve(case)
     assert np.array_equal(curve.values, again.values)
     assert np.array_equal(curve.errors, again.errors)
-    # no random numbers: the seed the Monte Carlo oracle reads changes nothing
-    reseeded = BipartiteCase(spec=replace(spec, seed=43))
-    other = sigma_curve(reseeded, mode="disc_unit")
-    assert np.array_equal(curve.values, other.values)
-    assert np.array_equal(curve.errors, other.errors)
+
+
+def test_sigma_curve_takes_one_bessel_call_per_point_and_level(monkeypatch):
+    # J0 and J1 of each point's arguments share one band split
+    calls = []
+
+    def counted(order, x):
+        calls.append(order)
+        return bessel_j(order, x)
+
+    monkeypatch.setattr(phasespace, "bessel_j", counted)
+    curve = sigma_curve(BipartiteCase(spec=IntegrationSpec(sigma_step=0.3, sigma_max=1.5)))
+    assert calls == [(0, 1)] * (len(_SIGMA_LEVELS) * np.count_nonzero(curve.points))
+
+
+def test_sigma_curve_refuses_non_finite_points():
+    # past float64 range the route's squares overflow: the point fails by
+    # name, with no floating-point warning on the way
+    for spec in (IntegrationSpec(r_max=1e300, sigma_step=0.3, sigma_max=1.5),
+                 IntegrationSpec(sigma_step=1e299, sigma_max=1e300)):
+        with pytest.raises(QuadratureError, match="not finite: r_max"):
+            sigma_curve(BipartiteCase(spec=spec))
 
 
 def test_sigma_curve_error_gate():
@@ -652,8 +713,8 @@ def test_sigma_curve_error_covers_finer_level(default_curve):
     # the node levels converge unevenly, so check the reported error against
     # a level finer in every direction at every point of the default grid
     case = BipartiteCase()
-    finer = _sigma_level(case, SEPARATION_STEP, "full", default_curve.points,
-                         (192, 96, 32, 16))
+    finer = _sigma_level(case.spec, default_curve.points, (192, 96, 32, 16), case.symbol,
+                         SEPARATION_STEP)
     assert default_curve.points.size == 55
     gap = np.abs(default_curve.values - finer)
     assert np.all(gap <= default_curve.errors)
@@ -665,7 +726,7 @@ def test_sigma_curve_error_covers_finer_level_at_other_jumps(jump):
     case = BipartiteCase(symbol=sign_step(jump),
                          spec=IntegrationSpec(sigma_step=0.3, sigma_max=1.5))
     curve = sigma_curve(case)
-    finer = _sigma_level(case, jump, "full", curve.points, (192, 96, 32, 16))
+    finer = _sigma_level(case.spec, curve.points, (192, 96, 32, 16), case.symbol, jump)
     assert np.all(np.abs(curve.values - finer) <= curve.errors)
 
 
@@ -792,8 +853,8 @@ def test_disc_disc_component_matches_curve_route():
     value = rep.notes["components"]["core2_core"]
     case = BipartiteCase(symbol=piecewise_symbol((0.4,), (1.0, 0.0)))
     s = 0.2 * np.arange(41)
-    fine = _sigma_level(case, 0.9, "full", s, _SIGMA_LEVELS[1])
-    finer = _sigma_level(case, 0.9, "full", s, (192, 96, 32, 16))
+    fine, finer = (_sigma_level(case.spec, s, level, case.symbol, 0.9)
+                   for level in (_SIGMA_LEVELS[1], (192, 96, 32, 16)))
     tails = [finer[-1] * s[-1] / (p - 1.0) for p in (2.5, 3.5)]
     rule = simpson(finer, 0.2)
     route = rule + 0.5 * sum(tails)

@@ -191,7 +191,7 @@ def test_bessel_seam_continuity():
         hi = j_series(order, np.array([8.0]), np.longdouble)[0]
         assert abs(lo - hi) < 1e-10
         lo = j_series(order, np.array([16.0]), np.longdouble)[0]
-        hi = _j_asymptotic(order, np.array([16.0]))[0]
+        hi = _j_asymptotic((order,), np.array([16.0]))[0][0]
         assert abs(lo - hi) < 1e-10
 
 
@@ -276,6 +276,30 @@ def test_bessel_one_band_arrays_match_mixed_bitwise():
     # a NaN beside a negative argument does not let it through
     with pytest.raises(ValueError):
         bessel_j(0, np.array([np.nan, -1.0]))
+
+
+def test_bessel_joint_orders_match_single_calls():
+    # one call for (0, 1) splits the bands once: J0 keeps its own call's
+    # bits, J1 stays within 2 ulp of its own, on mixed arrays with exact 0
+    # and the seam 16 itself, and on an array below the seam
+    rng = np.random.default_rng(23)
+    x = rng.permutation(np.concatenate([[0.0, 16.0, 0.0, 16.0, np.nextafter(16.0, 0.0)],
+                                        rng.uniform(0.0, 16.0, 500),
+                                        rng.uniform(16.0, 120.0, 500)])).reshape(3, -1)
+    for arr in (x, x[x < 16.0]):
+        j0, j1 = bessel_j((0, 1), arr)
+        assert j0.shape == j1.shape == arr.shape
+        assert np.array_equal(j0, bessel_j(0, arr))
+        one = bessel_j(1, arr)
+        assert np.all(np.abs(j1 - one) <= 2.0 * np.spacing(np.abs(one)))
+    assert bessel_j((0, 1), 0.0) == (1.0, 0.0)
+    assert bessel_j((1, 0), 16.0) == (bessel_j(1, 16.0), bessel_j(0, 16.0))
+    for bad in ((), (0, 2), 2):
+        with pytest.raises(ValueError, match="order"):
+            bessel_j(bad, 1.0)
+    # a NaN beside a negative argument does not let it through
+    with pytest.raises(ValueError, match="x >= 0"):
+        bessel_j((0, 1), np.array([np.nan, -1.0]))
 
 
 def test_bessel_derivative_relation():
