@@ -230,10 +230,11 @@ def _displacement_entries(alpha, dim):
     """D(alpha) entries, shape alpha.shape + (dim, dim).
 
     <m|D(alpha)|n> = u^m B[n, m] conj(u)^n on and below the diagonal and
-    u^m (-1)^(n-m) B[m, n] conj(u)^n above it, with u = alpha/|alpha| (1 at
-    0): D(alpha) is D(|alpha|) rotated by the phase, whose powers are running
-    products. The result views a table whose level axes lead, so every pass
-    runs along the points.
+    u^m (-1)^(n-m) B[m, n] conj(u)^n above it, with u = alpha/|alpha| (1 where
+    |alpha|^2 underflows to 0, which leaves no off-diagonal B and where
+    1/|alpha| may overflow): D(alpha) is D(|alpha|) rotated by the phase,
+    whose powers are running products. The result views a table whose level
+    axes lead, so every pass runs along the points.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
@@ -244,7 +245,7 @@ def _displacement_entries(alpha, dim):
     amp = _displacement_amplitudes(x, dim - 1)
     signs = (-1.0) ** np.arange(dim)
     above = np.triu(np.outer(signs, signs), 1)[..., None]
-    u = np.divide(flat, r, out=np.ones_like(flat), where=r > 0)
+    u = np.divide(flat, r, out=np.ones_like(flat), where=x > 0)
     phase = np.empty((dim, flat.size), dtype=complex)
     phase[0] = 1.0
     for m in range(1, dim):

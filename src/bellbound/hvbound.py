@@ -10,7 +10,6 @@ gap closes exactly when the projectors commute.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,32 +34,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Weighted projector decomposition B = sum_u w_u P_u.
-
-    check_block limits the idempotence and reconstruction checks to the
-    leading block of that size, for projectors assembled on a truncated basis
-    whose high corner is not faithful.
-    """
+    """Weighted projector decomposition B = sum_u w_u P_u."""
 
     terms: tuple
     target: FockOperator
     label: str = ""
-    check_block: Optional[int] = None
 
     def __post_init__(self):
         terms = tuple((float(w), p) for w, p in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("decomposition needs at least one term")
-        blk = slice(None) if self.check_block is None else slice(self.check_block)
         for _, p in terms:
             if p.entries.shape != self.target.entries.shape or p.modes != self.target.modes:
                 raise ValueError("projector shape or mode count mismatch")
             res = p.entries @ p.entries - p.entries
-            if np.max(np.abs(res[blk, blk])) >= 1e-10:
+            if np.max(np.abs(res)) >= 1e-10:
                 raise ValueError("term is not idempotent")
         total = sum(w * p.entries for w, p in terms)
-        gap = np.max(np.abs((total - self.target.entries)[blk, blk]))
+        gap = np.max(np.abs(total - self.target.entries))
         if gap >= 1e-8:
             raise ValueError(f"terms reconstruct the target only to {gap:.2e}")
 

@@ -28,7 +28,7 @@ from .quad import (
     integrate_radial_pair,
 )
 from .specfun import assoc_laguerre_seq, bessel_j
-from .weyl import RadialSymbol, piecewise_symbol, quantize_radial, sign_step, wigner
+from .weyl import RadialSymbol, piecewise_symbol, quantize_radial, sign_step
 
 __all__ = [
     "SEPARATION_STEP",
@@ -150,6 +150,11 @@ class SigmaCurve:
                 float(np.trapezoid(self.errors, self.points)))
 
 
+def _first_level_mean(symbol, spec):
+    """The quantized symbol's mean on |1>: its eigenvalue lam_1."""
+    return float(quantize_radial(symbol, 2, spec).eigenvalues[1])
+
+
 def _bilinear_report(label, case, pair, one_mode, fallback=""):
     """The bound of a declared symbol B = c_inf + sum_k c_k 1{r < r_k} (c_inf
     the last level, c_k the drop at jump r_k) as the bilinear form
@@ -182,7 +187,7 @@ def _bilinear_report(label, case, pair, one_mode, fallback=""):
             errs[name] = error
             total += c1 * c2 * value
             err += abs(c1 * c2) * error
-    qm = float(quantize_radial(one_mode(case.symbol), 2, case.spec).eigenvalues[1])
+    qm = _first_level_mean(one_mode(case.symbol), case.spec)
     return BellReport(
         label=label,
         qm_mean=qm,
@@ -504,38 +509,23 @@ def _relative_profile(symbol):
     the separation t becomes r -> B(sqrt 2 r): the same levels, at jump
     radii over sqrt 2.
     """
+    if symbol.levels is None:
+        raise ValueError("the pair quantum mean needs a profile with declared levels, "
+                         "as sign_step or piecewise_symbol give")
     return piecewise_symbol([j / math.sqrt(2.0) for j in symbol.jumps], symbol.levels,
                             "relative-mode " + (symbol.description or "profile"))
 
 
 def bp_qm_mean(case):
-    """Quantum mean of the separation symbol, phase-space route.
+    """Quantum mean of the separation profile on the antisymmetric pair state.
 
-    (2 pi)^2 int s ds int t dt W(s, t) B(t) over real representatives
-    alpha_1 = (s + t)/2, alpha_2 = (s - t)/2, which covers every orbit of
-    the two phase rotations exactly once. That requires a state whose
-    Wigner function depends only on the two moduli |sigma| and |delta|;
-    the symmetry is probed at a test point before being relied on. The
-    integral is the relative route of integrate_radial_pair, r1 = s, d = t.
+    The pair state holds the relative mode (alpha_1 - alpha_2)/sqrt 2 in its
+    first excited level and the other mode in its vacuum, so the mean is
+    the first eigenvalue of the relative-mode profile: the qm_mean of
+    bp_hv_bound's report, bit for bit. Any other state is refused.
     """
-    state = case.state
-    s0, t0 = 0.8 + 0.0j, 1.1 + 0.0j
-    ref = None
-    for phase_s, phase_t in ((0.0, 0.0), (0.9, 0.0), (0.0, 2.1), (1.7, 0.6)):
-        sigma = s0 * np.exp(1j * phase_s)
-        delta = t0 * np.exp(1j * phase_t)
-        pts = np.array([[(sigma + delta) / 2.0, (sigma - delta) / 2.0]])
-        val = float(wigner(state, pts)[0])
-        if ref is None:
-            ref = val
-        elif abs(val - ref) > 1e-9 * max(1.0, abs(ref)):
-            raise ValueError("state is not phase symmetric in the pair coordinates")
-
-    def f(s, t):
-        pts = np.stack([(s + t) / 2.0, (s - t) / 2.0], axis=-1).astype(complex)
-        return wigner(state, pts) * case.symbol(t)
-
-    return integrate_radial_pair(f, case.spec).value
+    _pair_state_checked(case)
+    return _first_level_mean(_relative_profile(case.symbol), case.spec)
 
 
 # (n_d, n_g, n_win, n_theta) per node level of the sigma curve: the
@@ -642,10 +632,13 @@ def _sigma_level(spec, pts, level, profile, j):
     For fixed (s, d, theta) the (g1, g2) double sum is three bilinear forms
     u^T A_d v, done for all (d, theta) by one batched matmul. profile(d)
     gives B on the separation nodes, and A is the arc table of radius j, or
-    1 when j is None.
+    1 when j is None. The two displacements move the separation by at most
+    2 _SIGMA_G_MAX, so A is exactly 0 past j + 2 _SIGMA_G_MAX, where the
+    separation rule ends if r_max lies beyond.
     """
     n_d, n_g, n_win, n_theta = level
-    dn, dw = _gl_segmented(0.0, spec.r_max, n_d, spec.split_points)
+    d_max = spec.r_max if j is None else min(spec.r_max, j + 2.0 * _SIGMA_G_MAX)
+    dn, dw = _gl_segmented(0.0, d_max, n_d, spec.split_points)
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
@@ -695,8 +688,8 @@ def sigma_curve(case):
     bp_hv_bound's report, which takes it by collapse instead.
 
     Raises ValueError for grids of fewer than six or more than
-    _SIGMA_MAX_POINTS points, and QuadratureError naming r_max when a value
-    is not finite, or when any point's error passes 15 percent of the larger
+    _SIGMA_MAX_POINTS points, and QuadratureError naming sigma_max when a
+    value is not finite, or when any point's error passes 15 percent of the larger
     of the point itself and a fifth of the curve maximum (the floor keeps
     near-zero points from tripping the relative test).
     """
@@ -721,8 +714,8 @@ def sigma_curve(case):
     finite = np.isfinite(coarse) & np.isfinite(values)
     if not finite.all():
         raise QuadratureError(
-            f"f at sigma = {pts[np.argmin(finite)]:.4g} is not finite: r_max "
-            f"{spec.r_max:g} or sigma_max {spec.sigma_max:g} is too large for float64")
+            f"f at sigma = {pts[np.argmin(finite)]:.4g} is not finite: sigma_max "
+            f"{spec.sigma_max:g} is too large for float64")
     errors = np.where(pts > 0.0, np.max(np.abs(values - coarse)), 0.0)
     floor = 0.2 * float(np.max(np.abs(values)))
     scale = np.maximum(np.abs(values), floor)
@@ -730,7 +723,7 @@ def sigma_curve(case):
     if bad.size:
         worst = int(bad[np.argmax(errors[bad] / scale[bad])])
         raise QuadratureError(
-            f"quadrature error at sigma = {pts[worst]:.2f} is "
+            f"quadrature error at sigma = {pts[worst]:.4g} is "
             f"{errors[worst]:.2e} against f = {values[worst]:.2e}"
         )
     return SigmaCurve(pts, values, errors)
@@ -791,8 +784,8 @@ def bp_hv_bound(case):
     finer level gives the value, the gap the error. No sigma grid enters;
     the sign step's curve integrates to sign_disc of the report.
 
-    The quantum mean comes from the first eigenvalue of the relative-mode
-    profile; bp_qm_mean is the quadrature cross-check.
+    The quantum mean is bp_qm_mean's, the first eigenvalue of the
+    relative-mode profile.
     """
     _pair_state_checked(case)
     jumps = case.symbol.jumps

@@ -78,7 +78,6 @@ class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
-    method: str
 
     def __post_init__(self):
         if self.error_estimate < 0:
@@ -151,7 +150,7 @@ def integrate_1d(f, a, b, spec):
         total_err = sum(-item[0] for item in heap)
         if total_err <= spec.abs_tol:
             value = sum(item[4] for item in sorted(heap, key=lambda t: t[2]))
-            return QuadResult(value, total_err, evals, "adaptive")
+            return QuadResult(value, total_err, evals)
         if total_err < low:
             low, low_at = total_err, evals
         if evals >= _BUDGET_1D or evals - low_at >= _STALL_1D:
@@ -184,20 +183,10 @@ def _gl_segmented(a, b, n, splits):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-# (n1, n2, n_ang) per refinement level; the angle count serves the direct
-# route only
+# (n1, n2, n_ang) per refinement level
 _PAIR_LEVELS = ((96, 96, 64), (144, 144, 96), (216, 216, 144), (320, 320, 216))
-# r1 rows per block of the direct route: a block's arrays stay in cache
+# r1 rows per block of the sweep: a block's arrays stay in cache
 _PAIR_BLOCK = 4
-
-
-def _sweep_relative(f, rn, rw, sn, sw):
-    # alpha' = alpha + delta: the separation is the inner radius, and both
-    # angles integrate to 2 pi because f sees neither
-    r1 = rn[:, None]
-    d = sn[None, :]
-    vals = np.asarray(f(r1, d), dtype=float)
-    return (2.0 * np.pi) ** 2 * float(np.sum(rw[:, None] * r1 * sw * d * vals))
 
 
 def _sweep_direct(f, rn, rw, sn, sw, n_ang):
@@ -218,45 +207,32 @@ def _sweep_direct(f, rn, rw, sn, sw, n_ang):
     return 2.0 * np.pi * total
 
 
-def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
-    """Double phase-space integral over |alpha| < R1, |alpha'| < R2.
+def integrate_radial_pair(f, spec, r1_max, r2_max):
+    """Double phase-space integral over |alpha| < r1_max, |alpha'| < r2_max.
 
     f(r1, d) takes the modulus r1 = |alpha| and the separation
     d = |alpha - alpha'|, as arrays that broadcast against each other, and
     returns values that broadcast to their common shape. The integrand
     therefore depends on alpha' through the separation alone.
-    A None radius means the full plane, cut off at spec.r_max (the Gaussian
-    factors in every integrand served here make the tail negligible).
 
-    Both radial axes are panelled at spec.split_points. When the alpha'
-    region is the full plane (r2_max None) the pair is taken in relative
-    coordinates alpha' = alpha + delta: the separation is the inner radius,
-    both angles integrate exactly to 2 pi, and the value is
-    (2 pi)^2 int r1 dr1 int d dd f(r1, d) on one radial-radial grid. For a
-    disc of alpha' the inner radius is |alpha'| and a midpoint rule in the
-    angle between the points supplies the separation.
+    Both radial axes are panelled at spec.split_points. The inner radius is
+    |alpha'|, and a midpoint rule in the angle between the points supplies
+    the separation.
     """
-    cap = spec.r_max
-    R1 = cap if r1_max is None else float(r1_max)
-    R2 = cap if r2_max is None else float(r2_max)
     tol = max(spec.abs_tol, 1e-8)
     prev = None
     prev_err = None
     value = math.nan
     evals = 0
     for n1, n2, n_ang in _PAIR_LEVELS:
-        rn, rw = _gl_segmented(0.0, R1, n1, spec.split_points)
-        sn, sw = _gl_segmented(0.0, R2, n2, spec.split_points)
-        if r2_max is None:
-            value = _sweep_relative(f, rn, rw, sn, sw)
-            evals += rn.size * sn.size
-        else:
-            value = _sweep_direct(f, rn, rw, sn, sw, n_ang)
-            evals += rn.size * sn.size * n_ang
+        rn, rw = _gl_segmented(0.0, float(r1_max), n1, spec.split_points)
+        sn, sw = _gl_segmented(0.0, float(r2_max), n2, spec.split_points)
+        value = _sweep_direct(f, rn, rw, sn, sw, n_ang)
+        evals += rn.size * sn.size * n_ang
         if prev is not None:
             err = abs(value - prev)
             if err <= tol:
-                return QuadResult(value, err, evals, "adaptive")
+                return QuadResult(value, err, evals)
             if prev_err is not None and err >= prev_err:
                 raise QuadratureError(
                     f"radial pair quadrature stalled at error {err:.3e}", knob="abs_tol"
@@ -264,7 +240,7 @@ def integrate_radial_pair(f, spec, r1_max=None, r2_max=None):
             prev_err = err
         prev = value
     if prev_err is not None and prev_err <= 10 * tol:
-        return QuadResult(value, prev_err, evals, "adaptive")
+        return QuadResult(value, prev_err, evals)
     raise QuadratureError(
         f"radial pair quadrature did not reach {tol:.1e} (last error {prev_err})",
         knob="abs_tol",

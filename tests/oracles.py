@@ -11,8 +11,9 @@ import numpy as np
 
 from bellbound.fock import FockOperator, _displacement_entries, displacement
 from bellbound.hvbound import qm_mean
-from bellbound.quad import QuadResult, _gl_segmented
+from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
 from bellbound.specfun import assoc_laguerre, assoc_laguerre_seq, bessel_j
+from bellbound.weyl import wigner
 
 
 def j_series(order, x, dtype):
@@ -256,7 +257,7 @@ def mc_integrate(f, dims, bounds, spec, strata=None, stream_key=()):
             sample_var = max(sum2 / n - mean * mean, 0.0) * n / (n - 1)
             variance += volume * volume * sample_var / n
         evals += n
-    return QuadResult(value, math.sqrt(variance), evals, "mc")
+    return QuadResult(value, math.sqrt(variance), evals)
 
 
 def sigma_integrand(s, j, symbol, x):
@@ -328,3 +329,60 @@ def arc_fraction(d, g1, g2, j):
             if -1 < c < 1:
                 cuts.append(mpmath.acos(c))
         return float(mpmath.quad(arc, sorted(cuts)) / mpmath.pi)
+
+
+def relative_sweep(f, spec, r1_max=None):
+    """(value, gap) of int d^2 alpha int d^2 alpha' f(|alpha|, |alpha - alpha'|)
+    over |alpha| < r1_max (spec.r_max when None) and the full alpha' plane.
+
+    In relative coordinates alpha' = alpha + delta the separation is the
+    inner radius and both angles integrate exactly to 2 pi, so the value is
+    (2 pi)^2 int r1 dr1 int d dd f(r1, d), with d cut at spec.r_max. Both
+    radial axes take the Gauss-Legendre rules of quad._PAIR_LEVELS, panelled
+    at spec.split_points. The sweep stops at the first level within
+    max(spec.abs_tol, 1e-8) of the one before, as integrate_radial_pair
+    does, or at the last level; the value is that level's and the gap is
+    its distance to the level before.
+    """
+    r1_max = spec.r_max if r1_max is None else float(r1_max)
+    tol = max(spec.abs_tol, 1e-8)
+    prev = None
+    for n1, n2, _ in _PAIR_LEVELS:
+        rn, rw = _gl_segmented(0.0, r1_max, n1, spec.split_points)
+        sn, sw = _gl_segmented(0.0, spec.r_max, n2, spec.split_points)
+        r1, d = rn[:, None], sn[None, :]
+        vals = np.asarray(f(r1, d), dtype=float)
+        value = (2.0 * np.pi) ** 2 * float(np.sum(rw[:, None] * r1 * sw * d * vals))
+        if prev is not None and abs(value - prev) <= tol:
+            break
+        prev = value
+    return value, abs(value - prev)
+
+
+def pair_qm_quadrature(case):
+    """(value, gap) of the separation profile's quantum mean in phase space.
+
+    (2 pi)^2 int s ds int t dt W(s, t) B(t) over real representatives
+    alpha_1 = (s + t)/2, alpha_2 = (s - t)/2, which covers every orbit of
+    the two phase rotations exactly once: the relative sweep with r1 = s and
+    d = t. That needs a state whose Wigner function depends only on the
+    moduli |sigma| and |delta|; the symmetry is probed at a test point, and
+    a state without it is refused with ValueError.
+    """
+    state = case.state
+    ref = None
+    for phase_s, phase_t in ((0.0, 0.0), (0.9, 0.0), (0.0, 2.1), (1.7, 0.6)):
+        sigma = 0.8 * np.exp(1j * phase_s)
+        delta = 1.1 * np.exp(1j * phase_t)
+        val = float(wigner(state, np.array([[(sigma + delta) / 2.0,
+                                             (sigma - delta) / 2.0]]))[0])
+        if ref is None:
+            ref = val
+        elif abs(val - ref) > 1e-9 * max(1.0, abs(ref)):
+            raise ValueError("state is not phase symmetric in the pair coordinates")
+
+    def f(s, t):
+        pts = np.stack([(s + t) / 2.0, (s - t) / 2.0], axis=-1).astype(complex)
+        return wigner(state, pts) * case.symbol(t)
+
+    return relative_sweep(f, case.spec)

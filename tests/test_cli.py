@@ -276,6 +276,13 @@ def test_wigner_far_grid_stays_finite(tmp_path, capsys):
     assert main(["wigner", "--r-max", "8e307", "--points", "3",
                  "--out", str(out)]) == 0
     assert read_doc(out)["results"]["w_max"] == 0.0
+    # a subnormal r_max puts every point at the origin's value, with no
+    # overflow in the phase alpha/|alpha|
+    assert main(["wigner", "--r-max", "5e-324", "--points", "3",
+                 "--out", str(out)]) == 0
+    res = read_doc(out)["results"]
+    assert res["negative_points"] == 9
+    assert abs(res["w_min"] + 1.0 / math.pi) < 1e-15 and res["w_max"] == res["w_min"]
     assert main(["wigner", "--r-max", "1e308", "--points", "3"]) == 1
     err = capsys.readouterr().err
     assert "r_max" in err and "Traceback" not in err
@@ -318,12 +325,18 @@ def test_sigma_curve_round_trip(tmp_path):
 
 
 def test_sigma_curve_fails_non_finite_points(capsys):
-    # an r_max past float64 range leaves the curve's points non-finite: the
-    # run fails with exit 2, naming r_max, instead of printing NaN, and no
+    # a grid past float64 range leaves the curve's points non-finite: the
+    # run fails with exit 2, naming sigma_max, instead of printing NaN, and no
     # floating-point warning (an error under this suite) escapes
-    assert main(["sigma-curve", "--r-max", "1e300"]) == 2
+    assert main(["sigma-curve", "--sigma-step", "1e299", "--sigma-max", "1e300"]) == 2
     err = capsys.readouterr().err
-    assert "not finite: r_max 1e+300" in err and "Traceback" not in err
+    assert "not finite: sigma_max 1e+300" in err and "Traceback" not in err
+    # the separation rule ends where the arc table vanishes, so an r_max past
+    # float64 range gives a finite curve
+    assert main(["sigma-curve", "--r-max", "1e300", "--sigma-step", "0.3",
+                 "--sigma-max", "1.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in doc["components"]["values"])
 
 
 def test_bipartite_refuses_sigma_flags(capsys):

@@ -76,6 +76,26 @@ def test_no_random_numbers(path):
     assert not uses, f"{path.name} uses random numbers: {uses}"
 
 
+def imported_modules(tree):
+    """Top-level package names of every import statement, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_test_only_dependencies(path):
+    # mpmath and scipy are test oracles' dependencies, and the oracles live in
+    # tests/: the package must import without them
+    uses = imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    found = sorted(uses & {"mpmath", "scipy", "tests", "oracles"})
+    assert not found, f"{path.name} imports test-only modules: {found}"
+
+
 def knob_literals(tree):
     """The knob= strings passed to QuadratureError, with their lines."""
     found = []

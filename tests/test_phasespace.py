@@ -47,7 +47,8 @@ from bellbound.specfun import assoc_laguerre_seq, bessel_j
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
 from oracles import (arc_fraction, coarse_parity_integrand, displacement_element,
-                     kernel_moments_inner, radial_eigenvalues, sigma_point)
+                     kernel_moments_inner, pair_qm_quadrature, radial_eigenvalues,
+                     relative_sweep, sigma_point)
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -185,7 +186,8 @@ def component_radii(symbol):
 )
 def test_kernel_route_closed_components_match_quadrature(symbol):
     # every component with a full-plane slot is closed; the radial pair
-    # engine on the same kernel is the independent route
+    # engine on the same kernel is the independent route, and the test
+    # oracle's relative sweep where the symbol side is the full plane
     case = SingleParticleCase(symbol=symbol)
     rep = sp_hv_bound(case)
     comps, errs = rep.notes["components"], rep.notes["component_errors"]
@@ -193,10 +195,13 @@ def test_kernel_route_closed_components_match_quadrature(symbol):
     closed = [(a, b) for a in radii for b in radii if "full" in (a, b)]
     assert len(closed) == 2 * len(radii) - 1
     for a, b in closed:
-        got = integrate_radial_pair(_excited_kernel, case.spec,
-                                    r1_max=radii[a], r2_max=radii[b])
+        if radii[b] is None:
+            value, error = relative_sweep(_excited_kernel, case.spec, radii[a])
+        else:
+            got = integrate_radial_pair(_excited_kernel, case.spec, case.spec.r_max, radii[b])
+            value, error = got.value, got.error_estimate
         name = f"{a}_{b}"
-        assert abs(comps[name] - got.value) <= errs[name] + got.error_estimate + 1e-14
+        assert abs(comps[name] - value) <= errs[name] + error + 1e-14
     assert comps["full_full"] == 1.0 and errs["full_full"] == 0.0
 
 
@@ -549,11 +554,22 @@ def test_relative_profile():
 
 
 def test_bp_qm_mean_quadrature():
-    assert abs(bp_qm_mean(BipartiteCase()) - QM) < 1e-12
+    # the relative-mode eigenvalue against the test oracle's phase-space
+    # quadrature of W(s, t) B(t)
+    case = BipartiteCase()
+    assert bp_qm_mean(case) == bp_hv_bound(case).qm_mean
+    assert abs(bp_qm_mean(case) - QM) < 1e-12
+    assert abs(bp_qm_mean(case) - pair_qm_quadrature(case)[0]) < 1e-12
     lopsided = np.zeros(16)
     lopsided[0] = lopsided[1] = 1.0
+    lopsided = BipartiteCase(state=DensityMatrix.from_state(lopsided, modes=2))
     with pytest.raises(ValueError, match="phase symmetric"):
-        bp_qm_mean(BipartiteCase(state=DensityMatrix.from_state(lopsided, modes=2)))
+        pair_qm_quadrature(lopsided)
+    with pytest.raises(ValueError, match="antisymmetric pair state"):
+        bp_qm_mean(lopsided)
+    bump = RadialSymbol(lambda r: np.exp(-r * r), far_value=0.0)
+    with pytest.raises(ValueError, match="declared levels"):
+        bp_qm_mean(BipartiteCase(symbol=bump))
 
 
 def closed_curve(case, profile):
@@ -613,6 +629,9 @@ PINNED_CURVES = {
 }
 
 
+PINNED_SPEC = IntegrationSpec(sigma_step=0.3, sigma_max=1.5)
+
+
 @pytest.mark.parametrize("grid", PINNED_CURVES)
 def test_sigma_curve_pinned(grid):
     values, error = PINNED_CURVES[grid]
@@ -643,10 +662,39 @@ def test_sigma_curve_takes_one_bessel_call_per_point_and_level(monkeypatch):
 def test_sigma_curve_refuses_non_finite_points():
     # past float64 range the route's squares overflow: the point fails by
     # name, with no floating-point warning on the way
-    for spec in (IntegrationSpec(r_max=1e300, sigma_step=0.3, sigma_max=1.5),
-                 IntegrationSpec(sigma_step=1e299, sigma_max=1e300)):
-        with pytest.raises(QuadratureError, match="not finite: r_max"):
-            sigma_curve(BipartiteCase(spec=spec))
+    spec = IntegrationSpec(sigma_step=1e299, sigma_max=1e300)
+    with pytest.raises(QuadratureError, match="not finite: sigma_max"):
+        sigma_curve(BipartiteCase(spec=spec))
+    # the separation rule ends where the arc table vanishes, so an r_max past
+    # float64 range gives a finite curve
+    far = sigma_curve(BipartiteCase(spec=replace(PINNED_SPEC, r_max=1e300)))
+    assert np.all(np.isfinite(far.values)) and np.all(np.isfinite(far.errors))
+
+
+def test_sigma_curve_separation_rule_ends_where_the_arc_table_vanishes():
+    # the two displacements move the separation by at most 2 _SIGMA_G_MAX,
+    # so past j + 2 _SIGMA_G_MAX the table is exactly 0 and a larger r_max
+    # changes no bit; a rule spread to r_max 1e10 once missed the Gaussian
+    # support at both levels alike (f(0.6) = 0.0152 against 0.0824)
+    j = SEPARATION_STEP
+    g = np.linspace(1e-3, _SIGMA_G_MAX, 200)
+    for d in (j + 2.0 * _SIGMA_G_MAX, 12.0):
+        assert np.all(_arc_table(np.array(d), g[:, None], g[None, :], j, 24) == 0.0)
+    near, far = (sigma_curve(BipartiteCase(spec=replace(PINNED_SPEC, r_max=r)))
+                 for r in (20.0, 1e10))
+    for name in ("points", "values", "errors"):
+        assert np.array_equal(getattr(near, name), getattr(far, name))
+    # and its error covers the gap to the default r_max
+    values, _ = PINNED_CURVES[(0.3, 1.5)]
+    assert np.all(np.abs(far.values - values) <= far.errors)
+
+
+def test_sigma_curve_gate_message_reads_sigma():
+    # sigma is printed to four significant digits, never as a 100-digit fixed
+    # point number
+    spec = IntegrationSpec(sigma_step=2e99, sigma_max=1e100)
+    with pytest.raises(QuadratureError, match=r"at sigma = \d\.?\d*e\+99 is "):
+        sigma_curve(BipartiteCase(spec=spec))
 
 
 def test_sigma_curve_error_gate():
@@ -654,7 +702,7 @@ def test_sigma_curve_error_gate():
     # unresolved: the 15 percent gate must refuse the curve and name the
     # point, not return a noise curve
     case = BipartiteCase(symbol=sign_step(0.02), spec=IntegrationSpec(sigma_max=1.0))
-    with pytest.raises(QuadratureError, match=r"at sigma = \d"):
+    with pytest.raises(QuadratureError, match=r"at sigma = 0\.05 is "):
         sigma_curve(case)
 
 
@@ -824,7 +872,8 @@ def test_sign_disc_error_covers_finer_level(symbol):
 def test_bp_two_step_profile():
     case = BipartiteCase(symbol=PAIR_TWO_STEP)
     rep = bp_hv_bound(case)
-    assert abs(rep.qm_mean - bp_qm_mean(case)) < 1e-12
+    assert rep.qm_mean == bp_qm_mean(case)
+    assert abs(rep.qm_mean - pair_qm_quadrature(case)[0]) < 1e-12
     assert_two_step_form(rep)
     # the full arc side is closed
     comps, errs = rep.notes["components"], rep.notes["component_errors"]

@@ -17,7 +17,7 @@ from bellbound.quad import (
     integrate_radial_pair,
 )
 from bellbound.specfun import assoc_laguerre_seq, bessel_j, laguerre
-from oracles import mc_integrate
+from oracles import mc_integrate, relative_sweep
 
 SPEC = IntegrationSpec()
 
@@ -41,7 +41,7 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="seed"):
         IntegrationSpec(seed=-1)
     with pytest.raises(ValueError):
-        QuadResult(1.0, -1e-3, 10, "adaptive")
+        QuadResult(1.0, -1e-3, 10)
 
 
 def test_integrate_1d_closed_forms():
@@ -131,27 +131,27 @@ def closed_component(r1, r2):
 
 
 def test_radial_pair_relative_route():
-    got = integrate_radial_pair(kernel, SPEC, r1_max=None, r2_max=None)
-    assert abs(got.value - 1.0) < 1e-7
-    got = integrate_radial_pair(kernel, SPEC, r1_max=0.5, r2_max=None)
-    assert abs(got.value - closed_component(0.5, None)) < 1e-7
+    # the full alpha' plane is the test oracle's relative sweep
+    value, _ = relative_sweep(kernel, SPEC)
+    assert abs(value - 1.0) < 1e-7
+    value, _ = relative_sweep(kernel, SPEC, r1_max=0.5)
+    assert abs(value - closed_component(0.5, None)) < 1e-7
     assert abs(closed_component(0.5, None) - (1 - 2 * math.exp(-0.5))) < 1e-15
-    got = integrate_radial_pair(kernel, SPEC, r1_max=0.8, r2_max=None)
-    assert abs(got.value - closed_component(0.8, None)) < 1e-7
+    value, _ = relative_sweep(kernel, SPEC, r1_max=0.8)
+    assert abs(value - closed_component(0.8, None)) < 1e-7
 
 
 @pytest.mark.parametrize("r0", [0.1, 0.2, 0.3, 0.45, 0.5, 0.55, 0.8, 1.2])
 def test_radial_pair_error_covers_closed_forms(r0):
     # a panel as short as [0, 0.1] must gain nodes between levels, or the
-    # level difference cannot see its error
+    # level difference cannot see its error; the full alpha' plane is the
+    # test oracle's relative sweep, on the same levels
     spec = IntegrationSpec(split_points=(r0,))
-    for kw, closed in (
-        ({}, 1.0),
-        ({"r1_max": r0}, closed_component(r0, None)),
-        ({"r2_max": r0}, closed_component(None, r0)),
-    ):
-        got = integrate_radial_pair(kernel, spec, **kw)
-        assert abs(got.value - closed) <= got.error_estimate + 1e-14, kw
+    for r1_max, closed in ((None, 1.0), (r0, closed_component(r0, None))):
+        value, gap = relative_sweep(kernel, spec, r1_max)
+        assert abs(value - closed) <= gap + 1e-14, r1_max
+    got = integrate_radial_pair(kernel, spec, spec.r_max, r0)
+    assert abs(got.value - closed_component(None, r0)) <= got.error_estimate + 1e-14
 
 
 def test_radial_pair_direct_route_gaussian():
@@ -159,7 +159,7 @@ def test_radial_pair_direct_route_gaussian():
     def f(r1, d):
         return np.exp(-r1 * r1) / math.pi**2
 
-    got = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=1.0)
+    got = integrate_radial_pair(f, SPEC, r1_max=SPEC.r_max, r2_max=1.0)
     assert abs(got.value - 1.0) < 1e-9
     got = integrate_radial_pair(f, SPEC, r1_max=2.0, r2_max=1.0)
     assert abs(got.value - (1 - math.exp(-4.0))) < 1e-9
@@ -172,36 +172,36 @@ def test_radial_pair_angle_dependence():
     def f(r1, d):
         return np.exp(-r1 * r1 - d * d) / math.pi**2
 
-    got = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=1.0)
+    got = integrate_radial_pair(f, SPEC, r1_max=SPEC.r_max, r2_max=1.0)
     assert abs(got.value - (1 - math.exp(-0.5))) < 1e-9
-    # both routes reach the unit total; the direct one misses the
-    # exp(-r_max^2 / 2) mass beyond its disc
-    direct = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=SPEC.r_max)
-    relative = integrate_radial_pair(f, SPEC, r1_max=None, r2_max=None)
+    # the engine and the test oracle's relative sweep both reach the unit
+    # total; the engine misses the exp(-r_max^2 / 2) mass beyond its disc
+    direct = integrate_radial_pair(f, SPEC, r1_max=SPEC.r_max, r2_max=SPEC.r_max)
+    relative, _ = relative_sweep(f, SPEC)
     assert abs(direct.value - 1.0) < 1e-7
-    assert abs(relative.value - 1.0) < 1e-8
+    assert abs(relative - 1.0) < 1e-8
 
 
 def test_radial_pair_relative_route_jump_in_separation():
-    # a step in d lands on a panel edge of the inner radial axis
+    # a step in d lands on a panel edge of the test oracle's inner radial axis
     def f(r1, d):
         return np.exp(-r1 * r1 - d * d) * (d < 1.0) / math.pi**2
 
     spec = IntegrationSpec(split_points=(1.0,))
-    got = integrate_radial_pair(f, spec)
-    assert abs(got.value - (1 - math.exp(-36.0)) * (1 - math.exp(-1.0))) < 1e-12
+    value, _ = relative_sweep(f, spec)
+    assert abs(value - (1 - math.exp(-36.0)) * (1 - math.exp(-1.0))) < 1e-12
 
 
 def test_radial_pair_counts_evaluations():
-    # evaluations reports the values actually computed on either route
-    for r2_max in (None, 0.5):
+    # evaluations reports the values actually computed
+    for r2_max in (SPEC.r_max, 0.5):
         seen = []
 
         def counted(r1, d):
             seen.append(np.broadcast(r1, d).size)
             return kernel(r1, d)
 
-        got = integrate_radial_pair(counted, SPEC, r2_max=r2_max)
+        got = integrate_radial_pair(counted, SPEC, SPEC.r_max, r2_max)
         assert got.evaluations == sum(seen)
 
 
