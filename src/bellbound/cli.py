@@ -229,12 +229,13 @@ def _run_eigenvalues(cfg, spec):
     if not 1 <= cfg.n_max <= 20:
         raise ValueError(f"n_max must lie in [1, 20], got {cfg.n_max}")
     expansion = quantize_radial(sign_step(0.5), cfg.n_max + 1, spec)
-    by_quadrature = [float(v) for v in expansion.eigenvalues]
+    # the closed form keeps the "quadrature" key that earlier documents used
+    by_closed_form = [float(v) for v in expansion.eigenvalues]
     by_generating = [float(bell_eigenvalue_generating(k))
                      for k in range(cfg.n_max + 1)]
-    gap = max(abs(a - b) for a, b in zip(by_quadrature, by_generating))
-    results = {"lambda_1": by_quadrature[1], "max_route_gap": gap}
-    components = {"quadrature": by_quadrature, "generating": by_generating}
+    gap = max(abs(a - b) for a, b in zip(by_closed_form, by_generating))
+    results = {"lambda_1": by_closed_form[1], "max_route_gap": gap}
+    components = {"quadrature": by_closed_form, "generating": by_generating}
     return results, components, {"route_gap": gap}, None
 
 

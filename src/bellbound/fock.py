@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .specfun import _recurrence_start
+
 __all__ = [
     "PROBABILITY_FLOOR",
     "CollapseError",
@@ -190,19 +192,11 @@ def _displacement_amplitudes(x, top, n_max=None):
         B[n+1, m] = ((m + n - x) B[n, m-1] - sqrt(n (m-1)) B[n-1, m-2]) / sqrt((n+1) m),
     from B[0, m] = e^{-x/2} x^{m/2} / sqrt(m!), a running product. Every B is
     an element of a unitary, so it lies in [-1, 1] and no factor overflows.
-    Past x = 1416 the start e^{-x/2} is subnormal, with few bits left, and
-    past 1490 it is 0, as is every B. Below level x/5 every B is under 1e-20
-    there (3e-21 at x = 1400), so those errors are negligible; a table that
-    reaches level x/5 at such an x is refused. x is capped at 1500 after
-    that check, so an infinite x gives zeros at any top.
+    The start is specfun._recurrence_start's, as for the table's diagonal,
+    the scaled Laguerre values.
     """
     n_max = top if n_max is None else min(n_max, top)
-    x = np.asarray(x, dtype=float)
-    if 5 * top > 1416 and np.any((x > 1416.0) & (5 * top >= x)):
-        raise ValueError(f"displacement amplitudes up to level {top} at |alpha|^2 "
-                         f"= {float(np.max(x)):.6g} leave float64's normal range: "
-                         "past |alpha|^2 = 1416 levels must stay below |alpha|^2/5")
-    x = np.minimum(x, 1500.0)
+    start, x, scale = _recurrence_start(top, x)
     cols = np.arange(top + 1.0)
     root = np.sqrt(cols)
     rows = np.arange(n_max)[:, None]
@@ -214,7 +208,7 @@ def _displacement_amplitudes(x, top, n_max=None):
     kernel = gain[..., None] - inv[..., None] * x
     table = np.zeros((n_max + 1, top + 1, x.size))
     first = table[0]
-    first[0] = np.exp(-0.5 * x)
+    first[0] = start
     first[1:] = np.multiply.outer(1.0 / root[1:], np.sqrt(x))
     for m in range(top):
         first[m + 1] *= first[m]
@@ -223,6 +217,8 @@ def _displacement_amplitudes(x, top, n_max=None):
         np.multiply(kernel[n, n + 1:], table[n, n:top], out=new)
         if n:
             new -= back[n, n + 1:, None] * table[n - 1, n - 1:top - 1]
+    if scale is not None:
+        table /= scale
     return table
 
 

@@ -27,7 +27,7 @@ from .quad import (
     integrate_1d,
     integrate_radial_pair,
 )
-from .specfun import assoc_laguerre_seq, bessel_j
+from .specfun import bessel_j, laguerre_scaled
 from .weyl import RadialSymbol, piecewise_symbol, quantize_radial, sign_step
 
 __all__ = [
@@ -307,11 +307,11 @@ def _displaced_level_weights(levels, probs, n_max, r):
 def _displaced_parity(levels, probs, r):
     """<Pi>_{D(r)^dag rho D(r)} = sum_m p_m (-1)^m exp(-2r^2) L_m(4r^2)."""
     x4 = 4.0 * np.asarray(r, dtype=float) ** 2
-    lag = assoc_laguerre_seq(max(levels), 0, x4)
+    lag = laguerre_scaled(max(levels), x4)
     out = np.zeros_like(x4)
     for m, pm in zip(levels, probs):
         out += pm * (-1.0) ** m * lag[m]
-    return np.exp(-0.5 * x4) * out
+    return out
 
 
 def _kernel_moments_inner(symbol, n_max, r, n_rho):
@@ -346,7 +346,7 @@ def _kernel_moments_inner(symbol, n_max, r, n_rho):
             break
         headroom, last = 2 * headroom, tail.max()
     moments = (-1.0) ** np.add.outer(m, n) * (p @ weighted)
-    lag = np.exp(-2.0 * r * r) * assoc_laguerre_seq(m[-1], 0, 4.0 * r * r)
+    lag = laguerre_scaled(m[-1], 4.0 * r * r)
     return moments.T @ lag, tail, weight
 
 

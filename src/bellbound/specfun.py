@@ -1,11 +1,11 @@
 """Special functions used by the operator and integral machinery.
 
-Laguerre and associated Laguerre polynomials by upward recurrence and
-Bessel J0/J1 on the nonnegative half line: below x = 16 a polynomial in
-x^2, by Horner on frozen monomial coefficients, greedy-rounded, and the
-Hankel asymptotic form from there on. All functions accept scalars or
-numpy arrays, are pure and compute in float64 only, so results do not
-depend on the platform's long double.
+Scaled Laguerre values e^{-x/2} L_n(x) by upward recurrence and Bessel
+J0/J1 on the nonnegative half line: below x = 16 a polynomial in x^2, by
+Horner on frozen monomial coefficients, greedy-rounded, and the Hankel
+asymptotic form from there on. All functions accept scalars or numpy
+arrays, are pure and compute in float64 only, so results do not depend on
+the platform's long double.
 """
 
 from fractions import Fraction
@@ -13,9 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "laguerre",
-    "assoc_laguerre",
-    "assoc_laguerre_seq",
+    "laguerre_scaled",
     "bessel_j",
 ]
 
@@ -50,39 +48,45 @@ _J_MONOMIAL = (
 )
 
 
-def laguerre(n, x):
-    """Laguerre polynomial L_n(x), three-term recurrence upward in n."""
-    return assoc_laguerre(n, 0, x)
+def _recurrence_start(top, x):
+    """(start, x, scale) of a recurrence from e^{-x/2} up to level top.
 
-
-def assoc_laguerre(n, a, x):
-    """Associated Laguerre polynomial L_n^{(a)}(x).
-
-    The last row of assoc_laguerre_seq, well conditioned for x >= 0.
+    Past x = 1416, where e^{-x/2} is subnormal, the start is e^{-x/2} 2^64,
+    normal to x = 1505, and the caller divides by scale (None if no point
+    needs it). From x = 1500 on (x comes back capped there) the start is 0,
+    and every value below level x/5 under 1e-20; higher levels are refused.
     """
-    if n < 0 or a < 0:
-        raise ValueError("n and a must be nonnegative")
-    cur = assoc_laguerre_seq(n, a, x)[n]
-    return cur if cur.ndim else float(cur)
-
-
-def assoc_laguerre_seq(n_max, a, x):
-    """All of L_0^{(a)}(x) .. L_{n_max}^{(a)}(x) from one recurrence sweep.
-
-    The order a may be an integer array broadcasting against x, each order
-    bit for bit its own call. The degree leads the result, then the shape of
-    a and x; the recurrence makes every degree anyway, so batches get them free.
-    """
-    if n_max < 0 or np.any(np.asarray(a) < 0):
-        raise ValueError("n_max and a must be nonnegative")
     x = np.asarray(x, dtype=float)
-    cur = np.ones(np.broadcast_shapes(np.shape(a), x.shape))
-    prev = np.zeros_like(cur)
-    out = np.empty((n_max + 1,) + cur.shape)
-    out[0] = cur
-    for k in range(n_max):
-        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
-        out[k + 1] = cur
+    zero = x >= 1500.0
+    if 5 * top >= 1500 and np.any(zero & (5 * top >= x)):
+        raise ValueError(f"a recurrence from e^(-x/2) up to level {top} at x = "
+                         f"{float(np.max(x)):.6g} leaves float64's normal range: "
+                         "from x = 1500 on, levels must stay below x/5")
+    x = np.minimum(x, 1500.0)
+    lifted = x > 1416.0
+    if not lifted.any():
+        return np.exp(-0.5 * x), x, None
+    half = np.exp(-0.25 * x)  # normal, so the lifted start keeps its bits
+    start = np.where(lifted, half * (half * 2.0**64), np.exp(-0.5 * x))
+    return np.where(zero, 0.0, start), x, np.where(lifted, 2.0**64, 1.0)
+
+
+def laguerre_scaled(n_max, x):
+    """e^{-x/2} L_0(x) .. e^{-x/2} L_{n_max}(x) for x >= 0, degree leading.
+
+    Laguerre's recurrence on the scaled values, from e^{-x/2}
+    (_recurrence_start) and (1 - x) e^{-x/2}: the diagonal of fock's
+    displacement amplitudes, so each lies in [-1, 1] and none overflows.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    start, x, scale = _recurrence_start(n_max, x)
+    out = np.zeros((n_max + 1,) + x.shape)
+    out[0] = start
+    for k in range(n_max):  # row -1, still 0 at k = 0, stands for L_{-1}
+        out[k + 1] = ((2 * k + 1 - x) * out[k] - k * out[k - 1]) / (k + 1)
+    if scale is not None:
+        out /= scale
     return out
 
 

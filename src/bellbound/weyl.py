@@ -11,8 +11,9 @@ Symbols use Royer's identity Delta(alpha) = D(alpha) Pi D(alpha)^dagger / pi
 the trace is exact on the block of levels the operator occupies.
 
 A rotation-invariant symbol quantizes to an operator diagonal in the number
-basis; its eigenvalues are Laguerre transforms of the radial profile and, for
-the sign-step profile, coefficients of an explicit generating function.
+basis; its eigenvalues are Laguerre transforms of the radial profile, in
+closed form for declared levels, and for the sign-step profile coefficients
+of an explicit generating function too.
 """
 
 import math
@@ -22,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fock import FockOperator, _displacement_entries
-from .quad import IntegrationSpec, integrate_1d
-from .specfun import laguerre
+from .quad import IntegrationSpec, QuadratureError, integrate_1d
+from .specfun import laguerre_scaled
 
 __all__ = [
     "RadialSymbol",
@@ -197,22 +198,37 @@ class SpectralExpansion:
 def quantize_radial(symbol, dim, spec=None):
     """Operator eigenvalues of a radial symbol.
 
-    In s = r^2 the n-th eigenvalue is 2 (-1)^n integral B(sqrt s)
-    e^{-2s} L_n(4s) ds over [0, inf). When the symbol reports an exact far
-    value the tail is folded in analytically through
-    lam_n = far_value + 2 (-1)^n integral (B - far_value) e^{-2s} L_n(4s) ds
-    over the bounded support (an r_max short of far_radius is refused);
-    otherwise the integral is cut at r_max^2 and the e^{-2s} weight buries
-    the remainder.
+    In s = r^2 the n-th eigenvalue is 2 (-1)^n integral B(sqrt s) e^{-2s}
+    L_n(4s) ds over [0, inf), with b_n = e^{-X/2} L_n(X) read at X = 4s.
+    Declared levels close it: lam_n = levels[-1] + sum_k c_k [1 - (2 sum_{j<n}
+    (-1)^j b_j(X_k) + (-1)^n b_n(X_k))], c_k the drop at jump r_k and
+    X_k = 4 r_k^2, with the rounding bound eps (2 (n + 1) sum_k |c_k| +
+    |lam_n|) as its error; an abs_tol below it is refused. Other symbols
+    take one quadrature per level: with an exact far value, lam_n = far_value
+    + 2 (-1)^n integral (B - far_value) e^{-2s} L_n(4s) ds over the bounded
+    support; otherwise cut at r_max^2, where the e^{-2s} weight buries the
+    remainder. An r_max short of far_radius is refused.
     """
     if spec is None:
         spec = IntegrationSpec()
     if dim < 1:
         raise ValueError("dim must be at least 1")
+    if symbol.far_value is not None and spec.r_max < symbol.far_radius:
+        raise ValueError(f"r_max {spec.r_max} is below far_radius {symbol.far_radius}")
+    if symbol.levels is not None:
+        levels = np.array(symbol.levels)
+        drops = levels[:-1] - levels[1:]
+        n = np.arange(dim)
+        lag = (-1.0) ** n[:, None] * laguerre_scaled(dim - 1, 4.0 * np.square(symbol.jumps))
+        values = levels[-1] + (1.0 - (2.0 * np.cumsum(lag, axis=0) - lag)) @ drops
+        errors = np.finfo(float).eps * (2.0 * (n + 1) * np.abs(drops).sum() + np.abs(values))
+        if not errors.max() <= spec.abs_tol:
+            raise QuadratureError(
+                f"the closed-form spectrum stopped at error {errors.max():.2e}, its "
+                f"rounding bound, above {spec.abs_tol}", knob="abs_tol")
+        return SpectralExpansion(values, errors, symbol)
     if symbol.far_value is None:
         base, upper = 0.0, spec.r_max**2
-    elif spec.r_max < symbol.far_radius:
-        raise ValueError(f"r_max {spec.r_max} is below far_radius {symbol.far_radius}")
     else:
         base, upper = symbol.far_value, symbol.far_radius**2
     splits = tuple(j * j for j in symbol.jumps if 0.0 < j * j < upper)
@@ -226,7 +242,7 @@ def quantize_radial(symbol, dim, spec=None):
         sign = -1.0 if n % 2 else 1.0
 
         def integrand(s, n=n):
-            return (symbol(np.sqrt(s)) - base) * np.exp(-2 * s) * laguerre(n, 4 * s)
+            return (symbol(np.sqrt(s)) - base) * laguerre_scaled(n, 4 * s)[n]
 
         res = integrate_1d(integrand, 0.0, upper, local)
         values[n] = base + 2.0 * sign * res.value

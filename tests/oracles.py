@@ -5,6 +5,7 @@ another way; none sits on a production path.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,8 +13,45 @@ import numpy as np
 from bellbound.fock import FockOperator, _displacement_entries, displacement
 from bellbound.hvbound import qm_mean
 from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
-from bellbound.specfun import assoc_laguerre, assoc_laguerre_seq, bessel_j
+from bellbound.specfun import bessel_j
 from bellbound.weyl import wigner
+
+
+def laguerre(n, x):
+    """Laguerre polynomial L_n(x), three-term recurrence upward in n."""
+    return assoc_laguerre(n, 0, x)
+
+
+def assoc_laguerre(n, a, x):
+    """Associated Laguerre polynomial L_n^{(a)}(x).
+
+    The last row of assoc_laguerre_seq, well conditioned for x >= 0.
+    """
+    if n < 0 or a < 0:
+        raise ValueError("n and a must be nonnegative")
+    cur = assoc_laguerre_seq(n, a, x)[n]
+    return cur if cur.ndim else float(cur)
+
+
+def assoc_laguerre_seq(n_max, a, x):
+    """All of L_0^{(a)}(x) .. L_{n_max}^{(a)}(x) from one recurrence sweep.
+
+    The unscaled polynomials, a reference for the package's scaled values
+    e^{-x/2} L_n(x) (they overflow where those do not). The order a may be an
+    integer array broadcasting against x, each order bit for bit its own
+    call. The degree leads the result, then the shape of a and x.
+    """
+    if n_max < 0 or np.any(np.asarray(a) < 0):
+        raise ValueError("n_max and a must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    cur = np.ones(np.broadcast_shapes(np.shape(a), x.shape))
+    prev = np.zeros_like(cur)
+    out = np.empty((n_max + 1,) + cur.shape)
+    out[0] = cur
+    for k in range(n_max):
+        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+        out[k + 1] = cur
+    return out
 
 
 def j_series(order, x, dtype):
@@ -115,6 +153,32 @@ def radial_eigenvalues(symbol, dim):
         c = symbol.levels[k - 1] - symbol.levels[k]
         lam += c * (1.0 - math.exp(-0.5 * x) * (2.0 * below + lag))
     return lam
+
+
+def radial_eigenvalues_exact(symbol, dim, digits=80):
+    """radial_eigenvalues as mpf values, exact but for e^{-X_k/2}.
+
+    X_k = 4 r_k^2 is formed in rationals from the float jump, the recurrence
+    in Fractions gives each L_j(X_k) exactly, as its series would, and
+    e^{-X_k/2} is taken at the given digits: a reference for the package's
+    closed form and its rounding bound.
+    """
+    with mpmath.workdps(digits):
+        lam = [mpmath.mpf(symbol.levels[-1])] * dim
+        for k, jump in enumerate(symbol.jumps, start=1):
+            x = 4 * Fraction(jump) ** 2
+            lag = [Fraction(1), 1 - x]
+            for j in range(1, dim - 1):
+                lag.append(((2 * j + 1 - x) * lag[j] - j * lag[j - 1]) / (j + 1))
+            scale = mpmath.exp(-mpmath.mpf(x.numerator) / x.denominator / 2)
+            c = mpmath.mpf(symbol.levels[k - 1]) - mpmath.mpf(symbol.levels[k])
+            below = Fraction(0)
+            for n in range(dim):
+                term = (-1) ** n * lag[n]
+                inner = 2 * below + term
+                lam[n] += c * (1 - scale * mpmath.mpf(inner.numerator) / inner.denominator)
+                below += term
+        return lam
 
 
 def kernel_moments_inner(symbol, n_max, r, n_rho, n_theta):

@@ -350,8 +350,8 @@ def test_bipartite_refuses_sigma_flags(capsys):
 
 
 def test_unreachable_tolerance_exits_two_at_once(capsys):
-    # the summed error stops shrinking at its rounding floor, and the run
-    # stops a stall's worth of evaluations later, long before the budget
+    # the closed-form spectrum's error is its rounding bound, about 1e-14 at
+    # the default orders, so a tolerance below it is refused at once
     start = time.perf_counter()
     assert main(["eigenvalues", "--abs-tol", "1e-20"]) == 2
     assert time.perf_counter() - start < 2.0
@@ -360,7 +360,8 @@ def test_unreachable_tolerance_exits_two_at_once(capsys):
 
 
 @pytest.mark.parametrize("argv, budget", [
-    # at 3e-16 order 6 needs a second panel; only the reported orders are solved
+    # eigenvalues takes its spectrum in closed form and reads no 1d budget: at
+    # 3e-16 its rounding bound refuses the tolerance, by the same exit and hint
     (["eigenvalues", "--abs-tol", "3e-16"], ("_BUDGET_1D", 31)),
     (["single-particle"], ("_PAIR_LEVELS", ((8, 8, 2), (8, 8, 3)))),
 ])

@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,36 @@ def test_no_test_only_dependencies(path):
     uses = imported_modules(ast.parse(path.read_text(), filename=str(path)))
     found = sorted(uses & {"mpmath", "scipy", "tests", "oracles"})
     assert not found, f"{path.name} imports test-only modules: {found}"
+
+
+LAYERS = ("specfun", "quad", "fock", "weyl", "hvbound", "phasespace")
+
+
+def called_names(tree):
+    """Names called in a module, directly or as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                found.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                found.add(func.attr)
+    return found
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_function_has_a_package_use(layer):
+    # test-only oracles live in tests/: a public function of a layer is
+    # either exported at the package root or called by another module
+    module = importlib.import_module(f"bellbound.{layer}")
+    public = {name for name, obj in vars(module).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == module.__name__}
+    called = set().union(*(called_names(ast.parse(path.read_text()))
+                           for path in SOURCES if path.stem != layer))
+    idle = sorted(public - set(bellbound.__all__) - called)
+    assert not idle, f"{layer} has public functions no other module uses: {idle}"
 
 
 def knob_literals(tree):

@@ -43,7 +43,7 @@ from bellbound.phasespace import (
 )
 from bellbound.quad import (IntegrationSpec, QuadratureError, _gl_segmented,
                             integrate_radial_pair)
-from bellbound.specfun import assoc_laguerre_seq, bessel_j
+from bellbound.specfun import bessel_j, laguerre_scaled
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
 from oracles import (arc_fraction, coarse_parity_integrand, displacement_element,
@@ -342,7 +342,7 @@ def test_displaced_weights_read_one_amplitude_sweep(monkeypatch):
         raise AssertionError("level weights must not run a sweep of their own")
 
     monkeypatch.setattr(phasespace, "_displacement_amplitudes", counted)
-    monkeypatch.setattr(phasespace, "assoc_laguerre_seq", refused)
+    monkeypatch.setattr(phasespace, "laguerre_scaled", refused)
     _displaced_level_weights([0, 2], [0.4, 0.6], 30, np.linspace(0.0, 6.0, 161))
     assert tables == [(30, 2)]
 
@@ -385,7 +385,7 @@ def test_kernel_moments_tail_bound_covers_more_levels(symbol, monkeypatch):
     weighted = 2.0 * math.pi * w * rho * (symbol(rho) - symbol.far_value)
     m, n = np.arange(m_max + 1), np.arange(25)
     p = _level_transitions(rho * rho, m[:, None], n)
-    lag = np.exp(-2.0 * nodes**2) * assoc_laguerre_seq(m_max, 0, 4.0 * nodes**2)
+    lag = laguerre_scaled(m_max, 4.0 * nodes**2)
     more = ((-1.0) ** np.add.outer(m, n) * (p @ weighted)).T @ lag
     assert np.all(np.abs(got - more).max(axis=1) <= tail)
 
@@ -440,8 +440,8 @@ def test_kernel_moments_build_one_table_per_level_count(monkeypatch):
 
     monkeypatch.setattr(phasespace, "_displacement_amplitudes",
                         counter("table", phasespace._displacement_amplitudes))
-    monkeypatch.setattr(phasespace, "assoc_laguerre_seq",
-                        counter("sweep", assoc_laguerre_seq))
+    monkeypatch.setattr(phasespace, "laguerre_scaled",
+                        counter("sweep", laguerre_scaled))
     # 0.5 stops at the first level count n_max + 16, 1.2 at the second
     for r0, tables in ((0.5, 1), (1.2, 2)):
         counts.update(table=0, sweep=0)
@@ -495,6 +495,15 @@ def test_coarse_parity_matches_second_moment_past_low_levels(symbol):
     weights /= weights.sum()
     got = coarse_parity_bound(diagonal_state(weights), symbol)
     assert abs(got - float(weights @ lam[:13] ** 2)) < 1e-12
+
+
+def test_coarse_parity_high_level_stays_finite():
+    # the displaced parity of |300> reads e^{-x/2} L_300(x) out to r_max 30,
+    # where the unscaled L_300 overflowed (the bound ended in "stopped at
+    # error nan"); the bound is lam_300^2, 0.99034427243970667 to 17 digits
+    rho = diagonal_state([0.0] * 300 + [1.0], dim=700)
+    got = coarse_parity_bound(rho, sign_step(0.5), IntegrationSpec(r_max=30.0))
+    assert abs(got - 0.99034427243970667) < 1e-13
 
 
 def test_coarse_parity_integrand_matches_dense_oracle():

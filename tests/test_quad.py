@@ -16,8 +16,8 @@ from bellbound.quad import (
     integrate_1d,
     integrate_radial_pair,
 )
-from bellbound.specfun import assoc_laguerre_seq, bessel_j, laguerre
-from oracles import mc_integrate, relative_sweep
+from bellbound.specfun import bessel_j
+from oracles import assoc_laguerre_seq, laguerre, mc_integrate, relative_sweep
 
 SPEC = IntegrationSpec()
 

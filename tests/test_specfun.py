@@ -15,15 +15,10 @@ import scipy.special
 
 import bellbound
 from bellbound import specfun
-from bellbound.specfun import (
-    _j_asymptotic,
-    assoc_laguerre,
-    assoc_laguerre_seq,
-    bessel_j,
-    laguerre,
-)
+from bellbound.fock import _displacement_amplitudes
+from bellbound.specfun import _j_asymptotic, bessel_j, laguerre_scaled
 
-from oracles import j_series, laguerre_sum
+from oracles import assoc_laguerre, assoc_laguerre_seq, j_series, laguerre, laguerre_sum
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -124,6 +119,52 @@ def test_scipy_cross_check_laguerre():
         want = scipy.special.eval_genlaguerre(n, a, x)
         got = assoc_laguerre(n, a, x)
         assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
+
+
+def test_scaled_laguerre_matches_unscaled_oracle():
+    # e^{-x/2} L_n(x) from its own recurrence, against the unscaled one times
+    # e^{-x/2} where that does not overflow; every value lies in [-1, 1]
+    x = np.array([0.0, 0.37, 2.0, 11.5, 40.0, 144.0])
+    got = laguerre_scaled(60, x)
+    assert got.shape == (61, 6)
+    want = np.exp(-0.5 * x) * assoc_laguerre_seq(60, 0, x)
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert np.max(np.abs(got)) <= 1.0
+    assert laguerre_scaled(0, 3.0).shape == (1,)
+    # far out every value is 0, an infinite x included, with no overflow
+    assert not np.any(laguerre_scaled(200, np.array([1e4, np.inf])))
+    with pytest.raises(ValueError, match="n_max"):
+        laguerre_scaled(-1, 1.0)
+
+
+def test_scaled_laguerre_and_amplitudes_share_the_start_refusal():
+    # both recurrences start from e^{-x/2}; from x = 1500 on it is 0, which
+    # leaves levels from x/5 on wrong, and both refuse them with one message
+    messages = []
+    for run in (lambda top: laguerre_scaled(top, 1500.0),
+                lambda top: _displacement_amplitudes(np.array([1500.0]), top)):
+        with pytest.raises(ValueError, match="normal range") as err:
+            run(300)
+        messages.append(str(err.value))
+        assert not np.any(run(299))
+    assert messages[0] == messages[1]
+    # through x = 1416 any level is taken
+    assert np.all(np.isfinite(laguerre_scaled(2000, np.array([0.0, 1416.0]))))
+    # past it the start e^{-x/2} is subnormal; a start scaled by 2^64 keeps
+    # every value right up to x = 1500, past level x/5 too (these levels
+    # read 0 or wrong values from the unscaled start)
+    x = np.array([1417.0, 1450.0, 1490.0, 1499.9])
+    got = laguerre_scaled(380, x)
+    amp = _displacement_amplitudes(x, 380)
+    for i, xi in enumerate(x):
+        with mpmath.workdps(40):
+            lag = [mpmath.mpf(1), 1 - mpmath.mpf(xi)]
+            for k in range(1, 380):
+                lag.append(((2 * k + 1 - xi) * lag[k] - k * lag[k - 1]) / (k + 1))
+            want = np.array([float(v * mpmath.exp(-mpmath.mpf(xi) / 2)) for v in lag])
+        assert np.max(np.abs(got[:, i] - want)) < 1e-15
+        assert np.max(np.abs(np.diagonal(amp[:, :, i]) - want)) < 1e-14
+        assert np.max(np.abs(want)) > 1e-3
 
 
 def test_bessel_trivial_values():

@@ -25,7 +25,7 @@ from bellbound.weyl import (
     unit_symbol,
     wigner,
 )
-from oracles import quantizer, radial_eigenvalues
+from oracles import laguerre, quantizer, radial_eigenvalues, radial_eigenvalues_exact
 
 STEP_EV0 = 2.0 * math.exp(-0.5) - 1.0
 STEP_EV1 = 4.0 * math.exp(-0.5) - 1.0
@@ -61,10 +61,14 @@ def test_piecewise_symbol_declares_its_levels():
     assert two.far_value == 1.0 and two.far_radius == 0.8
     assert sign_step(0.5).levels == (-1.0, 1.0)
     assert unit_symbol().levels == (1.0,) and unit_symbol().far_radius == 0.0
-    # the declared profile quantizes like the same function given alone
+    # the declared profile takes the closed form and the same function given
+    # alone the quadrature; they agree within their two reported errors (the
+    # quadrature's panel differences hold no rounding, here under 3e-16)
     plain = RadialSymbol(two.fn, jumps=(0.3, 0.8), far_value=1.0, far_radius=0.8)
-    assert np.array_equal(quantize_radial(two, 8).eigenvalues,
-                          quantize_radial(plain, 8).eigenvalues)
+    closed, quadrature = quantize_radial(two, 8), quantize_radial(plain, 8)
+    gap = np.abs(closed.eigenvalues - quadrature.eigenvalues)
+    assert np.all(gap <= quadrature.error_estimates + closed.error_estimates)
+    assert np.all(gap < 1e-13)
     with pytest.raises(ValueError, match="levels"):
         piecewise_symbol((0.3, 0.8), (-1.0, 1.0))
     with pytest.raises(ValueError, match="levels"):
@@ -82,8 +86,6 @@ def test_symbol_of_number_states():
     assert abs(symbol_of(number_projector(1, 32), 0.0) + 2.0) < 1e-12
     rng = np.random.default_rng(21)
     pts = (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)) * 1.05
-    from bellbound.specfun import laguerre
-
     x = np.abs(pts) ** 2
     for n in (0, 1, 3, 5):
         want = 2.0 * (-1.0) ** n * np.exp(-2 * x) * laguerre(n, 4 * x)
@@ -231,6 +233,26 @@ def test_quantize_radial_matches_closed_form(symbol):
     # every level's quadrature against the jumps' Laguerre partial sums
     got = quantize_radial(symbol, 64).eigenvalues
     assert np.max(np.abs(got - radial_eigenvalues(symbol, 64))) < 1e-13
+
+
+@pytest.mark.parametrize("symbol", [
+    *(sign_step(r0) for r0 in (0.5, 2.0, 3.0, 4.0)),
+    piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0)),
+    piecewise_symbol((0.4, 1.1, 2.0), (2.0, -1.0, 0.25, -0.5)),
+], ids=lambda sym: sym.description or f"{len(sym.jumps)} steps")
+def test_closed_form_error_covers_exact_spectrum(symbol):
+    # the declared symbol's rounding bound covers its gap to an 80-digit
+    # evaluation, and the quadrature of the same profile, given without its
+    # levels, lands within 1e-13
+    got = quantize_radial(symbol, 64)
+    exact = radial_eigenvalues_exact(symbol, 64)
+    gap = np.array([abs(float(g - e)) for g, e in zip(got.eigenvalues, exact)])
+    assert np.all(gap <= got.error_estimates)
+    assert np.all(got.error_estimates <= 1e-12)
+    plain = RadialSymbol(symbol.fn, jumps=symbol.jumps, far_value=symbol.far_value,
+                         far_radius=symbol.far_radius)
+    quadrature = quantize_radial(plain, 64).eigenvalues
+    assert np.max(np.abs(quadrature - got.eigenvalues)) < 1e-13
 
 
 def test_quantize_radial_gaussian():
