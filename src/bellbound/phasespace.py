@@ -14,7 +14,7 @@ and all integrals over phase space carry d^2 alpha.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,18 +49,22 @@ SEPARATION_STEP = math.sqrt(0.5)
 
 _DEFAULT_SP_DIM = 64
 _DEFAULT_BP_DIM = 32
+# the largest n-tail estimate of the generic route, relative to its bound
+_N_TAIL_TOL = 5e-3
 
 
-def _merge_jump_splits(spec, symbol):
-    # its callers count no mass beyond r_max; below 5 it exceeds 1e-9 unseen
+def _check_r_max(spec):
+    # the sigma curve's separation rule and the generic route's disc cut end
+    # at r_max and count no mass beyond it
     if spec.r_max < 5.0:
         raise ValueError(f"r_max must be at least 5, got {spec.r_max}")
-    return _with_jump_splits(spec, symbol)
 
 
-def _with_jump_splits(spec, symbol):
+def _panel_edges(symbol):
+    """The radii where a quadrature of the symbol starts a new panel: its
+    jumps, and its far radius when positive."""
     far = (float(symbol.far_radius),) if symbol.far_radius > 0 else ()
-    return replace(spec, split_points=tuple(sorted({*spec.split_points, *symbol.jumps, *far})))
+    return tuple(sorted({*symbol.jumps, *far}))
 
 
 def _first_excited(dim):
@@ -74,9 +78,9 @@ class SingleParticleCase:
     """One radial symbol measured on one single-mode state.
 
     Defaults reproduce the flagship setup: the sign step at radius 1/2 on
-    the first excited state. The symbol's jump radii are folded into the
-    integration spec as split points, so every quadrature downstream sees
-    the discontinuity as a panel edge.
+    the first excited state. The case keeps the spec it is given; every
+    quadrature downstream takes its panel edges from the symbol's jumps.
+    An r_max below 5 is refused.
     """
 
     symbol: RadialSymbol = field(default_factory=lambda: sign_step(0.5))
@@ -88,7 +92,7 @@ class SingleParticleCase:
     def __post_init__(self):
         if self.state.modes != 1:
             raise ValueError("single-particle case needs a single-mode state")
-        object.__setattr__(self, "spec", _merge_jump_splits(self.spec, self.symbol))
+        _check_r_max(self.spec)
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class BipartiteCase:
         purity = float(np.real(np.einsum("ij,ji->", ent, ent)))
         if abs(purity - 1.0) > 1e-12:
             raise ValueError(f"pair state must be pure, tr(rho^2) = {purity}")
-        object.__setattr__(self, "spec", _merge_jump_splits(self.spec, self.symbol))
+        _check_r_max(self.spec)
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ def _bilinear_report(label, case, pair, one_mode, fallback=""):
         total = sum_kl c_k c_l I(r_k, r_l)
 
     over the regions full (r = None, the plane), core, core2, ... (the discs
-    inside each jump). pair(r1, r2, spec) gives I and its error; the
+    inside each jump). pair(r1, r2, case) gives I and its error; the
     component r1_r2 is named first slot first. The quantum mean is the first
     eigenvalue of one_mode(symbol). A symbol without levels is refused, with
     fallback appended to the message. Returns a BellReport with the components
@@ -181,7 +185,7 @@ def _bilinear_report(label, case, pair, one_mode, fallback=""):
     comps, errs, total, err = {}, {}, 0.0, 0.0
     for name2, r2, c2 in regions:
         for name1, r1, c1 in regions:
-            value, error = pair(r1, r2, case.spec)
+            value, error = pair(r1, r2, case)
             name = f"{name1}_{name2}"
             comps[name] = value
             errs[name] = error
@@ -230,7 +234,7 @@ def _full_disc_mean(R, n):
     return float(np.mean(1.0 - e - 16.0 * R * R * e / a**2).real)
 
 
-def _excited_component(r1, r2, spec):
+def _excited_component(r1, r2, case):
     """(value, error) of I(r1, r2), the kernel over |alpha| < r1, |alpha'| < r2.
 
     None is the full plane. Three components are closed: the kernel
@@ -240,7 +244,7 @@ def _excited_component(r1, r2, spec):
     E = exp(-4 R^2 / a); the mean is of a smooth periodic function, which
     the midpoint rule resolves to rounding, and its error is the 64-node
     mean's gap to the 32-node one. Only the disc-disc components are
-    quadratures.
+    quadratures, panelled at the case symbol's jumps.
     """
     if r2 is None:
         if r1 is None:
@@ -249,7 +253,8 @@ def _excited_component(r1, r2, spec):
     if r1 is None:
         fine = _full_disc_mean(r2, 64)
         return fine, abs(fine - _full_disc_mean(r2, 32))
-    res = integrate_radial_pair(_excited_kernel, spec, r1_max=r1, r2_max=r2)
+    res = integrate_radial_pair(_excited_kernel, case.spec, r1_max=r1, r2_max=r2,
+                                splits=_panel_edges(case.symbol))
     return res.value, res.error_estimate
 
 
@@ -328,7 +333,7 @@ def _kernel_moments_inner(symbol, n_max, r, n_rho):
     |B - far_value| (1 - sum_{m <= m_max} P_mn) d rho. m_max grows from
     n_max + 16, doubling the headroom, until max(tail) is below 1e-13 of
     weight = 2 pi int rho |B - far_value| d rho, with which its rounding
-    floor scales, or stops shrinking; a table past float64 range raises.
+    floor scales, or stops shrinking.
     """
     R0 = float(symbol.far_radius)
     rho, w_rho = _gl_segmented(0.0, R0, n_rho, symbol.jumps)
@@ -338,8 +343,6 @@ def _kernel_moments_inner(symbol, n_max, r, n_rho):
     headroom, last = 16, math.inf
     while True:
         m = np.arange(n_max + headroom + 1)
-        if m[-1] * math.log(R0 * R0) >= math.log(np.finfo(float).max):
-            raise QuadratureError(f"far_radius {R0} needs {m[-1]} levels, past float64")
         p = _level_transitions(rho * rho, m[:, None], n)
         tail = np.abs(1.0 - p.sum(axis=0)) @ np.abs(weighted)
         if tail.max() <= 1e-13 * weight or tail.max() >= last:
@@ -355,10 +358,12 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
 
     The bound is (8/pi) int r B(r) sum_n c_n(r) K_n(r) dr with c_n the
     collapse weights of the displaced state and K_n the kernel moments of
-    the symbol. The far value's share of K_n is summed over all n in closed
-    form against the displaced parity of the state, so no level truncation
-    touches it; only the disc where the symbol departs from its far value
-    is expanded over collapse levels n <= n_max.
+    the symbol. The far value's share of K_n, summed over all n, leaves
+    4 far_value int r B(r) <Pi>(r) dr against the displaced parity of the
+    state, which is far_value sum_m p_m lam_m with lam_m the eigenvalues of
+    quantize_radial and their errors, so no level truncation touches it;
+    only the disc where the symbol departs from its far value is expanded
+    over collapse levels n <= n_max.
 
     Each disc part is K_n(r) = sum_m (-1)^(m+n) exp(-2 r^2) L_m(4 r^2) M_mn
     with M_mn = 2 pi int rho (B - far_value) |<m|D(rho)|n>|^2 d rho, the
@@ -367,26 +372,21 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
 
     The n-tail of the disc part is estimated from the geometric decay of
     its per-level contributions plus a worst-case weight for the levels
-    beyond n_max; if the estimate exceeds rel_tol times the bound the
+    beyond n_max; if the estimate exceeds _N_TAIL_TOL times the bound the
     result is not trustworthy and a QuadratureError is raised. Pass
     details=True for (value, info) with the per-level terms and the tail.
     """
     if spec is None:
         spec = IntegrationSpec()
-    spec = _merge_jump_splits(spec, symbol)
+    _check_r_max(spec)
     levels, probs = _diagonal_weights(rho)
     if not 1 <= n_max <= rho.dim // 2:
         raise ValueError(f"n_max must lie in [1, {rho.dim // 2}] for dim {rho.dim}")
     if symbol.far_value is None:
         raise ValueError("generic route needs a symbol with a declared far value")
-
-    def base_integrand(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return 4.0 * symbol.far_value * r * symbol(r) * _displaced_parity(levels, probs, r)
-
-    base = integrate_1d(base_integrand, 0.0, spec.r_max, spec)
-    value = base.value
-    quad_err = base.error_estimate
+    spectrum = quantize_radial(symbol, max(levels) + 1, spec)
+    value = symbol.far_value * float(np.dot(probs, spectrum.eigenvalues[levels]))
+    quad_err = abs(symbol.far_value) * float(np.dot(probs, spectrum.error_estimates[levels]))
     per_level = np.zeros(n_max + 1)
     tail = 0.0
     R0 = float(symbol.far_radius)
@@ -396,7 +396,7 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
         r_hi = min(spec.r_max, R0 + 3.4)
 
         def disc_terms(n_outer, n_rho):
-            nodes, w = _gl_segmented(0.0, r_hi, n_outer, spec.split_points)
+            nodes, w = _gl_segmented(0.0, r_hi, n_outer, _panel_edges(symbol))
             c = _displaced_level_weights(levels, probs, n_max, nodes)
             k, m_tail, disc_area = _kernel_moments_inner(symbol, n_max, nodes, n_rho)
             outer = (8.0 / math.pi) * w * nodes * symbol(nodes)
@@ -420,7 +420,7 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
             else:
                 geo = float(mags[-1] * 4.0)
         tail = geo + beyond
-        if tail > spec.rel_tol * max(abs(value), 1e-3):
+        if tail > _N_TAIL_TOL * max(abs(value), 1e-3):
             raise QuadratureError(
                 f"n-tail estimate {tail:.2e} above tolerance; raise n_max"
             )
@@ -473,7 +473,8 @@ def coarse_parity_bound(rho, symbol, spec=None):
     if spec is None:
         spec = IntegrationSpec()
     counted = symbol.far_value is not None
-    spec = (_with_jump_splits if counted else _merge_jump_splits)(spec, symbol)
+    if not counted:
+        _check_r_max(spec)
     levels, probs = _diagonal_weights(rho)
     weights = probs * quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]
     tail = 0.0 if not counted else abs(symbol.far_value) * sum(
@@ -485,7 +486,7 @@ def coarse_parity_bound(rho, symbol, spec=None):
     def integrand(r):
         return 4.0 * r * symbol(r) * _displaced_parity(levels, weights, r)
 
-    return integrate_1d(integrand, 0.0, spec.r_max, spec).value
+    return integrate_1d(integrand, 0.0, spec.r_max, spec, _panel_edges(symbol)).value
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +631,16 @@ def _sigma_level(spec, pts, level, profile, j):
                <kern(s, d, theta, g1, g2)>_theta,  m(g) = 4 g exp(-2 g^2).
 
     For fixed (s, d, theta) the (g1, g2) double sum is three bilinear forms
-    u^T A_d v, done for all (d, theta) by one batched matmul. profile(d)
-    gives B on the separation nodes, and A is the arc table of radius j, or
-    1 when j is None. The two displacements move the separation by at most
-    2 _SIGMA_G_MAX, so A is exactly 0 past j + 2 _SIGMA_G_MAX, where the
-    separation rule ends if r_max lies beyond.
+    u^T A_d v, done for all (d, theta) by one batched matmul. The radial
+    symbol profile gives B on the separation nodes, which are panelled at
+    its jumps, and A is the arc table of radius j, or 1 when j is None.
+    The two displacements move the separation by at most 2 _SIGMA_G_MAX,
+    so A is exactly 0 past j + 2 _SIGMA_G_MAX, where the separation rule
+    ends if r_max lies beyond.
     """
     n_d, n_g, n_win, n_theta = level
     d_max = spec.r_max if j is None else min(spec.r_max, j + 2.0 * _SIGMA_G_MAX)
-    dn, dw = _gl_segmented(0.0, d_max, n_d, spec.split_points)
+    dn, dw = _gl_segmented(0.0, d_max, n_d, _panel_edges(profile))
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
@@ -683,7 +685,7 @@ def sigma_curve(case):
     levels' errors cross, so every point carries the largest difference
     over the curve as its error. f(0) vanishes with the phase-space measure
     and is set exactly. The result is deterministic and has no knob beyond
-    the IntegrationSpec's r_max, split points and grid. The curve is a
+    the IntegrationSpec's r_max and grid. The curve is a
     diagnostic of the sign step: its integral over s is sign_disc of
     bp_hv_bound's report, which takes it by collapse instead.
 
@@ -792,7 +794,7 @@ def bp_hv_bound(case):
     tables = {r: [_collapsed_arc(r, level, jumps) for level in _COLLAPSE_LEVELS]
               for r in jumps}
 
-    def pair(r1, r2, spec):
+    def pair(r1, r2, _case):
         r2 = math.inf if r2 is None else r2
         if r1 is None:
             return _reduced_pair_integral(r2), 0.0

@@ -1,6 +1,6 @@
 """Integration engines.
 
-Adaptive 1D Gauss-Legendre quadrature with registered discontinuities and
+Adaptive 1D Gauss-Legendre quadrature with panel edges at given jumps and
 iterated radial quadrature for phase-space double integrals. Every routine
 is deterministic: the same IntegrationSpec gives the same bits, and no
 production path draws a random number.
@@ -52,15 +52,13 @@ class IntegrationSpec:
 
     r_max: float = 6.0
     abs_tol: float = 1e-9
-    rel_tol: float = 5e-3
     mc_samples: int = 2_000_000
     seed: int = 42
     sigma_step: float = 0.05
     sigma_max: float = 2.7
-    split_points: tuple = ()
 
     def __post_init__(self):
-        for name in ("r_max", "abs_tol", "rel_tol", "sigma_step", "sigma_max"):
+        for name in ("r_max", "abs_tol", "sigma_step", "sigma_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -68,9 +66,6 @@ class IntegrationSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be at least 10^4")
-        object.__setattr__(
-            self, "split_points", tuple(float(s) for s in self.split_points)
-        )
 
 
 @dataclass(frozen=True)
@@ -121,11 +116,13 @@ def _panel(f, a, b):
     return float(fine), abs(float(fine) - float(coarse)), 31
 
 
-def integrate_1d(f, a, b, spec):
-    """Adaptive quadrature of f on [a, b] honoring spec.split_points.
+def integrate_1d(f, a, b, spec, splits=()):
+    """Adaptive quadrature of f on [a, b], with panel edges at the splits.
 
     f maps an array of nodes to an array of values of the same shape; any
-    other result raises ValueError. Each panel carries a 21-point
+    other result raises ValueError. splits are the points where f jumps,
+    as a symbol declares them; those inside (a, b) start panels of their
+    own, so no panel straddles a jump. Each panel carries a 21-point
     Gauss-Legendre value and the difference against a 10-point rule as its
     error; the worst panel is bisected until the summed error reaches
     spec.abs_tol; it raises once the evaluation budget runs out, or once the
@@ -136,7 +133,7 @@ def integrate_1d(f, a, b, spec):
     b = float(b)
     if not a < b:
         raise ValueError("need a < b")
-    cuts = sorted({a, b, *(float(s) for s in spec.split_points if a < s < b)})
+    cuts = sorted({a, b, *(float(s) for s in splits if a < s < b)})
     heap = []
     evals = 0
     counter = 0
@@ -207,7 +204,7 @@ def _sweep_direct(f, rn, rw, sn, sw, n_ang):
     return 2.0 * np.pi * total
 
 
-def integrate_radial_pair(f, spec, r1_max, r2_max):
+def integrate_radial_pair(f, spec, r1_max, r2_max, splits=()):
     """Double phase-space integral over |alpha| < r1_max, |alpha'| < r2_max.
 
     f(r1, d) takes the modulus r1 = |alpha| and the separation
@@ -215,7 +212,8 @@ def integrate_radial_pair(f, spec, r1_max, r2_max):
     returns values that broadcast to their common shape. The integrand
     therefore depends on alpha' through the separation alone.
 
-    Both radial axes are panelled at spec.split_points. The inner radius is
+    Both radial axes are panelled at the splits, the radii where the
+    integrand or a symbol behind it jumps. The inner radius is
     |alpha'|, and a midpoint rule in the angle between the points supplies
     the separation.
     """
@@ -225,8 +223,8 @@ def integrate_radial_pair(f, spec, r1_max, r2_max):
     value = math.nan
     evals = 0
     for n1, n2, n_ang in _PAIR_LEVELS:
-        rn, rw = _gl_segmented(0.0, float(r1_max), n1, spec.split_points)
-        sn, sw = _gl_segmented(0.0, float(r2_max), n2, spec.split_points)
+        rn, rw = _gl_segmented(0.0, float(r1_max), n1, splits)
+        sn, sw = _gl_segmented(0.0, float(r2_max), n2, splits)
         value = _sweep_direct(f, rn, rw, sn, sw, n_ang)
         evals += rn.size * sn.size * n_ang
         if prev is not None:

@@ -17,7 +17,7 @@ of an explicit generating function too.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,15 +206,13 @@ def quantize_radial(symbol, dim, spec=None):
     |lam_n|) as its error; an abs_tol below it is refused. Other symbols
     take one quadrature per level: with an exact far value, lam_n = far_value
     + 2 (-1)^n integral (B - far_value) e^{-2s} L_n(4s) ds over the bounded
-    support; otherwise cut at r_max^2, where the e^{-2s} weight buries the
-    remainder. An r_max short of far_radius is refused.
+    support, which reads no r_max; otherwise cut at r_max^2, where the
+    e^{-2s} weight buries the remainder.
     """
     if spec is None:
         spec = IntegrationSpec()
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    if symbol.far_value is not None and spec.r_max < symbol.far_radius:
-        raise ValueError(f"r_max {spec.r_max} is below far_radius {symbol.far_radius}")
     if symbol.levels is not None:
         levels = np.array(symbol.levels)
         drops = levels[:-1] - levels[1:]
@@ -231,8 +229,7 @@ def quantize_radial(symbol, dim, spec=None):
         base, upper = 0.0, spec.r_max**2
     else:
         base, upper = symbol.far_value, symbol.far_radius**2
-    splits = tuple(j * j for j in symbol.jumps if 0.0 < j * j < upper)
-    local = replace(spec, split_points=splits)
+    splits = [j * j for j in symbol.jumps]
     values = np.empty(dim)
     errors = np.empty(dim)
     for n in range(dim):
@@ -244,7 +241,7 @@ def quantize_radial(symbol, dim, spec=None):
         def integrand(s, n=n):
             return (symbol(np.sqrt(s)) - base) * laguerre_scaled(n, 4 * s)[n]
 
-        res = integrate_1d(integrand, 0.0, upper, local)
+        res = integrate_1d(integrand, 0.0, upper, spec, splits)
         values[n] = base + 2.0 * sign * res.value
         errors[n] = 2.0 * res.error_estimate
     return SpectralExpansion(values, errors, symbol)

@@ -395,7 +395,7 @@ def arc_fraction(d, g1, g2, j):
         return float(mpmath.quad(arc, sorted(cuts)) / mpmath.pi)
 
 
-def relative_sweep(f, spec, r1_max=None):
+def relative_sweep(f, spec, r1_max=None, splits=()):
     """(value, gap) of int d^2 alpha int d^2 alpha' f(|alpha|, |alpha - alpha'|)
     over |alpha| < r1_max (spec.r_max when None) and the full alpha' plane.
 
@@ -403,7 +403,7 @@ def relative_sweep(f, spec, r1_max=None):
     inner radius and both angles integrate exactly to 2 pi, so the value is
     (2 pi)^2 int r1 dr1 int d dd f(r1, d), with d cut at spec.r_max. Both
     radial axes take the Gauss-Legendre rules of quad._PAIR_LEVELS, panelled
-    at spec.split_points. The sweep stops at the first level within
+    at the splits. The sweep stops at the first level within
     max(spec.abs_tol, 1e-8) of the one before, as integrate_radial_pair
     does, or at the last level; the value is that level's and the gap is
     its distance to the level before.
@@ -412,8 +412,8 @@ def relative_sweep(f, spec, r1_max=None):
     tol = max(spec.abs_tol, 1e-8)
     prev = None
     for n1, n2, _ in _PAIR_LEVELS:
-        rn, rw = _gl_segmented(0.0, r1_max, n1, spec.split_points)
-        sn, sw = _gl_segmented(0.0, spec.r_max, n2, spec.split_points)
+        rn, rw = _gl_segmented(0.0, r1_max, n1, splits)
+        sn, sw = _gl_segmented(0.0, spec.r_max, n2, splits)
         r1, d = rn[:, None], sn[None, :]
         vals = np.asarray(f(r1, d), dtype=float)
         value = (2.0 * np.pi) ** 2 * float(np.sum(rw[:, None] * r1 * sw * d * vals))
@@ -449,4 +449,4 @@ def pair_qm_quadrature(case):
         pts = np.stack([(s + t) / 2.0, (s - t) / 2.0], axis=-1).astype(complex)
         return wigner(state, pts) * case.symbol(t)
 
-    return relative_sweep(f, case.spec)
+    return relative_sweep(f, case.spec, splits=case.symbol.jumps)

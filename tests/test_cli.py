@@ -73,7 +73,8 @@ def test_invalid_spec_values_exit_one(capsys, flag, value, field):
         # each of these ran to exit 0 with a wrong answer and a tiny error bar
         (["single-particle", "--r-max", "0.01"], "r_max"),
         (["bipartite", "--r-max", "4.5"], "r_max"),
-        (["eigenvalues", "--r-max", "0.3"], "r_max"),
+        # the sigma curve's separation rule ends at r_max, which keeps its floor
+        (["sigma-curve", "--r-max", "4.5"], "r_max"),
         # a dense two-mode operator holds truncation^4 entries, one mode
         # truncation^2; both limits sit at 2^20 entries
         (["bipartite", "--truncation", "33"], "truncation"),

@@ -157,3 +157,24 @@ def test_every_knob_hint_names_a_flag():
         assert knob in fields, f"{name}:{line} knob {knob!r} is no spec field"
         flag = "--" + knob.replace("_", "-")
         assert flag in flags, f"{name}:{line} knob {knob!r} has no {flag}"
+
+
+def spec_reads(tree):
+    """Field names read off a spec, as spec.x or <obj>.spec.x; the
+    IntegrationSpec class's own checks read self.x and do not count."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            if ((isinstance(owner, ast.Name) and owner.id == "spec")
+                    or (isinstance(owner, ast.Attribute) and owner.attr == "spec")):
+                found.add(node.attr)
+    return found
+
+
+def test_every_spec_field_is_read():
+    # a field no route reads is a knob that changes nothing; mc_samples and
+    # seed feed only the Monte Carlo oracle in tests/
+    fields = {f.name for f in dataclasses.fields(IntegrationSpec)} - {"mc_samples", "seed"}
+    read = set().union(*(spec_reads(ast.parse(path.read_text())) for path in SOURCES))
+    assert fields <= read, f"spec fields no module reads: {sorted(fields - read)}"

@@ -88,18 +88,17 @@ def test_single_particle_case_defaults():
     assert case.symbol.jumps == (0.5,)
     assert case.state.dim == 64
     assert abs(case.state.entries[1, 1] - 1.0) < 1e-12
-    # the jump is registered as a quadrature split point
-    assert 0.5 in case.spec.split_points
-    custom = SingleParticleCase(spec=IntegrationSpec(split_points=(1.25,)))
-    assert custom.spec.split_points == (0.5, 1.25)
+    # the case keeps the spec it is given: panel edges come from the symbol
+    spec = IntegrationSpec(r_max=7.0)
+    assert SingleParticleCase(spec=spec).spec is spec
     with pytest.raises(ValueError):
         SingleParticleCase(state=bell_pair_state(8))
 
 
 def test_truncating_r_max_is_refused():
-    # the case classes and the generic route count no mass beyond r_max; at
-    # 4.5 the pair mean is off by 6.9e-8 while its reported error stays far
-    # below that
+    # the sigma curve's separation rule and the generic route's disc cut end
+    # at r_max and count no mass beyond it; the case classes keep the floor
+    # for every route they feed
     short = IntegrationSpec(r_max=4.5)
     state = SingleParticleCase().state
     for build in (
@@ -196,9 +195,11 @@ def test_kernel_route_closed_components_match_quadrature(symbol):
     assert len(closed) == 2 * len(radii) - 1
     for a, b in closed:
         if radii[b] is None:
-            value, error = relative_sweep(_excited_kernel, case.spec, radii[a])
+            value, error = relative_sweep(_excited_kernel, case.spec, radii[a],
+                                          splits=symbol.jumps)
         else:
-            got = integrate_radial_pair(_excited_kernel, case.spec, case.spec.r_max, radii[b])
+            got = integrate_radial_pair(_excited_kernel, case.spec, case.spec.r_max, radii[b],
+                                        splits=symbol.jumps)
             value, error = got.value, got.error_estimate
         name = f"{a}_{b}"
         assert abs(comps[name] - value) <= errs[name] + error + 1e-14
@@ -207,7 +208,7 @@ def test_kernel_route_closed_components_match_quadrature(symbol):
 
 @pytest.mark.parametrize("R", [0.05, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 def test_full_disc_mean_error_covers_finer_mean(R):
-    value, error = _excited_component(None, R, IntegrationSpec())
+    value, error = _excited_component(None, R, SingleParticleCase())
     assert value == _full_disc_mean(R, 64)
     assert abs(value - _full_disc_mean(R, 256)) <= error
 
@@ -282,8 +283,12 @@ def test_kernel_route_takes_declared_steps():
     generic, info = sp_hv_bound_generic(state, two, n_max=48, details=True)
     budget = info["n_tail"] + info["quad_error"] + rep.notes["error_estimate"]
     assert abs(rep.hv_bound - generic) < budget
-    # the generic route reads the function alone, declared or not
-    assert sp_hv_bound_generic(state, TWO_STEP, n_max=48) == generic
+    # the generic route takes the declared far share in closed form and the
+    # function-only one by quadrature: they agree within both errors and the
+    # closed form's rounding bound
+    undeclared, other = sp_hv_bound_generic(state, TWO_STEP, n_max=48, details=True)
+    bound = quantize_radial(two, 2).error_estimates[1]
+    assert abs(undeclared - generic) <= info["quad_error"] + other["quad_error"] + bound
     # the bi-partite route takes the same declared steps
     assert len(bp_hv_bound(BipartiteCase(symbol=two)).notes["components"]) == 9
 
@@ -422,11 +427,13 @@ def test_generic_route_error_carries_m_tail(monkeypatch):
     assert 0.5 * most < grown <= most * (1.0 + 1e-9)
 
 
-def test_kernel_moments_level_cap_names_far_radius():
-    # at far radius 8 the table would pass float64 before the tail closes
+def test_wide_disc_names_n_max():
+    # the level table stays in [0, 1] at any far radius, so a disc too wide
+    # for 24 collapse levels ends in the n-tail check, which names n_max
     state = SingleParticleCase().state
-    with pytest.raises(QuadratureError, match="far_radius"):
-        sp_hv_bound_generic(state, sign_step(8.0))
+    for R in (3.0, 5.0, 8.0, 12.0):
+        with pytest.raises(QuadratureError, match="n_max"):
+            sp_hv_bound_generic(state, sign_step(R))
 
 
 def test_kernel_moments_build_one_table_per_level_count(monkeypatch):
@@ -541,7 +548,8 @@ def test_bipartite_case_validation():
     case = BipartiteCase()
     assert case.symbol.jumps == (SEPARATION_STEP,)
     assert case.state.modes == 2
-    assert SEPARATION_STEP in case.spec.split_points
+    spec = IntegrationSpec(r_max=7.0)
+    assert BipartiteCase(spec=spec).spec is spec
     single = np.zeros(16)
     single[1] = 1.0
     with pytest.raises(ValueError, match="two-mode"):
@@ -590,8 +598,7 @@ def closed_curve(case, profile):
     return pts, fine, np.where(pts > 0.0, np.max(np.abs(fine - coarse)), 0.0)
 
 
-def disc_profile(d):
-    return (d < SEPARATION_STEP).astype(float)
+disc_profile = piecewise_symbol((SEPARATION_STEP,), (1.0, 0.0), "inner disc")
 
 
 def test_sigma_curve_closed_modes():
@@ -599,7 +606,7 @@ def test_sigma_curve_closed_modes():
     # 4 C s exp(-s^2) for B = 1{d < j}, C the inner-disc moment
     case = BipartiteCase(spec=IntegrationSpec(sigma_max=1.0))
     j = SEPARATION_STEP
-    s, values, errors = closed_curve(case, np.ones_like)
+    s, values, errors = closed_curve(case, unit_symbol())
     closed = 2.0 * s * np.exp(-s * s)
     assert np.all(np.abs(values - closed) < 4.0 * errors + 1e-12)
     s, values, errors = closed_curve(case, disc_profile)
@@ -717,7 +724,7 @@ def test_sigma_curve_error_gate():
 
 def _level_arc_table(level):
     spec = BipartiteCase().spec
-    dn = _gl_segmented(0.0, spec.r_max, level[0], spec.split_points)[0]
+    dn = _gl_segmented(0.0, spec.r_max, level[0], (SEPARATION_STEP,))[0]
     gn = _gl_segmented(0.0, _SIGMA_G_MAX, level[1], ())[0]
     return dn, gn, _pair_arc_table(dn, gn, SEPARATION_STEP, level[2])
 

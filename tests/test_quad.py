@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bellbound.phasespace import _excited_component
+from bellbound.phasespace import SingleParticleCase, _excited_component
 from bellbound.quad import (
     _STALL_1D,
     IntegrationSpec,
@@ -54,10 +54,9 @@ def test_integrate_1d_closed_forms():
 
 def test_integrate_1d_split_additivity():
     f = lambda x: np.where(x < 0.3, 1.0, 2.0)
-    spec = IntegrationSpec(split_points=(0.3,))
-    whole = integrate_1d(f, 0.0, 1.0, spec).value
-    left = integrate_1d(f, 0.0, 0.3, spec).value
-    right = integrate_1d(f, 0.3, 1.0, spec).value
+    whole = integrate_1d(f, 0.0, 1.0, SPEC, (0.3,)).value
+    left = integrate_1d(f, 0.0, 0.3, SPEC, (0.3,)).value
+    right = integrate_1d(f, 0.3, 1.0, SPEC, (0.3,)).value
     assert abs(whole - 1.7) < 1e-12
     assert abs(whole - (left + right)) < 1e-12
 
@@ -127,7 +126,7 @@ def closed_component(r1, r2):
     # the single-particle route's closed components I(r1, r2): None is the
     # full plane, and one slot must be
     assert r1 is None or r2 is None
-    return _excited_component(r1, r2, SPEC)[0]
+    return _excited_component(r1, r2, SingleParticleCase())[0]
 
 
 def test_radial_pair_relative_route():
@@ -146,11 +145,10 @@ def test_radial_pair_error_covers_closed_forms(r0):
     # a panel as short as [0, 0.1] must gain nodes between levels, or the
     # level difference cannot see its error; the full alpha' plane is the
     # test oracle's relative sweep, on the same levels
-    spec = IntegrationSpec(split_points=(r0,))
     for r1_max, closed in ((None, 1.0), (r0, closed_component(r0, None))):
-        value, gap = relative_sweep(kernel, spec, r1_max)
+        value, gap = relative_sweep(kernel, SPEC, r1_max, splits=(r0,))
         assert abs(value - closed) <= gap + 1e-14, r1_max
-    got = integrate_radial_pair(kernel, spec, spec.r_max, r0)
+    got = integrate_radial_pair(kernel, SPEC, SPEC.r_max, r0, splits=(r0,))
     assert abs(got.value - closed_component(None, r0)) <= got.error_estimate + 1e-14
 
 
@@ -187,8 +185,7 @@ def test_radial_pair_relative_route_jump_in_separation():
     def f(r1, d):
         return np.exp(-r1 * r1 - d * d) * (d < 1.0) / math.pi**2
 
-    spec = IntegrationSpec(split_points=(1.0,))
-    value, _ = relative_sweep(f, spec)
+    value, _ = relative_sweep(f, SPEC, splits=(1.0,))
     assert abs(value - (1 - math.exp(-36.0)) * (1 - math.exp(-1.0))) < 1e-12
 
 
