@@ -84,8 +84,9 @@ def build_parser():
     common.add_argument("--r-max", type=float, default=6.0,
                         help="radial integration range, and the grid half-width "
                              "for wigner (default 6)")
-    common.add_argument("--abs-tol", type=float, default=1e-9,
-                        help="absolute quadrature tolerance (default 1e-9)")
+    common.add_argument("--abs-tol", type=float, default=None,
+                        help="absolute quadrature tolerance (default 1e-9; "
+                             "sigma-curve refuses it)")
     common.add_argument("--n-max", type=int, default=10,
                         help="highest Fock order in the eigenvalue table, "
                              "at most 20 (default 10)")
@@ -133,6 +134,9 @@ def _resolve_config(args):
     elif args.command == "eigenvalues":
         raise ValueError("--truncation does not apply to eigenvalues, which "
                          "quantizes exactly the --n-max + 1 orders it reports")
+    if args.abs_tol is not None and args.command == "sigma-curve":
+        raise ValueError("--abs-tol does not apply to sigma-curve, whose two fixed "
+                         "node levels read no abs_tol")
     for flag in _RETIRED_FLAGS:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} is retired: the sigma curve is "
@@ -156,7 +160,7 @@ def _resolve_config(args):
         command=args.command,
         truncation=truncation,
         r_max=args.r_max,
-        abs_tol=args.abs_tol,
+        abs_tol=1e-9 if args.abs_tol is None else args.abs_tol,
         sigma_step=getattr(args, "sigma_step", 0.05),
         sigma_max=getattr(args, "sigma_max", 2.7),
         n_max=args.n_max,

@@ -536,11 +536,16 @@ def bp_qm_mean(case):
 # the error estimate, halves every count: its difference to the fine level
 # then bounds the fine level's own error with room to spare.
 _SIGMA_LEVELS = ((64, 32, 8, 8), (128, 64, 16, 12))
-# displacement moduli run to where exp(-2 g^2) falls below 1e-17
+# displacement moduli run to where exp(-2 g^2) falls below 1e-17, and the
+# arc table keeps the pairs g1^2 + g2^2 <= _SIGMA_G_MAX^2, where the joint
+# weight exp(-2 (g1^2 + g2^2)) falls as far: the pairs dropped carry about
+# 1e-16 of it at both node levels
 _SIGMA_G_MAX = 4.5
 # grids longer than this are refused instead of left running
 _SIGMA_MAX_POINTS = 10_000
 # separation nodes per block of the arc table, which bounds its temporaries
+# (the window buffers hold n_win times the block's live cells); a single
+# pass per level over the crossing angles and gathers is no faster
 _ARC_BLOCK = 8
 # (n_g, n_d, n_win) per node level of the collapsed pair integrals of
 # bp_hv_bound; the coarse level serves the error estimate only
@@ -609,9 +614,12 @@ def _arc_table(d, g1, g2, j, n_win):
 
 def _pair_arc_table(dn, gn, j, n_win):
     """The arc table on the product grid, indexed [d, g2, g1]: the pairs
-    g1 <= g2 a block of separation nodes at a time, mirrored."""
+    g1 <= g2 inside the joint cut g1^2 + g2^2 <= _SIGMA_G_MAX^2 a block of
+    separation nodes at a time, mirrored; every cell outside the cut is 0."""
     lo, hi = np.triu_indices(gn.size)
-    out = np.empty((dn.size, gn.size, gn.size))
+    kept = gn[lo] ** 2 + gn[hi] ** 2 <= _SIGMA_G_MAX ** 2
+    lo, hi = lo[kept], hi[kept]
+    out = np.zeros((dn.size, gn.size, gn.size))
     for start in range(0, dn.size, _ARC_BLOCK):
         pairs = _arc_table(dn[start:start + _ARC_BLOCK, None], gn[lo], gn[hi], j, n_win)
         block = out[start:start + _ARC_BLOCK]
@@ -631,15 +639,22 @@ def _sigma_level(spec, pts, level, profile, j):
                <kern(s, d, theta, g1, g2)>_theta,  m(g) = 4 g exp(-2 g^2).
 
     For fixed (s, d, theta) the (g1, g2) double sum is three bilinear forms
-    u^T A_d v, done for all (d, theta) by one batched matmul. The radial
-    symbol profile gives B on the separation nodes, which are panelled at
-    its jumps, and A is the arc table of radius j, or 1 when j is None.
-    The two displacements move the separation by at most 2 _SIGMA_G_MAX,
-    so A is exactly 0 past j + 2 _SIGMA_G_MAX, where the separation rule
-    ends if r_max lies beyond.
+    u^T A_d v, done for all (d, theta) by one batched matmul. The second
+    slot at theta is the first at pi - theta and A_d is exactly symmetric,
+    so the nodes theta and pi - theta give equal terms: the forms run over
+    the first half of the (even) n_theta nodes, and the sum is doubled. The
+    radial symbol profile gives B on the separation nodes, which are
+    panelled at its jumps, and A is the arc table of radius j, or 1 when j
+    is None. Inside the joint cut the two displacements move the separation
+    by at most g1 + g2 <= sqrt(2) _SIGMA_G_MAX, so A is exactly 0 past
+    j + sqrt(2) _SIGMA_G_MAX, where the separation rule ends if r_max lies
+    beyond.
     """
     n_d, n_g, n_win, n_theta = level
-    d_max = spec.r_max if j is None else min(spec.r_max, j + 2.0 * _SIGMA_G_MAX)
+    if n_theta % 2:
+        raise ValueError(f"the separation angle takes an even node count; got {n_theta}")
+    half = n_theta // 2
+    d_max = spec.r_max if j is None else min(spec.r_max, j + math.sqrt(2.0) * _SIGMA_G_MAX)
     dn, dw = _gl_segmented(0.0, d_max, n_d, _panel_edges(profile))
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
@@ -648,7 +663,7 @@ def _sigma_level(spec, pts, level, profile, j):
     wd = dw * dn * profile(dn)
     cos_t = np.cos((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
     # the three right-hand blocks u and their products u^T A_d, reused per point
-    rhs = np.empty((dn.size, 3 * n_theta, gn.size))
+    rhs = np.empty((dn.size, 3 * half, gn.size))
     lhs = np.empty_like(rhs)
     values = np.zeros(pts.size)
     for i, s in enumerate(pts):
@@ -663,16 +678,16 @@ def _sigma_level(spec, pts, level, profile, j):
         j0 *= m
         rat /= y
         rat *= g_sq * m
-        rhs[:, :n_theta] = j0[:, ::-1]
-        np.multiply(rhs[:, :n_theta], 2.0 * g_sq, out=rhs[:, n_theta:-n_theta])
-        rhs[:, -n_theta:] = rat[:, ::-1]
+        rhs[:, :half] = j0[:, ::-1][:, :half]
+        np.multiply(rhs[:, :half], 2.0 * g_sq, out=rhs[:, half:-half])
+        rhs[:, -half:] = rat[:, ::-1][:, :half]
         np.matmul(rhs, arc, out=lhs)
         lhs0, lhs1, lhs2 = np.split(lhs, 3, axis=1)
         lhs0 *= 1.0 - 2.0 * g_sq
         lhs0 -= lhs1
-        kern = (np.einsum("dtg,dtg->d", lhs0, j0)
-                - 16.0 * (s * s - dn * dn) * np.einsum("dtg,dtg->d", lhs2, rat))
-        values[i] = 4.0 * s / n_theta * float(wd @ kern)
+        kern = (np.einsum("dtg,dtg->d", lhs0, j0[:, :half])
+                - 16.0 * (s * s - dn * dn) * np.einsum("dtg,dtg->d", lhs2, rat[:, :half]))
+        values[i] = 8.0 * s / n_theta * float(wd @ kern)
     return values
 
 

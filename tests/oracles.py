@@ -12,6 +12,7 @@ import numpy as np
 
 from bellbound.fock import FockOperator, _displacement_entries, displacement
 from bellbound.hvbound import qm_mean
+from bellbound.phasespace import _SIGMA_G_MAX, _arc_table, _panel_edges
 from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
 from bellbound.specfun import bessel_j
 from bellbound.weyl import wigner
@@ -393,6 +394,48 @@ def arc_fraction(d, g1, g2, j):
             if -1 < c < 1:
                 cuts.append(mpmath.acos(c))
         return float(mpmath.quad(arc, sorted(cuts)) / mpmath.pi)
+
+
+def sigma_level_full_square(spec, pts, level, profile, j):
+    """The sigma curve's factored route at one node level, uncut.
+
+    The route of phasespace._sigma_level without its two shortcuts: the
+    arc table fills every (g1, g2) pair of the product grid, where the
+    package keeps only the joint cut g1^2 + g2^2 <= _SIGMA_G_MAX^2, the
+    separation rule ends at min(r_max, j + 2 _SIGMA_G_MAX), and every
+    separation-angle node is summed instead of one of each pair theta,
+    pi - theta. The two differ by the Gaussian weight outside the cut and
+    by rounding.
+    """
+    n_d, n_g, n_win, n_theta = level
+    d_max = spec.r_max if j is None else min(spec.r_max, j + 2.0 * _SIGMA_G_MAX)
+    dn, dw = _gl_segmented(0.0, d_max, n_d, _panel_edges(profile))
+    gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
+    g_sq = gn * gn
+    m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
+    if j is None:
+        arc = np.ones((1, n_g, n_g))
+    else:
+        arc = _arc_table(dn[:, None, None], gn[:, None], gn[None, :], j, n_win)
+    wd = dw * dn * profile(dn)
+    cos_t = np.cos((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
+    values = np.zeros(pts.size)
+    for i, s in enumerate(pts):
+        if s == 0.0:
+            continue
+        # the first slot at theta; the second slot's a2(theta) = a1(pi - theta)
+        a1 = np.multiply.outer(2.0 * s * dn, cos_t) + (s * s + dn * dn)[:, None]
+        y = np.multiply.outer(2.0 * np.sqrt(a1), gn)
+        j0, j1 = bessel_j((0, 1), y)
+        j0 *= m
+        rat = j1 / y * g_sq * m
+        u0, u2 = j0[:, ::-1], rat[:, ::-1]
+        lhs0 = (u0 @ arc) * (1.0 - 2.0 * g_sq) - (2.0 * g_sq * u0) @ arc
+        lhs2 = u2 @ arc
+        kern = (np.einsum("dtg,dtg->d", lhs0, j0)
+                - 16.0 * (s * s - dn * dn) * np.einsum("dtg,dtg->d", lhs2, rat))
+        values[i] = 4.0 * s / n_theta * float(wd @ kern)
+    return values
 
 
 def relative_sweep(f, spec, r1_max=None, splits=()):

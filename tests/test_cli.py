@@ -43,6 +43,9 @@ def test_usage_errors_exit_one(capsys):
     # eigenvalues quantizes the orders it reports, so a cutoff would change nothing
     assert main(["eigenvalues", "--truncation", "64"]) == 1
     assert "--truncation" in capsys.readouterr().err
+    # the sigma curve runs two fixed node levels, so a tolerance would change nothing
+    assert main(["sigma-curve", "--abs-tol", "1e-3"]) == 1
+    assert "--abs-tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -317,6 +320,7 @@ def test_sigma_curve_round_trip(tmp_path):
     # the mass beyond the grid is measured against the bipartite signed disc
     # integral of the same configuration, with its error
     cfg = da["config"]
+    assert cfg["abs_tol"] == 1e-9  # the default document keeps the echoed default
     case = bellbound.BipartiteCase(
         state=bellbound.bell_pair_state(cfg["truncation"]),
         spec=bellbound.IntegrationSpec(r_max=cfg["r_max"], abs_tol=cfg["abs_tol"]))

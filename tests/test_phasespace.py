@@ -48,7 +48,7 @@ from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sig
                             unit_symbol)
 from oracles import (arc_fraction, coarse_parity_integrand, displacement_element,
                      kernel_moments_inner, pair_qm_quadrature, radial_eigenvalues,
-                     relative_sweep, sigma_point)
+                     relative_sweep, sigma_level_full_square, sigma_point)
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -688,14 +688,17 @@ def test_sigma_curve_refuses_non_finite_points():
 
 
 def test_sigma_curve_separation_rule_ends_where_the_arc_table_vanishes():
-    # the two displacements move the separation by at most 2 _SIGMA_G_MAX,
-    # so past j + 2 _SIGMA_G_MAX the table is exactly 0 and a larger r_max
+    # inside the joint cut g1^2 + g2^2 <= _SIGMA_G_MAX^2 the two displacements
+    # move the separation by at most g1 + g2 <= sqrt(2) _SIGMA_G_MAX, so past
+    # j + sqrt(2) _SIGMA_G_MAX the cut table is exactly 0 and a larger r_max
     # changes no bit; a rule spread to r_max 1e10 once missed the Gaussian
     # support at both levels alike (f(0.6) = 0.0152 against 0.0824)
     j = SEPARATION_STEP
     g = np.linspace(1e-3, _SIGMA_G_MAX, 200)
-    for d in (j + 2.0 * _SIGMA_G_MAX, 12.0):
-        assert np.all(_arc_table(np.array(d), g[:, None], g[None, :], j, 24) == 0.0)
+    end = j + math.sqrt(2.0) * _SIGMA_G_MAX
+    assert np.all(_pair_arc_table(np.array([end, 12.0]), g, j, 24) == 0.0)
+    # off the kept pairs the uncut table still reaches that far
+    assert np.any(_arc_table(np.array(end), g[:, None], g[None, :], j, 24) > 0.0)
     near, far = (sigma_curve(BipartiteCase(spec=replace(PINNED_SPEC, r_max=r)))
                  for r in (20.0, 1e10))
     for name in ("points", "values", "errors"):
@@ -703,6 +706,37 @@ def test_sigma_curve_separation_rule_ends_where_the_arc_table_vanishes():
     # and its error covers the gap to the default r_max
     values, _ = PINNED_CURVES[(0.3, 1.5)]
     assert np.all(np.abs(far.values - values) <= far.errors)
+
+
+@pytest.mark.parametrize("jump", [SEPARATION_STEP, 0.4])
+def test_sigma_curve_matches_full_square_oracle(jump):
+    # the joint cut and the theta pairing move the curve by rounding only:
+    # the uncut, all-theta route gives the same values and errors
+    case = BipartiteCase(symbol=sign_step(jump), spec=PINNED_SPEC)
+    curve = sigma_curve(case)
+    coarse, fine = (sigma_level_full_square(case.spec, curve.points, level, case.symbol, jump)
+                    for level in _SIGMA_LEVELS)
+    errors = np.where(curve.points > 0.0, np.max(np.abs(fine - coarse)), 0.0)
+    assert np.max(np.abs(curve.values - fine)) <= 1e-15
+    assert np.max(np.abs(curve.errors - errors)) <= 1e-15
+
+
+@pytest.mark.parametrize("level", _SIGMA_LEVELS)
+def test_sigma_joint_cut_drops_negligible_weight(level):
+    # the pairs outside g1^2 + g2^2 <= _SIGMA_G_MAX^2 carry at most 2e-16 of
+    # the displacement weight m(g1) m(g2), and their arc table cells are 0
+    gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, level[1], ())
+    m = gw * 4.0 * gn * np.exp(-2.0 * gn * gn)
+    weight = np.multiply.outer(m, m)
+    dropped = np.add.outer(gn * gn, gn * gn) > _SIGMA_G_MAX ** 2
+    assert 0.0 < weight[dropped].sum() <= 2e-16 * weight.sum()
+    _, _, arc = _level_arc_table(level)
+    assert np.all(arc[:, dropped] == 0.0)
+    # theta and pi - theta pair off, so the angle rule needs an even count
+    assert level[3] % 2 == 0
+    with pytest.raises(ValueError, match="even node count"):
+        _sigma_level(PINNED_SPEC, np.zeros(1), level[:3] + (level[3] + 1,), disc_profile,
+                     SEPARATION_STEP)
 
 
 def test_sigma_curve_gate_message_reads_sigma():
