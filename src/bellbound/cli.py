@@ -4,8 +4,10 @@ Every run writes one result document. JSON documents carry the command,
 the requested quantities, the component breakdown, error estimates, the
 full configuration echo and the wall-clock time, so a run can be repeated
 bit for bit from its own output; only timing_seconds varies between
-repeats. CSV is available for the two grid-valued commands (wigner,
-sigma-curve) and holds the grid alone.
+repeats. Each command takes only the flags that change its document and
+refuses every other one; the echo holds the default of every flag the
+command does not take. CSV is available for the two grid-valued commands
+(wigner, sigma-curve) and holds the grid alone.
 
 Exit codes: 0 success, 1 usage error, 2 quadrature failure.
 """
@@ -32,12 +34,9 @@ from .phasespace import (
 from .quad import IntegrationSpec, QuadratureError
 from .weyl import bell_eigenvalue_generating, quantize_radial, sign_step, wigner
 
-_COMMANDS = ("chsh", "single-particle", "bipartite", "eigenvalues", "wigner",
-             "sigma-curve")
-_GRID_COMMANDS = ("wigner", "sigma-curve")
-_PAIR_COMMANDS = ("chsh", "bipartite", "sigma-curve")
-# Fock cutoff when none is requested: qubit algebra for chsh, converged
-# cutoffs for the phase-space pipelines, two occupied levels for wigner
+# each command's Fock cutoff, which only chsh lets --truncation replace:
+# qubit algebra for chsh, converged cutoffs for the phase-space pipelines,
+# two occupied levels for wigner
 _TRUNCATION_DEFAULTS = {
     "chsh": 2,
     "single-particle": 64,
@@ -46,7 +45,47 @@ _TRUNCATION_DEFAULTS = {
     "wigner": 8,
     "sigma-curve": 32,
 }
-_WIGNER_STATES = ("fock0", "fock1", "bell")
+
+# every flag once, with the RunConfig field it sets and that field's
+# default, which also stands on every command that does not take the flag
+_FLAGS = {
+    "--truncation": dict(type=int, default=None,
+                         help="Fock space cutoff, in [2, 32] (default 2)"),
+    "--r-max": dict(type=float, default=6.0,
+                    help="grid half-width for wigner; separation range for "
+                         "sigma-curve, at least 5 (default 6)"),
+    "--abs-tol": dict(type=float, default=1e-9,
+                      help="largest rounding bound the closed-form spectrum "
+                           "may carry (default 1e-9)"),
+    "--n-max": dict(type=int, default=10,
+                    help="highest Fock order in the table, at most 20 (default 10)"),
+    "--state": dict(choices=("fock0", "fock1", "bell"), default="fock1",
+                    help="fock0, fock1, or the pair state on the (alpha, 0) "
+                         "slice (default fock1)"),
+    "--points": dict(type=int, default=200,
+                     help="grid points per axis, in [2, 1024] (default 200)"),
+    "--sigma-step": dict(type=float, default=0.05,
+                         help="separation grid spacing (default 0.05)"),
+    "--sigma-max": dict(type=float, default=2.7,
+                        help="separation grid end (default 2.7)"),
+    "--format": dict(choices=("json", "csv"), default="json", dest="output_format",
+                     help="csv holds the grid alone (default json)"),
+    "--out": dict(default=None, dest="output_path",
+                  help="output file (default: stdout)"),
+}
+
+# each command's help line and the flags its route reads
+_COMMANDS = {
+    "chsh": ("four-correlator bound on the singlet", ("--truncation", "--out")),
+    "single-particle": ("sign-step bound on the first excited state", ("--out",)),
+    "bipartite": ("separation sign-step bound on the pair state", ("--out",)),
+    "eigenvalues": ("sign-step operator spectrum by two routes",
+                    ("--abs-tol", "--n-max", "--out")),
+    "wigner": ("Wigner function on a square grid",
+               ("--r-max", "--state", "--points", "--format", "--out")),
+    "sigma-curve": ("per-separation bound density f(s)",
+                    ("--r-max", "--sigma-step", "--sigma-max", "--format", "--out")),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,97 +117,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--truncation", type=int, default=None,
-                        help="Fock space cutoff (default depends on the command)")
-    common.add_argument("--r-max", type=float, default=6.0,
-                        help="radial integration range, and the grid half-width "
-                             "for wigner (default 6)")
-    common.add_argument("--abs-tol", type=float, default=None,
-                        help="absolute quadrature tolerance (default 1e-9; "
-                             "sigma-curve refuses it)")
-    common.add_argument("--n-max", type=int, default=10,
-                        help="highest Fock order in the eigenvalue table, "
-                             "at most 20 (default 10)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        dest="output_format",
-                        help="csv is available for wigner and sigma-curve only")
-    common.add_argument("--out", default=None, dest="output_path",
-                        help="output file (default: stdout)")
-    # the Monte Carlo sigma curve's settings, kept hidden so that a run
-    # still passing them is refused by name rather than as unknown
-    for flag in _RETIRED_FLAGS:
-        common.add_argument(flag, default=None, help=argparse.SUPPRESS)
-
     parser = _Parser(prog="bellbound",
                      description="collapse Bell-bound computations")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("chsh", parents=[common],
-                   help="four-correlator bound on the singlet")
-    sub.add_parser("single-particle", parents=[common],
-                   help="sign-step bound on the first excited state")
-    sub.add_parser("bipartite", parents=[common],
-                   help="separation sign-step bound on the pair state")
-    sub.add_parser("eigenvalues", parents=[common],
-                   help="sign-step operator spectrum by two routes")
-    wig = sub.add_parser("wigner", parents=[common],
-                         help="Wigner function on a square grid")
-    wig.add_argument("--state", choices=_WIGNER_STATES, default="fock1",
-                     help="fock0, fock1, or the pair state on the "
-                          "(alpha, 0) slice (default fock1)")
-    wig.add_argument("--points", type=int, default=200,
-                     help="grid points per axis (default 200)")
-    curve = sub.add_parser("sigma-curve", parents=[common],
-                           help="per-separation bound density f(s)")
-    curve.add_argument("--sigma-step", type=float, default=0.05,
-                       help="separation grid spacing (default 0.05)")
-    curve.add_argument("--sigma-max", type=float, default=2.7,
-                       help="separation grid end (default 2.7)")
+    for command, (summary, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
+        cmd.set_defaults(**{kw.get("dest", flag[2:].replace("-", "_")): kw["default"]
+                            for flag, kw in _FLAGS.items() if flag not in flags})
+        # the Monte Carlo sigma curve's settings, kept hidden so that a run
+        # still passing them is refused by name rather than as unknown
+        for flag in _RETIRED_FLAGS:
+            cmd.add_argument(flag, default=None, help=argparse.SUPPRESS)
     return parser
 
 
 def _resolve_config(args):
-    truncation = args.truncation
-    if truncation is None:
-        truncation = _TRUNCATION_DEFAULTS[args.command]
-    elif args.command == "eigenvalues":
-        raise ValueError("--truncation does not apply to eigenvalues, which "
-                         "quantizes exactly the --n-max + 1 orders it reports")
-    if args.abs_tol is not None and args.command == "sigma-curve":
-        raise ValueError("--abs-tol does not apply to sigma-curve, whose two fixed "
-                         "node levels read no abs_tol")
     for flag in _RETIRED_FLAGS:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} is retired: the sigma curve is "
                              "computed by deterministic quadrature")
-    if truncation < 2:
-        raise ValueError("truncation must be at least 2")
-    state = getattr(args, "state", "fock1")
-    # a dense operator holds truncation^2 entries per mode: at most 2^20
-    modes = 2 if args.command in _PAIR_COMMANDS or state == "bell" else 1
-    limit = 1 << (10 // modes)
-    if truncation > limit:
-        raise ValueError(f"truncation {truncation} exceeds {limit}: a dense "
-                         f"{modes}-mode operator would pass 2^20 entries")
-    points = getattr(args, "points", 200)
-    if not 2 <= points <= 1024:  # the wigner grid holds points^2 values
-        raise ValueError(f"points {points} per axis must lie in [2, 1024]: "
+    truncation = args.truncation
+    if truncation is None:
+        truncation = _TRUNCATION_DEFAULTS[args.command]
+    elif not 2 <= truncation <= 32:  # only chsh takes a cutoff
+        raise ValueError(f"truncation {truncation} must lie in [2, 32]: a dense "
+                         "two-mode operator may hold at most 2^20 entries")
+    if not 2 <= args.points <= 1024:  # the wigner grid holds points^2 values
+        raise ValueError(f"points {args.points} per axis must lie in [2, 1024]: "
                          "the grid may hold at most 2^20 values")
-    if args.output_format == "csv" and args.command not in _GRID_COMMANDS:
-        raise ValueError("csv output is available for wigner and sigma-curve only")
-    return RunConfig(
-        command=args.command,
-        truncation=truncation,
-        r_max=args.r_max,
-        abs_tol=1e-9 if args.abs_tol is None else args.abs_tol,
-        sigma_step=getattr(args, "sigma_step", 0.05),
-        sigma_max=getattr(args, "sigma_max", 2.7),
-        n_max=args.n_max,
-        state=state,
-        points=points,
-        output_format=args.output_format,
-        output_path=args.output_path,
-    )
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{**fields, "truncation": truncation})
 
 
 def _integration_spec(cfg: RunConfig) -> IntegrationSpec:
@@ -332,7 +312,9 @@ def main(argv=None):
         cfg = _resolve_config(args)
         text = run(cfg)
     except QuadratureError as exc:
-        hint = f"; raise --{exc.knob.replace('_', '-')}" if exc.knob else ""
+        # name the flag to raise only where this command takes it
+        flag = f"--{exc.knob.replace('_', '-')}" if exc.knob else None
+        hint = f"; raise {flag}" if flag in _COMMANDS[args.command][1] else ""
         print(f"bellbound: did not converge: {exc}{hint}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -644,9 +644,9 @@ def _sigma_level(spec, pts, level, profile, j):
     so the nodes theta and pi - theta give equal terms: the forms run over
     the first half of the (even) n_theta nodes, and the sum is doubled. The
     radial symbol profile gives B on the separation nodes, which are
-    panelled at its jumps, and A is the arc table of radius j, or 1 when j
-    is None. Inside the joint cut the two displacements move the separation
-    by at most g1 + g2 <= sqrt(2) _SIGMA_G_MAX, so A is exactly 0 past
+    panelled at its jumps, and A is the arc table of radius j. Inside the
+    joint cut the two displacements move the separation by at most
+    g1 + g2 <= sqrt(2) _SIGMA_G_MAX, so A is exactly 0 past
     j + sqrt(2) _SIGMA_G_MAX, where the separation rule ends if r_max lies
     beyond.
     """
@@ -654,12 +654,12 @@ def _sigma_level(spec, pts, level, profile, j):
     if n_theta % 2:
         raise ValueError(f"the separation angle takes an even node count; got {n_theta}")
     half = n_theta // 2
-    d_max = spec.r_max if j is None else min(spec.r_max, j + math.sqrt(2.0) * _SIGMA_G_MAX)
+    d_max = min(spec.r_max, j + math.sqrt(2.0) * _SIGMA_G_MAX)
     dn, dw = _gl_segmented(0.0, d_max, n_d, _panel_edges(profile))
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
-    arc = np.ones((1, n_g, n_g)) if j is None else _pair_arc_table(dn, gn, j, n_win)
+    arc = _pair_arc_table(dn, gn, j, n_win)
     wd = dw * dn * profile(dn)
     cos_t = np.cos((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
     # the three right-hand blocks u and their products u^T A_d, reused per point

@@ -405,7 +405,8 @@ def sigma_level_full_square(spec, pts, level, profile, j):
     separation rule ends at min(r_max, j + 2 _SIGMA_G_MAX), and every
     separation-angle node is summed instead of one of each pair theta,
     pi - theta. The two differ by the Gaussian weight outside the cut and
-    by rounding.
+    by rounding. A j of None sets A = 1, the route's closed mode, whose
+    curve has a closed form.
     """
     n_d, n_g, n_win, n_theta = level
     d_max = spec.r_max if j is None else min(spec.r_max, j + 2.0 * _SIGMA_G_MAX)

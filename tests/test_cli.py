@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import time
@@ -20,9 +21,72 @@ DOC_KEYS = {"command", "config", "results", "components", "errors",
             "timing_seconds", "tool_version"}
 
 
+# the flags each command takes besides --out, each with a valid non-default
+# value that changes the document
+FLAG_TABLE = {
+    "chsh": {"--truncation": "3"},
+    "single-particle": {},
+    "bipartite": {},
+    "eigenvalues": {"--abs-tol": "1e-15", "--n-max": "3"},
+    "wigner": {"--r-max": "2", "--state": "fock0", "--points": "11", "--format": "csv"},
+    "sigma-curve": {"--r-max": "5", "--sigma-step": "0.25", "--sigma-max": "1.8",
+                    "--format": "csv"},
+}
+FLAGS = sorted({flag for flags in FLAG_TABLE.values() for flag in flags})
+# short grids to vary, so that each run stays cheap
+BASE_FLAGS = {"wigner": {"--points": "9"},
+              "sigma-curve": {"--sigma-step": "0.3", "--sigma-max": "1.5"}}
+
+
 def read_doc(path):
     with open(path) as handle:
         return json.load(handle)
+
+
+def exit_code(argv):
+    """main's exit code, returned by main or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def undeclared(command):
+    return [flag for flag in FLAGS if flag not in FLAG_TABLE[command]]
+
+
+@pytest.mark.parametrize("command", list(FLAG_TABLE))
+def test_undeclared_flags_exit_one(capsys, command):
+    # a flag the command's route does not read is refused, not ignored
+    for flag in undeclared(command):
+        assert exit_code([command, flag, "1"]) == 1, flag
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
+
+def payload(capsys, argv):
+    """The document without its clock and configuration echo, or the CSV."""
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    if "csv" in argv:
+        return text
+    doc = json.loads(text)
+    del doc["timing_seconds"], doc["config"]
+    return doc
+
+
+@pytest.mark.parametrize("command", [c for c, flags in FLAG_TABLE.items() if flags])
+def test_declared_flags_change_the_document(capsys, command):
+    base = BASE_FLAGS.get(command, {})
+    reference = payload(capsys, [command, *itertools.chain(*base.items())])
+    for flag, value in FLAG_TABLE[command].items():
+        argv = [command, *itertools.chain(*{**base, flag: value}.items())]
+        if flag == "--abs-tol":
+            # the closed-form spectrum's rounding bound, about 1e-14, refuses it
+            assert main(argv) == 2, flag
+            assert capsys.readouterr().err.rstrip().endswith("raise --abs-tol")
+            continue
+        assert payload(capsys, argv) != reference, flag
 
 
 def test_usage_errors_exit_one(capsys):
@@ -32,20 +96,20 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
-    assert main(["chsh", "--format", "csv"]) == 1
-    assert "sigma-curve" in capsys.readouterr().err
     assert main(["chsh", "--truncation", "1"]) == 1
     capsys.readouterr()
     assert main(["eigenvalues", "--n-max", "0"]) == 1
     assert "n_max" in capsys.readouterr().err
     assert main(["eigenvalues", "--n-max", "25"]) == 1  # generating route cap
     assert "n_max" in capsys.readouterr().err
-    # eigenvalues quantizes the orders it reports, so a cutoff would change nothing
-    assert main(["eigenvalues", "--truncation", "64"]) == 1
-    assert "--truncation" in capsys.readouterr().err
-    # the sigma curve runs two fixed node levels, so a tolerance would change nothing
-    assert main(["sigma-curve", "--abs-tol", "1e-3"]) == 1
-    assert "--abs-tol" in capsys.readouterr().err
+    # flags that would change nothing are refused by argparse: chsh has no
+    # grid to write as csv, eigenvalues quantizes the orders it reports, and
+    # the sigma curve runs two fixed node levels
+    for argv in (["chsh", "--format", "csv"], ["eigenvalues", "--truncation", "64"],
+                 ["sigma-curve", "--abs-tol", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1 and argv[1] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -64,7 +128,9 @@ def test_usage_errors_exit_one(capsys):
     ],
 )
 def test_invalid_spec_values_exit_one(capsys, flag, value, field):
-    assert main(["sigma-curve", flag, value]) == 1
+    # eigenvalues is the one command that takes --abs-tol
+    command = "eigenvalues" if flag == "--abs-tol" else "sigma-curve"
+    assert main([command, flag, value]) == 1
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
@@ -73,23 +139,25 @@ def test_invalid_spec_values_exit_one(capsys, flag, value, field):
 @pytest.mark.parametrize(
     "argv, knob",
     [
-        # each of these ran to exit 0 with a wrong answer and a tiny error bar
+        # each of these once ran to exit 0 with a wrong answer and a tiny
+        # error bar; neither route reads r_max or a cutoff, so both refuse the flag
         (["single-particle", "--r-max", "0.01"], "r_max"),
         (["bipartite", "--r-max", "4.5"], "r_max"),
         # the sigma curve's separation rule ends at r_max, which keeps its floor
         (["sigma-curve", "--r-max", "4.5"], "r_max"),
-        # a dense two-mode operator holds truncation^4 entries, one mode
-        # truncation^2; both limits sit at 2^20 entries
         (["bipartite", "--truncation", "33"], "truncation"),
         (["single-particle", "--truncation", "1025"], "truncation"),
         # a grid of points^2 values: 10^7 per axis would need 1.42 PiB
         (["wigner", "--points", "10000000"], "points"),
+        # chsh's dense two-mode operator holds truncation^4 entries: at most 2^20
+        (["chsh", "--truncation", "33"], "truncation"),
     ],
 )
 def test_out_of_bounds_inputs_exit_one(capsys, argv, knob):
-    assert main(argv) == 1
+    assert exit_code(argv) == 1
     err = capsys.readouterr().err
-    assert knob in err and "Traceback" not in err
+    # the field, or the flag that argparse refuses
+    assert knob in err.replace("-", "_") and "Traceback" not in err
 
 
 def sizes(low, high, limit):
@@ -106,20 +174,23 @@ TOLERANCES = st.one_of(st.floats(1e-30, 1e-3), st.floats(min_value=0.0, exclude_
                        st.floats(max_value=0.0), st.just(math.nan))
 
 
+# each command's declared flags and their draws
+NUMERIC_FLAGS = {
+    "chsh": {"--truncation": sizes(2, 4, 32)},
+    "eigenvalues": {"--abs-tol": TOLERANCES, "--n-max": st.integers(1, 20) | st.integers()},
+    "wigner": {"--r-max": REALS, "--points": sizes(2, 64, 1024),
+               "--state": st.sampled_from(["fock0", "fock1", "bell"])},
+}
+
+
 @st.composite
 def numeric_argv(draw):
-    command = draw(st.sampled_from(["chsh", "eigenvalues", "wigner"]))
-    flags = {
-        "--truncation": sizes(2, {"chsh": 4, "eigenvalues": 32, "wigner": 8}[command],
-                              1024),
-        "--r-max": REALS,
-        "--abs-tol": TOLERANCES,
-        "--n-max": st.integers(1, 20) | st.integers(),
-    }
-    if command == "wigner":
-        flags["--points"] = sizes(2, 64, 1024)
-        flags["--state"] = st.sampled_from(["fock0", "fock1", "bell"])
-    chosen = draw(st.fixed_dictionaries({}, optional=flags))
+    command = draw(st.sampled_from(list(NUMERIC_FLAGS)))
+    chosen = draw(st.fixed_dictionaries({}, optional=NUMERIC_FLAGS[command]))
+    # now and then a flag the command does not take, which it must refuse
+    foreign = draw(st.none() | st.sampled_from(undeclared(command)))
+    if foreign is not None:
+        chosen[foreign] = 1
     return [command] + [f"{flag}={value}" for flag, value in chosen.items()]
 
 
@@ -143,13 +214,16 @@ def test_numeric_flags_exit_cleanly(argv):
     assert "Traceback" not in err
     if code == 0:
         json.loads(out.getvalue(), parse_constant=refuse_constant)
+    given_flags = [arg.split("=")[0] for arg in argv[1:]]
+    foreign = [flag for flag in given_flags if flag in undeclared(argv[0])]
+    if foreign:
+        assert code == 1 and foreign[0] in err, (argv, err)
     if code == 1:
-        given_flags = [arg.split("=")[0] for arg in argv[1:]]
         assert any(flag in err or flag[2:].replace("-", "_") in err
                    for flag in given_flags), (argv, err)
 
 
-@pytest.mark.parametrize("command", ["sigma-curve", "bipartite"])
+@pytest.mark.parametrize("command", list(FLAG_TABLE))
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
 def test_retired_monte_carlo_flags_exit_one(capsys, command, flag):
     assert main([command, flag, "7"]) == 1
@@ -372,8 +446,11 @@ def test_unreachable_tolerance_exits_two_at_once(capsys):
 ])
 def test_engine_exhaustion_names_abs_tol(capsys, monkeypatch, argv, budget):
     # a budget or node ladder too small to converge fails as an unreachable
-    # tolerance does, without spending the default budget's seconds
+    # tolerance does, without spending the default budget's seconds; the hint
+    # names --abs-tol only where the command takes it
     monkeypatch.setattr(bellbound.quad, *budget)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "did not converge" in err and err.rstrip().endswith("raise --abs-tol")
+    hinted = "--abs-tol" in FLAG_TABLE[argv[0]]
+    assert "did not converge" in err and ("; raise" in err) == hinted
+    assert err.rstrip().endswith("raise --abs-tol") == hinted

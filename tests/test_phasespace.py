@@ -594,7 +594,8 @@ def closed_curve(case, profile):
     (points, fine level, the largest level gap at every s > 0)."""
     spec = case.spec
     pts = spec.sigma_step * np.arange(round(spec.sigma_max / spec.sigma_step) + 1)
-    coarse, fine = (_sigma_level(spec, pts, level, profile, None) for level in _SIGMA_LEVELS)
+    coarse, fine = (sigma_level_full_square(spec, pts, level, profile, None)
+                    for level in _SIGMA_LEVELS)
     return pts, fine, np.where(pts > 0.0, np.max(np.abs(fine - coarse)), 0.0)
 
 
@@ -618,15 +619,14 @@ def test_sigma_curve_closed_modes():
 
 def test_sigma_curve_grid_and_determinism():
     case = BipartiteCase(spec=IntegrationSpec(sigma_max=0.5))
-    assert np.allclose(sigma_curve(case).points, 0.05 * np.arange(11))
-    curve = closed_curve(case, disc_profile)
-    assert np.allclose(curve[0], 0.05 * np.arange(11))
-    again = closed_curve(case, disc_profile)
-    assert all(np.array_equal(x, y) for x, y in zip(curve, again))
+    curve = sigma_curve(case)
+    assert np.allclose(curve.points, 0.05 * np.arange(11))
+    fields = ("points", "values", "errors")
+    again = sigma_curve(case)
+    assert all(np.array_equal(getattr(curve, f), getattr(again, f)) for f in fields)
     # no random numbers: the seed the Monte Carlo oracle reads changes nothing
-    reseeded = BipartiteCase(spec=replace(case.spec, seed=43))
-    other = closed_curve(reseeded, disc_profile)
-    assert all(np.array_equal(x, y) for x, y in zip(curve, other))
+    other = sigma_curve(BipartiteCase(spec=replace(case.spec, seed=43)))
+    assert all(np.array_equal(getattr(curve, f), getattr(other, f)) for f in fields)
 
 
 # the default sign-step curve on the benchmark's grid and on the default grid
