@@ -34,9 +34,11 @@ from .phasespace import (
 from .quad import IntegrationSpec, QuadratureError
 from .weyl import bell_eigenvalue_generating, quantize_radial, sign_step, wigner
 
-# each command's Fock cutoff, which only chsh lets --truncation replace:
-# qubit algebra for chsh, converged cutoffs for the phase-space pipelines,
-# two occupied levels for wigner
+# each command's Fock cutoff in the config echo, which only chsh lets
+# --truncation replace: qubit algebra for chsh, a converged cutoff for
+# single-particle, two occupied levels for wigner. eigenvalues, bipartite
+# and sigma-curve build no Fock matrix; they echo the cutoff their earlier
+# documents held, so those documents stay byte-identical
 _TRUNCATION_DEFAULTS = {
     "chsh": 2,
     "single-particle": 64,
@@ -204,7 +206,7 @@ def _run_single_particle(cfg, spec):
 
 
 def _run_bipartite(cfg, spec):
-    case = BipartiteCase(state=bell_pair_state(cfg.truncation), spec=spec)
+    case = BipartiteCase(spec=spec)
     results, components, errors = _report_payload(bp_hv_bound(case))
     return results, components, errors, None
 
@@ -249,7 +251,7 @@ def _run_wigner(cfg, spec):
 
 
 def _run_sigma_curve(cfg, spec):
-    case = BipartiteCase(state=bell_pair_state(cfg.truncation), spec=spec)
+    case = BipartiteCase(spec=spec)
     curve = sigma_curve(case)
     value, err = curve.integral()
     # what the grid misses: sign_disc integrates f over the plane

@@ -283,14 +283,6 @@ def tensor(a, b):
     )
 
 
-def _pair_vector(dim):
-    """(|0>|1> - |1>|0>)/sqrt(2) on the two-mode basis, n2 fastest."""
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[0 * dim + 1] = 1.0 / math.sqrt(2)
-    vec[1 * dim + 0] = -1.0 / math.sqrt(2)
-    return vec
-
-
 def bell_pair_state(dim):
     """(|0>|1> - |1>|0>)/sqrt(2) as a two-mode density matrix.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import DensityMatrix, _displacement_amplitudes, _pair_vector, bell_pair_state
+from .fock import DensityMatrix, _displacement_amplitudes
 from .hvbound import BellReport
 from .quad import (
     IntegrationSpec,
@@ -48,7 +48,6 @@ __all__ = [
 SEPARATION_STEP = math.sqrt(0.5)
 
 _DEFAULT_SP_DIM = 64
-_DEFAULT_BP_DIM = 32
 # the largest n-tail estimate of the generic route, relative to its bound
 _N_TAIL_TOL = 5e-3
 
@@ -97,29 +96,21 @@ class SingleParticleCase:
 
 @dataclass(frozen=True)
 class BipartiteCase:
-    """A separation symbol measured on a two-mode pair state.
+    """A separation profile measured on the antisymmetric pair state.
 
-    The symbol profile is a function of the separation |alpha_1 - alpha_2|;
+    The profile is a radial symbol of the separation |alpha_1 - alpha_2|;
     the default steps from -1 to +1 at SEPARATION_STEP, and bp_hv_bound takes
-    any profile with declared levels. The state must be pure within 1e-12 in
-    tr(rho^2): the reduced bound formulas project onto one vector.
+    any profile with declared levels. The state is fixed, (|0,1> - |1,0>)/sqrt 2:
+    every pair route is a closed reduction for it and holds no Fock matrix.
+    An r_max below 5 is refused.
     """
 
     symbol: RadialSymbol = field(
         default_factory=lambda: sign_step(SEPARATION_STEP)
     )
-    state: DensityMatrix = field(
-        default_factory=lambda: bell_pair_state(_DEFAULT_BP_DIM)
-    )
     spec: IntegrationSpec = field(default_factory=IntegrationSpec)
 
     def __post_init__(self):
-        if self.state.modes != 2:
-            raise ValueError("bi-partite case needs a two-mode state")
-        ent = self.state.entries
-        purity = float(np.real(np.einsum("ij,ji->", ent, ent)))
-        if abs(purity - 1.0) > 1e-12:
-            raise ValueError(f"pair state must be pure, tr(rho^2) = {purity}")
         _check_r_max(self.spec)
 
 
@@ -279,7 +270,8 @@ def sp_hv_bound(case):
             "sp_hv_bound_generic handles other number-diagonal states"
         )
     return _bilinear_report("single-particle", case, _excited_component, lambda s: s,
-                            "; sp_hv_bound_generic takes any single-mode symbol")
+                            "; sp_hv_bound_generic takes any symbol with a declared "
+                            "far value")
 
 
 def _diagonal_weights(rho):
@@ -493,16 +485,6 @@ def coarse_parity_bound(rho, symbol, spec=None):
 # bi-partite
 
 
-def _pair_state_checked(case):
-    vec = _pair_vector(case.state.dim)
-    overlap = float(np.real(vec.conj() @ case.state.entries @ vec))
-    if abs(overlap - 1.0) > 1e-9:
-        raise ValueError(
-            "the reduced bi-partite formulas are specific to the "
-            f"antisymmetric pair state; overlap {overlap:.6f}"
-        )
-
-
 def _relative_profile(symbol):
     """The separation profile as a radial symbol of the relative mode.
 
@@ -523,9 +505,8 @@ def bp_qm_mean(case):
     The pair state holds the relative mode (alpha_1 - alpha_2)/sqrt 2 in its
     first excited level and the other mode in its vacuum, so the mean is
     the first eigenvalue of the relative-mode profile: the qm_mean of
-    bp_hv_bound's report, bit for bit. Any other state is refused.
+    bp_hv_bound's report, bit for bit.
     """
-    _pair_state_checked(case)
     return _first_level_mean(_relative_profile(case.symbol), case.spec)
 
 
@@ -710,7 +691,6 @@ def sigma_curve(case):
     of the point itself and a fifth of the curve maximum (the floor keeps
     near-zero points from tripping the relative test).
     """
-    _pair_state_checked(case)
     levels = case.symbol.levels
     if levels != (-1.0, 1.0):
         raise ValueError(f"the sigma curve takes the sign-step levels (-1.0, 1.0) "
@@ -804,7 +784,6 @@ def bp_hv_bound(case):
     The quantum mean is bp_qm_mean's, the first eigenvalue of the
     relative-mode profile.
     """
-    _pair_state_checked(case)
     jumps = case.symbol.jumps
     tables = {r: [_collapsed_arc(r, level, jumps) for level in _COLLAPSE_LEVELS]
               for r in jumps}

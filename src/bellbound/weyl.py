@@ -49,6 +49,12 @@ class RadialSymbol:
     lets the quantizer trade the infinite tail for a closed-form
     contribution. levels, declared by piecewise_symbol, are the values on
     [0, r_1), [r_1, r_2), ..., [r_k, inf).
+
+    The far declaration is trusted, not probed: quantize_radial and
+    sp_hv_bound_generic take far_value from far_radius on without reading
+    the function there, while coarse_parity_bound reads the function on
+    [0, r_max]. A declaration the function contradicts therefore makes
+    those routes disagree.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]

@@ -467,8 +467,9 @@ def relative_sweep(f, spec, r1_max=None, splits=()):
     return value, abs(value - prev)
 
 
-def pair_qm_quadrature(case):
-    """(value, gap) of the separation profile's quantum mean in phase space.
+def pair_qm_quadrature(state, case):
+    """(value, gap) of case's separation profile's quantum mean on a two-mode
+    state, in phase space.
 
     (2 pi)^2 int s ds int t dt W(s, t) B(t) over real representatives
     alpha_1 = (s + t)/2, alpha_2 = (s - t)/2, which covers every orbit of
@@ -477,7 +478,6 @@ def pair_qm_quadrature(case):
     moduli |sigma| and |delta|; the symmetry is probed at a test point, and
     a state without it is refused with ValueError.
     """
-    state = case.state
     ref = None
     for phase_s, phase_t in ((0.0, 0.0), (0.9, 0.0), (0.0, 2.1), (1.7, 0.6)):
         sigma = 0.8 * np.exp(1j * phase_s)

@@ -396,7 +396,6 @@ def test_sigma_curve_round_trip(tmp_path):
     cfg = da["config"]
     assert cfg["abs_tol"] == 1e-9  # the default document keeps the echoed default
     case = bellbound.BipartiteCase(
-        state=bellbound.bell_pair_state(cfg["truncation"]),
         spec=bellbound.IntegrationSpec(r_max=cfg["r_max"], abs_tol=cfg["abs_tol"]))
     disc, disc_err = bellbound.sign_disc(bellbound.bp_hv_bound(case))
     assert da["results"]["beyond_grid"] == disc - da["results"]["integral"]

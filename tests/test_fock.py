@@ -15,7 +15,6 @@ from bellbound.fock import (
     FockOperator,
     _displacement_amplitudes,
     _displacement_entries,
-    _pair_vector,
     bell_pair_state,
     displacement,
     identity,
@@ -368,7 +367,8 @@ def test_bell_pair_state():
     rho = bell_pair_state(8)
     assert rho.modes == 2 and rho.dim == 8 and rho.op.hermitian
     assert np.trace(rho.entries) == 1.0  # nothing left to renormalize
-    vec = _pair_vector(8)
+    vec = np.zeros(64)
+    vec[0 * 8 + 1], vec[1 * 8 + 0] = 1.0 / math.sqrt(2), -1.0 / math.sqrt(2)
     assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) < 1e-15
     purity = trace_product(rho.op, rho.op).real
     assert abs(purity - 1.0) < 1e-12

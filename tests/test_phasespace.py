@@ -1,7 +1,7 @@
 """Single-particle and bi-partite bound pipelines."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -257,6 +257,13 @@ def test_refusal_hints_fit_their_route():
     # only the single-particle refusal points at the generic route
     with pytest.raises(ValueError, match="sp_hv_bound_generic"):
         sp_hv_bound(SingleParticleCase(symbol=RING))
+    # and the hint names what that route needs: a symbol without a declared
+    # far value is refused by both, each saying so
+    bare = RadialSymbol(lambda r: np.sign(r - 0.5))
+    with pytest.raises(ValueError, match="declared far value"):
+        sp_hv_bound(SingleParticleCase(symbol=bare))
+    with pytest.raises(ValueError, match="declared far value"):
+        sp_hv_bound_generic(SingleParticleCase().state, bare)
     with pytest.raises(ValueError, match="levels") as info:
         bp_hv_bound(BipartiteCase(symbol=RING))
     assert "sp_hv_bound_generic" not in str(info.value)
@@ -547,18 +554,26 @@ def test_coarse_parity_tail_names_r_max():
 def test_bipartite_case_validation():
     case = BipartiteCase()
     assert case.symbol.jumps == (SEPARATION_STEP,)
-    assert case.state.modes == 2
     spec = IntegrationSpec(r_max=7.0)
     assert BipartiteCase(spec=spec).spec is spec
-    single = np.zeros(16)
-    single[1] = 1.0
-    with pytest.raises(ValueError, match="two-mode"):
-        BipartiteCase(state=DensityMatrix.from_state(single))
-    blend = 0.5 * bell_pair_state(8).entries + 0.5 * np.diag(
-        np.eye(64)[0].astype(complex)
-    )
-    with pytest.raises(ValueError, match="pure"):
-        BipartiteCase(state=DensityMatrix(FockOperator(blend, modes=2, hermitian=True)))
+    # the pair state is fixed: the case holds a profile and a spec only
+    assert [f.name for f in fields(BipartiteCase)] == ["symbol", "spec"]
+    with pytest.raises(TypeError):
+        BipartiteCase(state=bell_pair_state(8))
+    with pytest.raises(ValueError, match="r_max"):
+        BipartiteCase(spec=IntegrationSpec(r_max=4.0))
+
+
+def test_pair_routes_build_no_fock_state(monkeypatch):
+    # every pair route is a closed reduction for the antisymmetric pair
+    # state: none of them builds a Fock matrix
+    def refuse(self):
+        raise AssertionError("a pair route built a Fock operator")
+
+    monkeypatch.setattr(FockOperator, "__post_init__", refuse)
+    case = BipartiteCase(spec=PINNED_SPEC)
+    assert bp_hv_bound(BipartiteCase()).qm_mean == bp_qm_mean(case)
+    assert sigma_curve(case).points.size == 6
 
 
 def test_relative_profile():
@@ -576,14 +591,11 @@ def test_bp_qm_mean_quadrature():
     case = BipartiteCase()
     assert bp_qm_mean(case) == bp_hv_bound(case).qm_mean
     assert abs(bp_qm_mean(case) - QM) < 1e-12
-    assert abs(bp_qm_mean(case) - pair_qm_quadrature(case)[0]) < 1e-12
+    assert abs(bp_qm_mean(case) - pair_qm_quadrature(bell_pair_state(8), case)[0]) < 1e-12
     lopsided = np.zeros(16)
     lopsided[0] = lopsided[1] = 1.0
-    lopsided = BipartiteCase(state=DensityMatrix.from_state(lopsided, modes=2))
     with pytest.raises(ValueError, match="phase symmetric"):
-        pair_qm_quadrature(lopsided)
-    with pytest.raises(ValueError, match="antisymmetric pair state"):
-        bp_qm_mean(lopsided)
+        pair_qm_quadrature(DensityMatrix.from_state(lopsided, modes=2), case)
     bump = RadialSymbol(lambda r: np.exp(-r * r), far_value=0.0)
     with pytest.raises(ValueError, match="declared levels"):
         bp_qm_mean(BipartiteCase(symbol=bump))
@@ -874,13 +886,6 @@ def test_bp_unit_symbol_report():
     assert rep.notes["violation"] is False
 
 
-def test_bp_rejects_foreign_state():
-    vac = np.zeros(36)
-    vac[0] = 1.0
-    with pytest.raises(ValueError, match="pair state"):
-        bp_hv_bound(BipartiteCase(state=DensityMatrix.from_state(vac, modes=2)))
-
-
 def test_collapsed_kernel_closed_component():
     # with A = 1 and B = 1{d < j} the collapsed integral is full_core, which
     # is closed: the cells resolve the kernel to rounding
@@ -923,7 +928,7 @@ def test_bp_two_step_profile():
     case = BipartiteCase(symbol=PAIR_TWO_STEP)
     rep = bp_hv_bound(case)
     assert rep.qm_mean == bp_qm_mean(case)
-    assert abs(rep.qm_mean - pair_qm_quadrature(case)[0]) < 1e-12
+    assert abs(rep.qm_mean - pair_qm_quadrature(bell_pair_state(8), case)[0]) < 1e-12
     assert_two_step_form(rep)
     # the full arc side is closed
     comps, errs = rep.notes["components"], rep.notes["component_errors"]
