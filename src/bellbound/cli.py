@@ -6,8 +6,9 @@ full configuration echo and the wall-clock time, so a run can be repeated
 bit for bit from its own output; only timing_seconds varies between
 repeats. Each command takes only the flags that change its document and
 refuses every other one; the echo holds the default of every flag the
-command does not take. CSV is available for the two grid-valued commands
-(wigner, sigma-curve) and holds the grid alone.
+command does not take, and the command's fixed Fock cutoff. CSV is
+available for the two grid-valued commands (wigner, sigma-curve) and
+holds the grid alone.
 
 Exit codes: 0 success, 1 usage error, 2 quadrature failure.
 """
@@ -34,11 +35,11 @@ from .phasespace import (
 from .quad import IntegrationSpec, QuadratureError
 from .weyl import bell_eigenvalue_generating, quantize_radial, sign_step, wigner
 
-# each command's Fock cutoff in the config echo, which only chsh lets
-# --truncation replace: qubit algebra for chsh, a converged cutoff for
-# single-particle, two occupied levels for wigner. eigenvalues, bipartite
-# and sigma-curve build no Fock matrix; they echo the cutoff their earlier
-# documents held, so those documents stay byte-identical
+# each command's Fock cutoff in the config echo, which no flag replaces:
+# qubit algebra for chsh, a converged cutoff for single-particle, two
+# occupied levels for wigner. eigenvalues, bipartite and sigma-curve build
+# no Fock matrix; they echo the cutoff their earlier documents held, so
+# those documents stay byte-identical
 _TRUNCATION_DEFAULTS = {
     "chsh": 2,
     "single-particle": 64,
@@ -51,8 +52,6 @@ _TRUNCATION_DEFAULTS = {
 # every flag once, with the RunConfig field it sets and that field's
 # default, which also stands on every command that does not take the flag
 _FLAGS = {
-    "--truncation": dict(type=int, default=None,
-                         help="Fock space cutoff, in [2, 32] (default 2)"),
     "--r-max": dict(type=float, default=6.0,
                     help="grid half-width for wigner; separation range for "
                          "sigma-curve, at least 5 (default 6)"),
@@ -78,7 +77,7 @@ _FLAGS = {
 
 # each command's help line and the flags its route reads
 _COMMANDS = {
-    "chsh": ("four-correlator bound on the singlet", ("--truncation", "--out")),
+    "chsh": ("four-correlator bound on the singlet", ("--out",)),
     "single-particle": ("sign-step bound on the first excited state", ("--out",)),
     "bipartite": ("separation sign-step bound on the pair state", ("--out",)),
     "eigenvalues": ("sign-step operator spectrum by two routes",
@@ -140,17 +139,12 @@ def _resolve_config(args):
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} is retired: the sigma curve is "
                              "computed by deterministic quadrature")
-    truncation = args.truncation
-    if truncation is None:
-        truncation = _TRUNCATION_DEFAULTS[args.command]
-    elif not 2 <= truncation <= 32:  # only chsh takes a cutoff
-        raise ValueError(f"truncation {truncation} must lie in [2, 32]: a dense "
-                         "two-mode operator may hold at most 2^20 entries")
     if not 2 <= args.points <= 1024:  # the wigner grid holds points^2 values
         raise ValueError(f"points {args.points} per axis must lie in [2, 1024]: "
                          "the grid may hold at most 2^20 values")
-    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
-    return RunConfig(**{**fields, "truncation": truncation})
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+              if f.name != "truncation"}
+    return RunConfig(**fields, truncation=_TRUNCATION_DEFAULTS[args.command])
 
 
 def _integration_spec(cfg: RunConfig) -> IntegrationSpec:
@@ -173,11 +167,10 @@ def _report_payload(rep):
 
 
 def _run_chsh(cfg, spec):
-    dec = chsh_decomposition(cfg.truncation)
-    rep = bell_report(bell_pair_state(cfg.truncation), dec)
+    dec = chsh_decomposition()
+    rep = bell_report(bell_pair_state(2), dec)
     # sum_u w_u P_u B P_u must equal hv_bound times the identity: the
-    # collapse of the operator is state independent for these settings;
-    # summed one term at a time, so a few t^2 x t^2 matrices are live at once
+    # collapse of the operator is state independent for these settings
     target = dec.target.entries
     collapsed = np.zeros_like(target)
     for w, p in dec.terms:

@@ -299,7 +299,5 @@ def bell_pair_state(dim):
 
 
 def trace_product(a, b):
-    """tr(A B) for FockOperator or raw array arguments."""
-    am = a.entries if hasattr(a, "entries") else np.asarray(a)
-    bm = b.entries if hasattr(b, "entries") else np.asarray(b)
-    return complex(np.einsum("ij,ji->", am, bm))
+    """tr(A B) of two FockOperators or DensityMatrices."""
+    return complex(np.einsum("ij,ji->", a.entries, b.entries))

@@ -49,11 +49,12 @@ class Decomposition:
             if p.entries.shape != self.target.entries.shape or p.modes != self.target.modes:
                 raise ValueError("projector shape or mode count mismatch")
             res = p.entries @ p.entries - p.entries
-            if np.max(np.abs(res)) >= 1e-10:
+            # written so that a NaN residue fails the check too
+            if not np.max(np.abs(res)) < 1e-10:
                 raise ValueError("term is not idempotent")
         total = sum(w * p.entries for w, p in terms)
         gap = np.max(np.abs(total - self.target.entries))
-        if gap >= 1e-8:
+        if not gap < 1e-8:
             raise ValueError(f"terms reconstruct the target only to {gap:.2e}")
 
     @property
@@ -67,7 +68,7 @@ class Decomposition:
 
 def qm_mean(rho, op):
     """Tr(rho B) with a guard on the imaginary residue."""
-    val = trace_product(rho.op if hasattr(rho, "op") else rho, op)
+    val = trace_product(rho, op)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation came out complex ({val.imag:.2e})")
     return val.real
@@ -107,24 +108,22 @@ def bound_difference(rho, decomposition):
     return total.real
 
 
-def _spin_block(direction, dim):
-    """direction . sigma on the first two levels, +1 on the rest."""
+def _spin_block(direction):
+    """direction . sigma on the qubit of levels 0 and 1."""
     nx, ny, nz = (float(c) for c in direction)
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN component fails too
         raise ValueError("spin direction must be a unit vector")
-    m = np.eye(dim, dtype=complex)
-    m[:2, :2] = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-    return m
+    return np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
 
 
-def _spin_projectors(direction, dim):
-    a = _spin_block(direction, dim)
-    eye = np.eye(dim, dtype=complex)
+def _spin_projectors(direction):
+    a = _spin_block(direction)
+    eye = np.eye(2, dtype=complex)
     up = FockOperator(0.5 * (eye + a), hermitian=True)
-    # the complement keeps nothing outside the qubit block
     down = FockOperator(0.5 * (eye - a), hermitian=True)
     return up, down
+
 
 TSIRELSON_SETTINGS = {
     "a": (0.0, 0.0, 1.0),
@@ -134,19 +133,21 @@ TSIRELSON_SETTINGS = {
 }
 
 
-def chsh_decomposition(dim=2, settings=None):
+def chsh_decomposition(settings=None):
     """The four-correlator Bell operator as 16 weighted product projectors.
 
-    Each local observable is dichotomous (+1/-1) at any truncation: the spin
-    part lives on the first two levels and the remaining levels are assigned
-    +1. Default settings realize the maximal quantum value 2 sqrt(2) on the
-    two-level singlet.
+    Each local observable is the dichotomous (+1/-1) spin n . sigma on the
+    qubit of levels 0 and 1, where the singlet lives, so every projector is
+    a 4 x 4 two-mode matrix. `settings` maps each of a, a', b, b' to a unit
+    direction; the default realizes the maximal quantum value 2 sqrt(2) on
+    the singlet.
     """
-    if dim < 2:
-        raise ValueError("need at least two levels per mode")
     if settings is None:
         settings = TSIRELSON_SETTINGS
-    proj = {k: _spin_projectors(v, dim) for k, v in settings.items()}
+    missing = [k for k in ("a", "a'", "b", "b'") if k not in settings]
+    if missing:
+        raise ValueError(f"settings lack the direction {missing[0]!r}")
+    proj = {k: _spin_projectors(v) for k, v in settings.items()}
     pair_sign = {("a", "b"): 1.0, ("a", "b'"): 1.0, ("a'", "b"): 1.0,
                  ("a'", "b'"): -1.0}
     terms = []

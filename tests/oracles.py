@@ -10,8 +10,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from bellbound.fock import FockOperator, _displacement_entries, displacement
-from bellbound.hvbound import qm_mean
+from bellbound.fock import FockOperator, _displacement_entries, displacement, tensor
+from bellbound.hvbound import TSIRELSON_SETTINGS, Decomposition, _spin_projectors, qm_mean
 from bellbound.phasespace import _SIGMA_G_MAX, _arc_table, _panel_edges
 from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
 from bellbound.specfun import bessel_j
@@ -265,6 +265,36 @@ def commuting_joint_distribution(rho, families, seed=0):
 
 
 MC_CHUNK = 262_144
+
+
+def padded_chsh_decomposition(dim):
+    """The default CHSH decomposition with each mode embedded in `dim` levels.
+
+    Each 2 x 2 spin projector is padded, up by the identity on levels
+    2 .. dim - 1 and down by zero, so each local observable up - down is +1
+    outside the qubit block. The target is the correlator sum of those
+    observables, built apart from the 16 product projectors.
+    """
+    def padded(p, rest):
+        entries = np.diag([0.0, 0.0] + [rest] * (dim - 2)).astype(complex)
+        entries[:2, :2] = p.entries
+        return FockOperator(entries, hermitian=True)
+
+    proj = {}
+    for key, direction in TSIRELSON_SETTINGS.items():
+        up, down = _spin_projectors(direction)
+        proj[key] = (padded(up, 1.0), padded(down, 0.0))
+    pair_sign = {("a", "b"): 1.0, ("a", "b'"): 1.0, ("a'", "b"): 1.0,
+                 ("a'", "b'"): -1.0}
+    terms = []
+    target = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for (left, right), eps in pair_sign.items():
+        for s, ps in zip((1.0, -1.0), proj[left]):
+            for t, qt in zip((1.0, -1.0), proj[right]):
+                terms.append((eps * s * t, tensor(ps, qt)))
+        obs = [(up - down).entries for up, down in (proj[left], proj[right])]
+        target += eps * np.kron(*obs)
+    return Decomposition(tuple(terms), FockOperator(target, modes=2, hermitian=True))
 
 
 def mc_integrate(f, dims, bounds, spec, strata=None, stream_key=()):

@@ -134,7 +134,7 @@ def test_criterion_01_chsh_bound():
             dirs[key] = tuple(v / np.linalg.norm(v))
         settings.append(dirs)
     for cfg in settings:
-        dec = chsh_decomposition(2, settings=cfg)
+        dec = chsh_decomposition(settings=cfg)
         mats = np.stack([p.entries for _, p in dec.terms])
         weights = np.array([w for w, _ in dec.terms])
         collapsed = np.einsum("u,uij,jk,ukl->il", weights, mats,

@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound
+from bellbound import cli
 from bellbound.cli import RunConfig, main, run
 from bellbound.hvbound import chsh_decomposition
 
@@ -24,7 +24,7 @@ DOC_KEYS = {"command", "config", "results", "components", "errors",
 # the flags each command takes besides --out, each with a valid non-default
 # value that changes the document
 FLAG_TABLE = {
-    "chsh": {"--truncation": "3"},
+    "chsh": {},
     "single-particle": {},
     "bipartite": {},
     "eigenvalues": {"--abs-tol": "1e-15", "--n-max": "3"},
@@ -32,7 +32,10 @@ FLAG_TABLE = {
     "sigma-curve": {"--r-max": "5", "--sigma-step": "0.25", "--sigma-max": "1.8",
                     "--format": "csv"},
 }
-FLAGS = sorted({flag for flags in FLAG_TABLE.values() for flag in flags})
+# flags the package no longer declares, still refused by name on every
+# command: chsh, the last to take --truncation, is qubit algebra
+GONE_FLAGS = {"--truncation"}
+FLAGS = sorted({flag for flags in FLAG_TABLE.values() for flag in flags} | GONE_FLAGS)
 # short grids to vary, so that each run stays cheap
 BASE_FLAGS = {"wigner": {"--points": "9"},
               "sigma-curve": {"--sigma-step": "0.3", "--sigma-max": "1.5"}}
@@ -53,6 +56,12 @@ def exit_code(argv):
 
 def undeclared(command):
     return [flag for flag in FLAGS if flag not in FLAG_TABLE[command]]
+
+
+def test_flag_table_matches_the_package():
+    # a flag the package declares but no command takes would be a dead row
+    declared = {flag for flags in FLAG_TABLE.values() for flag in flags}
+    assert declared | {"--out"} == set(cli._FLAGS)
 
 
 @pytest.mark.parametrize("command", list(FLAG_TABLE))
@@ -96,16 +105,16 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
-    assert main(["chsh", "--truncation", "1"]) == 1
-    capsys.readouterr()
     assert main(["eigenvalues", "--n-max", "0"]) == 1
     assert "n_max" in capsys.readouterr().err
     assert main(["eigenvalues", "--n-max", "25"]) == 1  # generating route cap
     assert "n_max" in capsys.readouterr().err
-    # flags that would change nothing are refused by argparse: chsh has no
-    # grid to write as csv, eigenvalues quantizes the orders it reports, and
-    # the sigma curve runs two fixed node levels
-    for argv in (["chsh", "--format", "csv"], ["eigenvalues", "--truncation", "64"],
+    # flags that would change nothing are refused by argparse: chsh is qubit
+    # algebra at any cutoff and has no grid to write as csv, eigenvalues
+    # quantizes the orders it reports, and the sigma curve runs two fixed
+    # node levels
+    for argv in (["chsh", "--truncation", "1"], ["chsh", "--format", "csv"],
+                 ["eigenvalues", "--truncation", "64"],
                  ["sigma-curve", "--abs-tol", "1e-3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -149,7 +158,7 @@ def test_invalid_spec_values_exit_one(capsys, flag, value, field):
         (["single-particle", "--truncation", "1025"], "truncation"),
         # a grid of points^2 values: 10^7 per axis would need 1.42 PiB
         (["wigner", "--points", "10000000"], "points"),
-        # chsh's dense two-mode operator holds truncation^4 entries: at most 2^20
+        # chsh is qubit algebra and takes no cutoff, however large
         (["chsh", "--truncation", "33"], "truncation"),
     ],
 )
@@ -176,7 +185,8 @@ TOLERANCES = st.one_of(st.floats(1e-30, 1e-3), st.floats(min_value=0.0, exclude_
 
 # each command's declared flags and their draws
 NUMERIC_FLAGS = {
-    "chsh": {"--truncation": sizes(2, 4, 32)},
+    # chsh takes no numeric flag; its draws try only the foreign-flag refusal
+    "chsh": {},
     "eigenvalues": {"--abs-tol": TOLERANCES, "--n-max": st.integers(1, 20) | st.integers()},
     "wigner": {"--r-max": REALS, "--points": sizes(2, 64, 1024),
                "--state": st.sampled_from(["fock0", "fock1", "bell"])},
@@ -254,34 +264,18 @@ def test_chsh_document(tmp_path):
     assert doc["timing_seconds"] > 0.0
 
 
-@pytest.mark.parametrize("truncation", [2, 4])
-def test_chsh_reconstruction_matches_einsum(truncation, tmp_path):
+def test_chsh_reconstruction_matches_einsum(tmp_path):
     # the residual of sum_u w_u P_u B P_u against hv_bound times the identity,
     # formed here by the direct four-operand contraction
     out = tmp_path / "chsh.json"
-    assert main(["chsh", "--truncation", str(truncation), "--out", str(out)]) == 0
+    assert main(["chsh", "--out", str(out)]) == 0
     res = read_doc(out)["results"]
-    dec = chsh_decomposition(truncation)
+    dec = chsh_decomposition()
     mats = np.stack([p.entries for _, p in dec.terms])
     weights = np.array([w for w, _ in dec.terms])
     collapsed = np.einsum("u,uij,jk,ukl->il", weights, mats, dec.target.entries, mats)
     residual = np.max(np.abs(collapsed - res["hv_bound"] * np.eye(mats.shape[1])))
     assert abs(res["reconstruction_residual"] - residual) <= 1e-15
-
-
-def test_chsh_memory(tmp_path):
-    # the decomposition's 16 dense 256 x 256 complex projectors hold 16.8 MB;
-    # stacking them and forming all 16 products P_u B P_u at once would add
-    # 50 MB
-    out = tmp_path / "chsh.json"
-    tracemalloc.start()
-    try:
-        assert main(["chsh", "--truncation", "16", "--out", str(out)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
-    assert read_doc(out)["results"]["reconstruction_residual"] < 1e-10
 
 
 def test_eigenvalues_document(tmp_path):

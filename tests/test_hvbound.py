@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from bellbound.fock import DensityMatrix, FockOperator, bell_pair_state, number_projector
+from bellbound.fock import (
+    DensityMatrix,
+    FockOperator,
+    bell_pair_state,
+    identity,
+    number_projector,
+)
 from bellbound.hvbound import (
+    TSIRELSON_SETTINGS,
     BellReport,
     Decomposition,
     bell_report,
@@ -16,7 +23,7 @@ from bellbound.hvbound import (
     qm_mean,
 )
 
-from oracles import commuting_joint_distribution
+from oracles import commuting_joint_distribution, padded_chsh_decomposition
 
 
 def random_density(dim, seed, modes=1):
@@ -66,7 +73,7 @@ def test_commuting_decomposition_closes_gap():
 
 
 def test_chsh_tsirelson_point():
-    dec = chsh_decomposition(2)
+    dec = chsh_decomposition()
     assert len(dec.terms) == 16
     # every local observable is dichotomous: B^2 = 4 I + commutator part, so
     # check directly on the reconstruction
@@ -78,19 +85,45 @@ def test_chsh_tsirelson_point():
 
 
 def test_chsh_bound_is_state_independent():
-    dec = chsh_decomposition(2)
+    dec = chsh_decomposition()
     for seed in range(4):
         rho = random_density(4, seed, modes=2)
         assert abs(hv_bound(rho, dec) - 4.0) < 1e-10
-    # still 4 with the qubit embedded in a larger truncation
-    dec3 = chsh_decomposition(3)
-    rho = bell_pair_state(3)
-    assert abs(hv_bound(rho, dec3) - 4.0) < 1e-10
-    assert abs(qm_mean(rho, dec3.target) - 2.0 * math.sqrt(2.0)) < 1e-12
+
+
+def test_padded_chsh_keeps_the_qubit_numbers():
+    # levels the singlet never occupies, on which every observable is +1,
+    # move none of the numbers: the bound, the mean and the collapse of the
+    # operator to hv_bound times the identity
+    for dim in (3, 8):
+        dec = padded_chsh_decomposition(dim)
+        rho = bell_pair_state(dim)
+        hv = hv_bound(rho, dec)
+        assert abs(hv - 4.0) < 1e-10
+        assert abs(qm_mean(rho, dec.target) - 2.0 * math.sqrt(2.0)) < 1e-12
+        target = dec.target.entries
+        collapsed = sum(w * (p.entries @ target @ p.entries) for w, p in dec.terms)
+        assert np.max(np.abs(collapsed - hv * np.eye(dim * dim))) < 1e-10
+
+
+def test_chsh_inputs_refused_by_name():
+    # a NaN passes every `residue > tol` refusal, so each check is written
+    # to refuse it
+    nan_direction = {**TSIRELSON_SETTINGS, "a": (math.nan, 0.0, 0.0)}
+    with pytest.raises(ValueError, match="unit vector"):
+        chsh_decomposition(settings=nan_direction)
+    nan_entries = FockOperator(np.full((2, 2), math.nan, dtype=complex))
+    with pytest.raises(ValueError, match="idempotent"):
+        Decomposition(((1.0, nan_entries),), identity(2))
+    with pytest.raises(ValueError, match="reconstruct"):
+        Decomposition(((1.0, identity(2)),), nan_entries)
+    lacking = {k: v for k, v in TSIRELSON_SETTINGS.items() if k != "b'"}
+    with pytest.raises(ValueError, match="direction \"b'\""):
+        chsh_decomposition(settings=lacking)
 
 
 def test_bell_report_consistency():
-    dec = chsh_decomposition(2)
+    dec = chsh_decomposition()
     singlet = bell_pair_state(2)
     rep = bell_report(singlet, dec)
     assert isinstance(rep, BellReport)
