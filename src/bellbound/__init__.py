@@ -4,13 +4,11 @@ __version__ = "0.1.0"
 
 from .quad import IntegrationSpec, QuadResult, QuadratureError
 from .fock import (
-    CollapseError,
     DensityMatrix,
     FockOperator,
     bell_pair_state,
     displacement,
     identity,
-    luders_collapse,
     number_projector,
     parity,
     tensor,
@@ -33,6 +31,7 @@ from .hvbound import (
     bell_report,
     bound_difference,
     chsh_decomposition,
+    collapsed_operator,
     hv_bound,
     qm_mean,
 )

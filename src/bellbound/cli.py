@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .fock import DensityMatrix, bell_pair_state
-from .hvbound import bell_report, chsh_decomposition
+from .hvbound import bell_report, chsh_decomposition, collapsed_operator
 from .phasespace import (
     BipartiteCase,
     SingleParticleCase,
@@ -169,13 +169,10 @@ def _report_payload(rep):
 def _run_chsh(cfg, spec):
     dec = chsh_decomposition()
     rep = bell_report(bell_pair_state(2), dec)
-    # sum_u w_u P_u B P_u must equal hv_bound times the identity: the
-    # collapse of the operator is state independent for these settings
-    target = dec.target.entries
-    collapsed = np.zeros_like(target)
-    for w, p in dec.terms:
-        collapsed += w * (p.entries @ target @ p.entries)
-    eye = np.eye(target.shape[0])
+    # C = sum_u w_u P_u B P_u must equal hv_bound times the identity: the
+    # bound Tr(rho C) is state independent for these settings
+    collapsed = collapsed_operator(dec).entries
+    eye = np.eye(collapsed.shape[0])
     residual = float(np.max(np.abs(collapsed - rep.hv_bound * eye)))
     results = {
         "qm_mean": float(rep.qm_mean),

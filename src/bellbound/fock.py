@@ -1,10 +1,9 @@
 """Truncated Fock-space operator algebra.
 
 Number projectors, parity, displacement operators from one bounded amplitude
-recurrence over the levels they read, tensor products, traces and projective
-state collapse. Operators are dense complex matrices on the first `dim`
-levels; two-mode operators live on the Kronecker basis |n1, n2> with n2
-fastest.
+recurrence over the levels they read, tensor products and traces. Operators
+are dense complex matrices on the first `dim` levels; two-mode operators
+live on the Kronecker basis |n1, n2> with n2 fastest.
 
 Conventions: hbar = 1 and the length scale is 1, so alpha = (q + i p)/sqrt(2)
 is dimensionless.
@@ -19,26 +18,16 @@ import numpy as np
 from .specfun import _recurrence_start
 
 __all__ = [
-    "PROBABILITY_FLOOR",
-    "CollapseError",
     "FockOperator",
     "DensityMatrix",
     "bell_pair_state",
     "displacement",
     "identity",
-    "luders_collapse",
     "number_projector",
     "parity",
     "tensor",
     "trace_product",
 ]
-
-# Below this outcome probability a collapse is treated as impossible instead
-# of dividing by a denormal.
-PROBABILITY_FLOOR = 1e-12
-
-class CollapseError(ValueError):
-    """Measurement outcome with probability at or below the floor."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,7 @@ class FockOperator:
             # support block holds the whole residue
             block = entries[np.ix_(self.support, self.support)]
             residue = np.max(np.abs(block - block.conj().T), initial=0.0)
-            if residue >= 1e-12:
+            if not residue <= 1e-12:  # a NaN entry fails too
                 raise ValueError(f"hermitian flag set but residue {residue:.2e}")
 
     @property
@@ -126,11 +115,11 @@ class DensityMatrix:
         # a flagged operator already passed FockOperator's stricter 1e-12 check
         if not self.op.hermitian:
             residue = np.max(np.abs(entries - entries.conj().T))
-            if residue >= 1e-10:
+            if not residue <= 1e-10:
                 raise ValueError(
                     f"density matrix must be hermitian, residue {residue:.2e}")
         tr = float(np.real(np.trace(entries)))
-        if abs(tr - 1.0) > 1e-6:
+        if not abs(tr - 1.0) <= 1e-6:
             raise ValueError(f"trace {tr} too far from 1 to renormalize")
         if abs(tr - 1.0) > 0:
             op = FockOperator(entries / tr, self.op.modes, self.op.hermitian)
@@ -138,13 +127,16 @@ class DensityMatrix:
         # the spectrum is that of the occupied block plus zeros
         live = self.op.support
         lowest = float(np.min(np.linalg.eigvalsh(self.op.entries[np.ix_(live, live)])))
-        if lowest < -1e-10:
+        if not lowest >= -1e-10:
             raise ValueError(f"negative eigenvalue {lowest:.2e}")
 
     @classmethod
     def from_state(cls, vec, modes=1):
         vec = np.asarray(vec, dtype=complex)
-        vec = vec / np.linalg.norm(vec)
+        norm = np.linalg.norm(vec)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"state vector norm {norm} is not positive and finite")
+        vec = vec / norm
         return cls(FockOperator(np.outer(vec, vec.conj()), modes, hermitian=True))
 
     @property
@@ -255,20 +247,6 @@ def _displacement_entries(alpha, dim):
 def displacement(alpha, dim):
     """D(alpha) on the truncated basis: _displacement_entries at one alpha."""
     return FockOperator(_displacement_entries(complex(alpha), dim))
-
-
-def luders_collapse(rho, p):
-    """Post-measurement state and outcome probability (P rho P / tr, tr)."""
-    prob = trace_product(rho.op, p)
-    if abs(prob.imag) > 1e-9:
-        raise ValueError("projector and state gave a complex probability")
-    prob = prob.real
-    if prob <= PROBABILITY_FLOOR:
-        raise CollapseError(f"outcome probability {prob:.3e} below floor")
-    post = p.entries @ rho.entries @ p.entries / prob
-    post = 0.5 * (post + post.conj().T)
-    state = DensityMatrix(FockOperator(post, rho.modes, hermitian=True))
-    return state, prob
 
 
 def tensor(a, b):

@@ -2,7 +2,11 @@
 
 A Bell operator decomposed as B = sum_u w_u P_u over projectors admits the
 deterministic bound sum_u w_u Tr(rho_u B) Tr(rho P_u), with rho_u the state
-after collapsing on P_u. Using P_u^2 = P_u the bound telescopes to
+after collapsing on P_u. Since Tr(rho_u B) Tr(rho P_u) = Tr(P_u rho P_u B),
+the bound is Tr(rho C), the mean of the one collapsed operator
+C = sum_u w_u P_u B P_u, and so linear in rho. An outcome of probability
+zero has P_u rho P_u = 0 and adds exactly 0, so no probability floor is
+needed. Using P_u^2 = P_u the bound telescopes to
 sum_{u,v} w_u w_v Tr(rho P_u P_v P_u), and its gap to the second moment
 Tr(rho B^2) is the commutator double sum computed by bound_difference; the
 gap closes exactly when the projectors commute.
@@ -13,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (
-    CollapseError,
-    FockOperator,
-    luders_collapse,
-    tensor,
-    trace_product,
-)
+from .fock import FockOperator, tensor, trace_product
 
 __all__ = [
     "BellReport",
@@ -27,6 +25,7 @@ __all__ = [
     "bell_report",
     "bound_difference",
     "chsh_decomposition",
+    "collapsed_operator",
     "hv_bound",
     "qm_mean",
 ]
@@ -45,13 +44,20 @@ class Decomposition:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("decomposition needs at least one term")
-        for _, p in terms:
+        for k, (_, p) in enumerate(terms):
             if p.entries.shape != self.target.entries.shape or p.modes != self.target.modes:
                 raise ValueError("projector shape or mode count mismatch")
             res = p.entries @ p.entries - p.entries
             # written so that a NaN residue fails the check too
             if not np.max(np.abs(res)) < 1e-10:
-                raise ValueError("term is not idempotent")
+                raise ValueError(f"term {k} is not idempotent")
+            # an oblique projector is idempotent too, but P rho P is then no
+            # collapsed state; a flagged operator passed the stricter 1e-12
+            if not p.hermitian:
+                skew = np.max(np.abs(p.entries - p.entries.conj().T))
+                if not skew < 1e-10:
+                    raise ValueError(f"term {k} projector is not hermitian, "
+                                     f"residue {skew:.2e}")
         total = sum(w * p.entries for w, p in terms)
         gap = np.max(np.abs(total - self.target.entries))
         if not gap < 1e-8:
@@ -69,28 +75,23 @@ class Decomposition:
 def qm_mean(rho, op):
     """Tr(rho B) with a guard on the imaginary residue."""
     val = trace_product(rho, op)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+    if not abs(val.imag) <= 1e-9 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation came out complex ({val.imag:.2e})")
     return val.real
 
 
-def _hv_bound_terms(rho, decomposition):
-    """Deterministic bound plus the count of outcomes below the floor."""
-    total = 0.0
-    skipped = 0
+def collapsed_operator(decomposition):
+    """C = sum_u w_u P_u B P_u, summed term by term in decomposition order."""
+    target = decomposition.target.entries
+    collapsed = np.zeros_like(target)
     for w, p in decomposition.terms:
-        try:
-            post, prob = luders_collapse(rho, p)
-        except CollapseError:
-            skipped += 1
-            continue
-        total += w * qm_mean(post, decomposition.target) * prob
-    return total, skipped
+        collapsed += w * (p.entries @ target @ p.entries)
+    return FockOperator(collapsed, decomposition.target.modes)
 
 
 def hv_bound(rho, decomposition):
-    """sum_u w_u Tr(rho_u B) Tr(rho P_u) over the decomposition."""
-    return _hv_bound_terms(rho, decomposition)[0]
+    """sum_u w_u Tr(rho_u B) Tr(rho P_u) over the decomposition, as Tr(rho C)."""
+    return qm_mean(rho, collapsed_operator(decomposition))
 
 
 def bound_difference(rho, decomposition):
@@ -103,7 +104,7 @@ def bound_difference(rho, decomposition):
         for wv, pv in terms:
             comm = pu.entries @ pv.entries - pv.entries @ pu.entries
             total += wu * wv * np.einsum("ij,ji->", left, comm)
-    if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
+    if not abs(total.imag) <= 1e-9 * max(1.0, abs(total.real)):
         raise ValueError("commutator sum came out complex")
     return total.real
 
@@ -170,7 +171,6 @@ class BellReport:
     qm_second_moment: float
     hv_bound: float
     bound_difference: float
-    skipped_terms: int
     notes: dict = field(default_factory=dict)
 
 
@@ -183,11 +183,11 @@ def bell_report(rho, decomposition):
     """
     mean = qm_mean(rho, decomposition.target)
     second = qm_mean(rho, decomposition.target @ decomposition.target)
-    hv, skipped = _hv_bound_terms(rho, decomposition)
+    hv = hv_bound(rho, decomposition)
     diff = bound_difference(rho, decomposition)
     gap = abs(diff - (second - hv))
     scale = max(1.0, abs(second), abs(hv))
-    if skipped == 0 and gap > 1e-8 * scale:
+    if not gap <= 1e-8 * scale:
         raise ValueError(f"commutator sum disagrees with moments by {gap:.2e}")
     return BellReport(
         label=decomposition.label,
@@ -195,6 +195,5 @@ def bell_report(rho, decomposition):
         qm_second_moment=second,
         hv_bound=hv,
         bound_difference=diff,
-        skipped_terms=skipped,
         notes={"identity_residual": gap},
     )

@@ -189,7 +189,6 @@ def _bilinear_report(label, case, pair, one_mode, fallback=""):
         qm_second_moment=qm * qm,
         hv_bound=total,
         bound_difference=qm * qm - total,
-        skipped_terms=0,
         notes={
             "components": comps,
             "component_errors": errs,

@@ -10,7 +10,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from bellbound.fock import FockOperator, _displacement_entries, displacement, tensor
+from bellbound.fock import (
+    DensityMatrix,
+    FockOperator,
+    _displacement_entries,
+    displacement,
+    tensor,
+    trace_product,
+)
 from bellbound.hvbound import TSIRELSON_SETTINGS, Decomposition, _spin_projectors, qm_mean
 from bellbound.phasespace import _SIGMA_G_MAX, _arc_table, _panel_edges
 from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
@@ -214,6 +221,41 @@ def kernel_moments_inner(symbol, n_max, r, n_rho, n_theta):
             lag * (radial * np.exp(-2.0 * d2))[None], axis=(2, 3)
         )
     return out
+
+
+# Below this outcome probability a collapse is treated as impossible instead
+# of dividing by a denormal.
+PROBABILITY_FLOOR = 1e-12
+
+
+class CollapseError(ValueError):
+    """Measurement outcome with probability at or below the floor."""
+
+
+def luders_collapse(rho, p):
+    """Post-measurement state and outcome probability (P rho P / tr, tr).
+
+    The per-outcome route to the collapse bound: sum_u w_u Tr(rho_u B) p_u
+    over the outcomes above the floor is hv_bound's Tr(rho C).
+    """
+    prob = trace_product(rho.op, p)
+    if abs(prob.imag) > 1e-9:
+        raise ValueError("projector and state gave a complex probability")
+    prob = prob.real
+    if prob <= PROBABILITY_FLOOR:
+        raise CollapseError(f"outcome probability {prob:.3e} below floor")
+    post = p.entries @ rho.entries @ p.entries / prob
+    post = 0.5 * (post + post.conj().T)
+    state = DensityMatrix(FockOperator(post, rho.modes, hermitian=True))
+    return state, prob
+
+
+def random_family(rng, dim):
+    """Rank-one projectors onto the columns of a random unitary."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(g)
+    return [FockOperator(np.outer(u[:, k], u[:, k].conj()), hermitian=True)
+            for k in range(dim)]
 
 
 def commuting_joint_distribution(rho, families, seed=0):

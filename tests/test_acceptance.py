@@ -26,6 +26,7 @@ from bellbound import (
     bp_hv_bound,
     chsh_decomposition,
     coarse_parity_bound,
+    collapsed_operator,
     hv_bound,
     quantize_radial,
     sign_step,
@@ -41,7 +42,7 @@ from bellbound.phasespace import _SIGMA_LEVELS, SEPARATION_STEP, _sigma_level
 from bellbound.quad import integrate_1d
 from bellbound.specfun import _j_asymptotic, bessel_j, laguerre_scaled
 
-from oracles import j_series, laguerre_sum
+from oracles import j_series, laguerre_sum, random_family
 
 QM = 4.0 / math.sqrt(math.e) - 1.0
 # cross components of the sign-step kernel, frozen from an independent
@@ -79,13 +80,6 @@ def random_density(rng, dim, modes=1):
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityMatrix(FockOperator(m, modes=modes, hermitian=True))
-
-
-def random_family(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    u, _ = np.linalg.qr(g)
-    return [FockOperator(np.outer(u[:, k], u[:, k].conj()), hermitian=True)
-            for k in range(dim)]
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +120,7 @@ def test_criterion_01_chsh_bound():
     rng = np.random.default_rng(101)
     worst_hv = 0.0
     worst_recon = 0.0
+    worst_op = 0.0
     settings = [None]
     for _ in range(20):
         dirs = {}
@@ -141,11 +136,15 @@ def test_criterion_01_chsh_bound():
                               dec.target.entries, mats)
         worst_recon = max(worst_recon, float(np.max(np.abs(
             collapsed - 4.0 * np.eye(4)))))
+        worst_op = max(worst_op, float(np.max(np.abs(
+            collapsed - collapsed_operator(dec).entries))))
         rho = bell_pair_state(2) if cfg is None else random_density(rng, 4, 2)
         worst_hv = max(worst_hv, abs(hv_bound(rho, dec) - 4.0))
     elapsed = time.perf_counter() - t0
-    announce("1", worst_recon < 1e-10 and worst_hv < 1e-10 and elapsed < 1.0,
+    announce("1", worst_recon < 1e-10 and worst_hv < 1e-10 and worst_op < 1e-14
+             and elapsed < 1.0,
              f"reconstruction residual {worst_recon:.1e}, "
+             f"|einsum - collapsed_operator| {worst_op:.1e}, "
              f"|hv-4| {worst_hv:.1e}, {elapsed:.2f}s")
 
 

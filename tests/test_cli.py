@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import bellbound
 from bellbound import cli
 from bellbound.cli import RunConfig, main, run
-from bellbound.hvbound import chsh_decomposition
+from bellbound.hvbound import chsh_decomposition, collapsed_operator
 
 DOC_KEYS = {"command", "config", "results", "components", "errors",
             "timing_seconds", "tool_version"}
@@ -274,8 +274,12 @@ def test_chsh_reconstruction_matches_einsum(tmp_path):
     mats = np.stack([p.entries for _, p in dec.terms])
     weights = np.array([w for w, _ in dec.terms])
     collapsed = np.einsum("u,uij,jk,ukl->il", weights, mats, dec.target.entries, mats)
-    residual = np.max(np.abs(collapsed - res["hv_bound"] * np.eye(mats.shape[1])))
+    eye = np.eye(mats.shape[1])
+    residual = np.max(np.abs(collapsed - res["hv_bound"] * eye))
     assert abs(res["reconstruction_residual"] - residual) <= 1e-15
+    # and exactly the residual of the one operator behind hv_bound
+    operator = collapsed_operator(dec).entries
+    assert res["reconstruction_residual"] == np.max(np.abs(operator - res["hv_bound"] * eye))
 
 
 def test_eigenvalues_document(tmp_path):

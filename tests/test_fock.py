@@ -10,7 +10,6 @@ import scipy.linalg
 
 from bellbound import fock
 from bellbound.fock import (
-    CollapseError,
     DensityMatrix,
     FockOperator,
     _displacement_amplitudes,
@@ -18,13 +17,12 @@ from bellbound.fock import (
     bell_pair_state,
     displacement,
     identity,
-    luders_collapse,
     number_projector,
     parity,
     tensor,
     trace_product,
 )
-from oracles import displacement_element, quantizer
+from oracles import CollapseError, displacement_element, luders_collapse, quantizer
 
 
 def random_hermitian(dim, seed):
@@ -345,6 +343,19 @@ def test_density_matrix_validation():
     rho = DensityMatrix(FockOperator(skew))
     assert not rho.op.hermitian
     assert abs(np.trace(rho.entries) - 1.0) < 1e-14
+
+
+def test_nan_states_refused():
+    # a NaN passes every `residue >= tol` refusal, so each check is written
+    # to refuse it; a zero or NaN norm would divide into an all-NaN state
+    for vec in ([math.nan, 1.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="norm"):
+            DensityMatrix.from_state(vec)
+    nan_entries = np.array([[math.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="hermitian"):
+        DensityMatrix(FockOperator(nan_entries))
+    with pytest.raises(ValueError, match="hermitian flag"):
+        FockOperator(nan_entries, hermitian=True)
 
 
 def test_tensor_layout():

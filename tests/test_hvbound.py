@@ -19,11 +19,18 @@ from bellbound.hvbound import (
     bell_report,
     bound_difference,
     chsh_decomposition,
+    collapsed_operator,
     hv_bound,
     qm_mean,
 )
 
-from oracles import commuting_joint_distribution, padded_chsh_decomposition
+from oracles import (
+    CollapseError,
+    commuting_joint_distribution,
+    luders_collapse,
+    padded_chsh_decomposition,
+    random_family,
+)
 
 
 def random_density(dim, seed, modes=1):
@@ -56,6 +63,11 @@ def test_decomposition_validation():
         Decomposition(((1.0, p0),), target)  # does not reconstruct
     with pytest.raises(ValueError):
         Decomposition((), target)
+    # idempotent but oblique: P rho P is then no collapsed state
+    oblique = FockOperator([[1.0, 1.0], [0.0, 0.0]])
+    rest = FockOperator([[0.0, -1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="term 0 projector is not hermitian"):
+        Decomposition(((1.0, oblique), (-1.0, rest)), oblique - rest)
 
 
 def test_commuting_decomposition_closes_gap():
@@ -101,8 +113,7 @@ def test_padded_chsh_keeps_the_qubit_numbers():
         hv = hv_bound(rho, dec)
         assert abs(hv - 4.0) < 1e-10
         assert abs(qm_mean(rho, dec.target) - 2.0 * math.sqrt(2.0)) < 1e-12
-        target = dec.target.entries
-        collapsed = sum(w * (p.entries @ target @ p.entries) for w, p in dec.terms)
+        collapsed = collapsed_operator(dec).entries
         assert np.max(np.abs(collapsed - hv * np.eye(dim * dim))) < 1e-10
 
 
@@ -131,11 +142,43 @@ def test_bell_report_consistency():
     assert abs(rep.qm_mean**2 - rep.qm_second_moment) < 1e-10  # eigenstate
     assert abs(rep.bound_difference - (rep.qm_second_moment - rep.hv_bound)) < 1e-8
     assert abs(rep.bound_difference - 4.0) < 1e-10
-    assert rep.skipped_terms == 0
     assert rep.notes["identity_residual"] < 1e-10
 
 
-def test_skipped_terms_counted():
+def collapse_route(rho, dec):
+    """sum_u w_u Tr(rho_u B) Tr(rho P_u), skipping outcomes below the floor."""
+    total = 0.0
+    for w, p in dec.terms:
+        try:
+            post, prob = luders_collapse(rho, p)
+        except CollapseError:
+            continue
+        total += w * qm_mean(post, dec.target) * prob
+    return total
+
+
+def random_decomposition(rng, dim):
+    # two random bases, so the projectors do not commute and the bound
+    # differs from the second moment
+    fam = random_family(rng, dim) + random_family(rng, dim)
+    weights = rng.uniform(0.5, 1.5, size=2 * dim)
+    target = FockOperator(sum(w * p.entries for w, p in zip(weights, fam)),
+                          hermitian=True)
+    return Decomposition(tuple(zip(weights, fam)), target)
+
+
+def test_hv_bound_matches_collapse_route():
+    rng = np.random.default_rng(27)
+    for dim in range(2, 7):
+        for _ in range(4):
+            dec = random_decomposition(rng, dim)
+            rho = random_density(dim, int(rng.integers(1 << 30)))
+            assert abs(hv_bound(rho, dec) - collapse_route(rho, dec)) < 1e-12
+
+
+def test_zero_probability_outcomes_add_nothing():
+    # the vacuum never reaches levels 1 and 2: the collapse route skips
+    # those outcomes, and in Tr(rho C) they add exactly 0
     dim = 3
     ps = [number_projector(n, dim) for n in range(dim)]
     weights = [0.8, -0.3, 1.1]
@@ -143,9 +186,21 @@ def test_skipped_terms_counted():
     dec = Decomposition(tuple(zip(weights, ps)), target)
     vacuum = DensityMatrix.from_state([1.0, 0.0, 0.0])
     rep = bell_report(vacuum, dec)
-    assert rep.skipped_terms == 2
     # only the vacuum term survives: w_0 * Tr(rho_0 B) * p_0 = 0.8^2
     assert abs(rep.hv_bound - 0.64) < 1e-12
+    assert abs(rep.hv_bound - collapse_route(vacuum, dec)) < 1e-12
+    assert rep.notes["identity_residual"] < 1e-12
+
+
+def test_hv_bound_is_linear_in_the_state():
+    rng = np.random.default_rng(12)
+    dim, p = 5, 0.3
+    dec = random_decomposition(rng, dim)
+    rho1, rho2 = random_density(dim, 40), random_density(dim, 41)
+    mix = DensityMatrix(FockOperator(p * rho1.entries + (1 - p) * rho2.entries,
+                                     hermitian=True))
+    want = p * hv_bound(rho1, dec) + (1 - p) * hv_bound(rho2, dec)
+    assert abs(hv_bound(mix, dec) - want) <= 1e-14 * abs(want)
 
 
 def test_joint_distribution_for_commuting_families():

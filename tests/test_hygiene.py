@@ -127,6 +127,18 @@ def test_every_public_function_has_a_package_use(layer):
     assert not idle, f"{layer} has public functions no other module uses: {idle}"
 
 
+def test_pipeline_layers_are_exported_at_the_root():
+    # every __all__ name of the pipeline layers is bound at the package root,
+    # as the same object; the quad engines and the specfun functions are
+    # imported from their modules
+    missing = []
+    for layer in ("fock", "weyl", "hvbound", "phasespace"):
+        module = importlib.import_module(f"bellbound.{layer}")
+        missing += [f"{layer}.{name}" for name in module.__all__
+                    if getattr(bellbound, name, None) is not getattr(module, name)]
+    assert not missing, f"not exported at the package root: {missing}"
+
+
 def knob_literals(tree):
     """The knob= strings passed to QuadratureError, with their lines."""
     found = []
