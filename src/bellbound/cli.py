@@ -2,13 +2,12 @@
 
 Every run writes one result document. JSON documents carry the command,
 the requested quantities, the component breakdown, error estimates, the
-full configuration echo and the wall-clock time, so a run can be repeated
-bit for bit from its own output; only timing_seconds varies between
-repeats. Each command takes only the flags that change its document and
-refuses every other one; the echo holds the default of every flag the
-command does not take, and the command's fixed Fock cutoff. CSV is
-available for the two grid-valued commands (wigner, sigma-curve) and
-holds the grid alone.
+configuration echo and the wall-clock time, so a run can be repeated bit
+for bit from its own output; only timing_seconds varies between repeats.
+Each command takes only the flags that change its document and refuses
+every other one; the echo holds the command and the value of each flag it
+takes, nothing else. CSV is available for the two grid-valued commands
+(wigner, sigma-curve) and holds the grid alone.
 
 Exit codes: 0 success, 1 usage error, 2 quadrature failure.
 """
@@ -16,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 quadrature failure.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -35,26 +35,10 @@ from .phasespace import (
 from .quad import IntegrationSpec, QuadratureError
 from .weyl import bell_eigenvalue_generating, quantize_radial, sign_step, wigner
 
-# each command's Fock cutoff in the config echo, which no flag replaces:
-# qubit algebra for chsh, a converged cutoff for single-particle, two
-# occupied levels for wigner. eigenvalues, bipartite and sigma-curve build
-# no Fock matrix; they echo the cutoff their earlier documents held, so
-# those documents stay byte-identical
-_TRUNCATION_DEFAULTS = {
-    "chsh": 2,
-    "single-particle": 64,
-    "bipartite": 32,
-    "eigenvalues": 64,
-    "wigner": 8,
-    "sigma-curve": 32,
-}
-
-# every flag once, with the RunConfig field it sets and that field's
-# default, which also stands on every command that does not take the flag
+# every flag once, with the RunConfig field it sets and its default
 _FLAGS = {
     "--r-max": dict(type=float, default=6.0,
-                    help="grid half-width for wigner; separation range for "
-                         "sigma-curve, at least 5 (default 6)"),
+                    help="grid half-width for wigner (default 6)"),
     "--abs-tol": dict(type=float, default=1e-9,
                       help="largest rounding bound the closed-form spectrum "
                            "may carry (default 1e-9)"),
@@ -85,25 +69,29 @@ _COMMANDS = {
     "wigner": ("Wigner function on a square grid",
                ("--r-max", "--state", "--points", "--format", "--out")),
     "sigma-curve": ("per-separation bound density f(s)",
-                    ("--r-max", "--sigma-step", "--sigma-max", "--format", "--out")),
+                    ("--sigma-step", "--sigma-max", "--format", "--out")),
 }
+
+
+def _dest(flag):
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation; echoed verbatim into every JSON document."""
+    """One resolved invocation: the command and the value of each flag it
+    takes, which the JSON document echoes; the other fields stay None."""
 
     command: str
-    truncation: int
-    r_max: float
-    abs_tol: float
-    sigma_step: float
-    sigma_max: float
-    n_max: int
-    state: str
-    points: int
-    output_format: str
-    output_path: str | None
+    r_max: float | None = None
+    abs_tol: float | None = None
+    sigma_step: float | None = None
+    sigma_max: float | None = None
+    n_max: int | None = None
+    state: str | None = None
+    points: int | None = None
+    output_format: str | None = None
+    output_path: str | None = None
 
 
 _RETIRED_FLAGS = ("--mc-samples", "--seed")
@@ -125,8 +113,6 @@ def build_parser():
         cmd = sub.add_parser(command, help=summary)
         for flag in flags:
             cmd.add_argument(flag, **_FLAGS[flag])
-        cmd.set_defaults(**{kw.get("dest", flag[2:].replace("-", "_")): kw["default"]
-                            for flag, kw in _FLAGS.items() if flag not in flags})
         # the Monte Carlo sigma curve's settings, kept hidden so that a run
         # still passing them is refused by name rather than as unknown
         for flag in _RETIRED_FLAGS:
@@ -135,21 +121,12 @@ def build_parser():
 
 
 def _resolve_config(args):
+    values = vars(args).copy()
     for flag in _RETIRED_FLAGS:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
+        if values.pop(flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} is retired: the sigma curve is "
                              "computed by deterministic quadrature")
-    if not 2 <= args.points <= 1024:  # the wigner grid holds points^2 values
-        raise ValueError(f"points {args.points} per axis must lie in [2, 1024]: "
-                         "the grid may hold at most 2^20 values")
-    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
-              if f.name != "truncation"}
-    return RunConfig(**fields, truncation=_TRUNCATION_DEFAULTS[args.command])
-
-
-def _integration_spec(cfg: RunConfig) -> IntegrationSpec:
-    return IntegrationSpec(r_max=cfg.r_max, abs_tol=cfg.abs_tol,
-                           sigma_step=cfg.sigma_step, sigma_max=cfg.sigma_max)
+    return RunConfig(**values)
 
 
 def _report_payload(rep):
@@ -166,7 +143,7 @@ def _report_payload(rep):
     return results, components, errors
 
 
-def _run_chsh(cfg, spec):
+def _run_chsh(cfg):
     dec = chsh_decomposition()
     rep = bell_report(bell_pair_state(2), dec)
     # C = sum_u w_u P_u B P_u must equal hv_bound times the identity: the
@@ -187,23 +164,20 @@ def _run_chsh(cfg, spec):
     return results, {}, errors, None
 
 
-def _run_single_particle(cfg, spec):
-    vec = np.zeros(cfg.truncation)
-    vec[1] = 1.0
-    case = SingleParticleCase(state=DensityMatrix.from_state(vec), spec=spec)
-    results, components, errors = _report_payload(sp_hv_bound(case))
+def _run_single_particle(cfg):
+    results, components, errors = _report_payload(sp_hv_bound(SingleParticleCase()))
     return results, components, errors, None
 
 
-def _run_bipartite(cfg, spec):
-    case = BipartiteCase(spec=spec)
-    results, components, errors = _report_payload(bp_hv_bound(case))
+def _run_bipartite(cfg):
+    results, components, errors = _report_payload(bp_hv_bound(BipartiteCase()))
     return results, components, errors, None
 
 
-def _run_eigenvalues(cfg, spec):
+def _run_eigenvalues(cfg):
     if not 1 <= cfg.n_max <= 20:
         raise ValueError(f"n_max must lie in [1, 20], got {cfg.n_max}")
+    spec = IntegrationSpec(abs_tol=cfg.abs_tol)
     expansion = quantize_radial(sign_step(0.5), cfg.n_max + 1, spec)
     # the closed form keeps the "quadrature" key that earlier documents used
     by_closed_form = [float(v) for v in expansion.eigenvalues]
@@ -215,17 +189,22 @@ def _run_eigenvalues(cfg, spec):
     return results, components, {"route_gap": gap}, None
 
 
-def _run_wigner(cfg, spec):
-    if not np.isfinite(2.0 * cfg.r_max):
-        raise ValueError(f"r_max {cfg.r_max} is too large for a finite grid")
+def _run_wigner(cfg):
+    if not 2 <= cfg.points <= 1024:  # the grid holds points^2 values
+        raise ValueError(f"points {cfg.points} per axis must lie in [2, 1024]: "
+                         "the grid may hold at most 2^20 values")
+    if not (cfg.r_max > 0.0 and math.isfinite(2.0 * cfg.r_max)):
+        raise ValueError(f"r_max must be positive and span a finite grid, "
+                         f"got {cfg.r_max}")
     axis = np.linspace(-cfg.r_max, cfg.r_max, cfg.points)
     grid = axis[None, :] + 1j * axis[:, None]
+    # each state on the two levels it occupies
     if cfg.state == "bell":
-        pair = bell_pair_state(cfg.truncation)
+        pair = bell_pair_state(2)
         pts = np.stack([grid, np.zeros_like(grid)], axis=-1)
         values = wigner(pair, pts)
     else:
-        vec = np.zeros(cfg.truncation)
+        vec = np.zeros(2)
         vec[0 if cfg.state == "fock0" else 1] = 1.0
         values = wigner(DensityMatrix.from_state(vec), grid)
     flat = values.ravel()
@@ -240,7 +219,8 @@ def _run_wigner(cfg, spec):
     return results, components, {}, (("re_alpha", "im_alpha", "w"), rows)
 
 
-def _run_sigma_curve(cfg, spec):
+def _run_sigma_curve(cfg):
+    spec = IntegrationSpec(sigma_step=cfg.sigma_step, sigma_max=cfg.sigma_max)
     case = BipartiteCase(spec=spec)
     curve = sigma_curve(case)
     value, err = curve.integral()
@@ -280,15 +260,15 @@ def _render_csv(header, rows):
 def run(cfg: RunConfig) -> str:
     """Execute one resolved configuration and return the document text."""
     start = time.perf_counter()
-    results, components, errors, grid = _RUNNERS[cfg.command](
-        cfg, _integration_spec(cfg))
+    results, components, errors, grid = _RUNNERS[cfg.command](cfg)
     elapsed = time.perf_counter() - start
     if cfg.output_format == "csv":
         header, rows = grid
         return _render_csv(header, rows)
+    dests = [_dest(flag) for flag in _COMMANDS[cfg.command][1]]
     doc = {
         "command": cfg.command,
-        "config": dataclasses.asdict(cfg),
+        "config": {"command": cfg.command, **{d: getattr(cfg, d) for d in dests}},
         "results": results,
         "components": components,
         "errors": errors,

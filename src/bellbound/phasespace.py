@@ -53,8 +53,9 @@ _N_TAIL_TOL = 5e-3
 
 
 def _check_r_max(spec):
-    # the sigma curve's separation rule and the generic route's disc cut end
-    # at r_max and count no mass beyond it
+    # the two routes that end at r_max and count no mass beyond it:
+    # sp_hv_bound_generic's disc cut, and coarse_parity_bound's integral of
+    # a symbol without a far value
     if spec.r_max < 5.0:
         raise ValueError(f"r_max must be at least 5, got {spec.r_max}")
 
@@ -78,8 +79,8 @@ class SingleParticleCase:
 
     Defaults reproduce the flagship setup: the sign step at radius 1/2 on
     the first excited state. The case keeps the spec it is given; every
-    quadrature downstream takes its panel edges from the symbol's jumps.
-    An r_max below 5 is refused.
+    quadrature downstream takes its panel edges from the symbol's jumps,
+    and no route it feeds reads r_max.
     """
 
     symbol: RadialSymbol = field(default_factory=lambda: sign_step(0.5))
@@ -91,7 +92,6 @@ class SingleParticleCase:
     def __post_init__(self):
         if self.state.modes != 1:
             raise ValueError("single-particle case needs a single-mode state")
-        _check_r_max(self.spec)
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,14 @@ class BipartiteCase:
     The profile is a radial symbol of the separation |alpha_1 - alpha_2|;
     the default steps from -1 to +1 at SEPARATION_STEP, and bp_hv_bound takes
     any profile with declared levels. The state is fixed, (|0,1> - |1,0>)/sqrt 2:
-    every pair route is a closed reduction for it and holds no Fock matrix.
-    An r_max below 5 is refused.
+    every pair route is a closed reduction for it and holds no Fock matrix,
+    and none reads r_max.
     """
 
     symbol: RadialSymbol = field(
         default_factory=lambda: sign_step(SEPARATION_STEP)
     )
     spec: IntegrationSpec = field(default_factory=IntegrationSpec)
-
-    def __post_init__(self):
-        _check_r_max(self.spec)
 
 
 @dataclass(frozen=True)
@@ -130,11 +127,15 @@ class SigmaCurve:
             raise ValueError("points, values and errors must be equal-length 1d")
         if pts.size < 6:
             raise ValueError("need at least six grid points")
-        if pts[0] != 0.0 or np.any(np.diff(pts) <= 0):
+        arrays = (("points", pts), ("values", vals), ("errors", errs))
+        for name, arr in arrays:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+        if not (pts[0] == 0.0 and np.all(np.diff(pts) > 0)):
             raise ValueError("points must start at 0 and increase")
-        if np.any(errs < 0):
+        if not np.all(errs >= 0):
             raise ValueError("errors must be nonnegative")
-        for name, arr in (("points", pts), ("values", vals), ("errors", errs)):
+        for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -459,7 +460,7 @@ def coarse_parity_bound(rho, symbol, spec=None):
     declared symbol is its far value, so the dropped tail is at most
     |far_value| sum_n p_n |lam_n| _parity_tail(n, r_max); above abs_tol it
     raises QuadratureError naming r_max. A symbol without a far value has no
-    tail to count, so it keeps the r_max >= 5 floor of the other routes.
+    tail to count, so it keeps the r_max >= 5 floor of the generic route.
     """
     if spec is None:
         spec = IntegrationSpec()
@@ -521,6 +522,10 @@ _SIGMA_LEVELS = ((64, 32, 8, 8), (128, 64, 16, 12))
 # weight exp(-2 (g1^2 + g2^2)) falls as far: the pairs dropped carry about
 # 1e-16 of it at both node levels
 _SIGMA_G_MAX = 4.5
+# the separation rule ends at j + _SIGMA_REACH, exactly 6.0 for the default
+# jump: the arc table vanishes past d = j + g1 + g2, and the pairs with
+# g1 + g2 > _SIGMA_REACH carry 6.4e-12 of the weight m(g1) m(g2)
+_SIGMA_REACH = 6.0 - SEPARATION_STEP
 # grids longer than this are refused instead of left running
 _SIGMA_MAX_POINTS = 10_000
 # separation nodes per block of the arc table, which bounds its temporaries
@@ -608,7 +613,7 @@ def _pair_arc_table(dn, gn, j, n_win):
     return out
 
 
-def _sigma_level(spec, pts, level, profile, j):
+def _sigma_level(pts, level, profile, j):
     """f at every grid point from one node level of the factored route.
 
     Rotating all three displacements by -arg(e) leaves the indicator alone,
@@ -624,18 +629,16 @@ def _sigma_level(spec, pts, level, profile, j):
     so the nodes theta and pi - theta give equal terms: the forms run over
     the first half of the (even) n_theta nodes, and the sum is doubled. The
     radial symbol profile gives B on the separation nodes, which are
-    panelled at its jumps, and A is the arc table of radius j. Inside the
-    joint cut the two displacements move the separation by at most
-    g1 + g2 <= sqrt(2) _SIGMA_G_MAX, so A is exactly 0 past
-    j + sqrt(2) _SIGMA_G_MAX, where the separation rule ends if r_max lies
-    beyond.
+    panelled at its jumps, and A is the arc table of radius j. The two
+    displacements move the separation by at most g1 + g2, so A is exactly 0
+    past d = j + g1 + g2; the separation rule ends at j + _SIGMA_REACH,
+    which drops only the pairs of negligible weight that reach farther.
     """
     n_d, n_g, n_win, n_theta = level
     if n_theta % 2:
         raise ValueError(f"the separation angle takes an even node count; got {n_theta}")
     half = n_theta // 2
-    d_max = min(spec.r_max, j + math.sqrt(2.0) * _SIGMA_G_MAX)
-    dn, dw = _gl_segmented(0.0, d_max, n_d, _panel_edges(profile))
+    dn, dw = _gl_segmented(0.0, j + _SIGMA_REACH, n_d, _panel_edges(profile))
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
@@ -680,7 +683,7 @@ def sigma_curve(case):
     levels' errors cross, so every point carries the largest difference
     over the curve as its error. f(0) vanishes with the phase-space measure
     and is set exactly. The result is deterministic and has no knob beyond
-    the IntegrationSpec's r_max and grid. The curve is a
+    the IntegrationSpec's grid. The curve is a
     diagnostic of the sign step: its integral over s is sign_disc of
     bp_hv_bound's report, which takes it by collapse instead.
 
@@ -705,7 +708,7 @@ def sigma_curve(case):
     pts = spec.sigma_step * np.arange(size)
     # past float64 range a level goes to inf or NaN, which fails its point below
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse, values = (_sigma_level(spec, pts, lev, case.symbol, case.symbol.jumps[0])
+        coarse, values = (_sigma_level(pts, lev, case.symbol, case.symbol.jumps[0])
                           for lev in _SIGMA_LEVELS)
     finite = np.isfinite(coarse) & np.isfinite(values)
     if not finite.all():

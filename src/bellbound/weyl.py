@@ -71,6 +71,8 @@ class RadialSymbol:
         # 0 < r_1 < ... < r_k < inf, which no NaN passes
         if not all(a < b for a, b in zip((0.0, *jumps), (*jumps, math.inf))):
             raise ValueError(f"jumps must be finite, positive and increasing: {jumps}")
+        if self.far_value is not None and not math.isfinite(self.far_value):
+            raise ValueError(f"far_value must be finite, got {self.far_value}")
         if self.far_value is not None and not self.far_radius >= last:
             raise ValueError(f"far_radius {self.far_radius} is short of the last jump")
         if self.levels is not None:

@@ -19,7 +19,7 @@ from bellbound.fock import (
     trace_product,
 )
 from bellbound.hvbound import TSIRELSON_SETTINGS, Decomposition, _spin_projectors, qm_mean
-from bellbound.phasespace import _SIGMA_G_MAX, _arc_table, _panel_edges
+from bellbound.phasespace import _SIGMA_G_MAX, _SIGMA_REACH, _arc_table, _panel_edges
 from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
 from bellbound.specfun import bessel_j
 from bellbound.weyl import wigner
@@ -473,15 +473,15 @@ def sigma_level_full_square(spec, pts, level, profile, j):
 
     The route of phasespace._sigma_level without its two shortcuts: the
     arc table fills every (g1, g2) pair of the product grid, where the
-    package keeps only the joint cut g1^2 + g2^2 <= _SIGMA_G_MAX^2, the
-    separation rule ends at min(r_max, j + 2 _SIGMA_G_MAX), and every
+    package keeps only the joint cut g1^2 + g2^2 <= _SIGMA_G_MAX^2, and every
     separation-angle node is summed instead of one of each pair theta,
-    pi - theta. The two differ by the Gaussian weight outside the cut and
-    by rounding. A j of None sets A = 1, the route's closed mode, whose
-    curve has a closed form.
+    pi - theta. The separation rule ends where the route's does, at
+    j + _SIGMA_REACH. The two differ by the Gaussian weight outside the cut
+    and by rounding. A j of None sets A = 1, the route's closed mode, whose
+    curve has a closed form; its rule ends at spec.r_max.
     """
     n_d, n_g, n_win, n_theta = level
-    d_max = spec.r_max if j is None else min(spec.r_max, j + 2.0 * _SIGMA_G_MAX)
+    d_max = spec.r_max if j is None else j + _SIGMA_REACH
     dn, dw = _gl_segmented(0.0, d_max, n_d, _panel_edges(profile))
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn

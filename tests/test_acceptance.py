@@ -36,7 +36,7 @@ from bellbound import (
     unit_symbol,
     wigner,
 )
-from bellbound.cli import _TRUNCATION_DEFAULTS, RunConfig, run
+from bellbound.cli import _resolve_config, build_parser, run
 from bellbound.fock import DensityMatrix, FockOperator
 from bellbound.phasespace import _SIGMA_LEVELS, SEPARATION_STEP, _sigma_level
 from bellbound.quad import integrate_1d
@@ -57,22 +57,9 @@ def announce(name, ok, detail):
     assert ok, detail
 
 
-def default_config(command, **overrides):
-    base = dict(
-        command=command,
-        truncation=_TRUNCATION_DEFAULTS[command],
-        r_max=6.0,
-        abs_tol=1e-9,
-        sigma_step=0.05,
-        sigma_max=2.7,
-        n_max=10,
-        state="fock1",
-        points=200,
-        output_format="json",
-        output_path=None,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
+def default_config(command):
+    # the CLI's own resolution of the command at its default flags
+    return _resolve_config(build_parser().parse_args([command]))
 
 
 def random_density(rng, dim, modes=1):
@@ -341,7 +328,7 @@ def test_criterion_08_curve_shape(sigma_documents, bp_results):
     disc, disc_err = sign_disc(bp_results["report"])
     far = 2.7 + 0.1 * np.arange(54)
     case = BipartiteCase()
-    finer, fine = (_sigma_level(case.spec, far, level, case.symbol, SEPARATION_STEP)
+    finer, fine = (_sigma_level(far, level, case.symbol, SEPARATION_STEP)
                    for level in ((192, 96, 32, 16), _SIGMA_LEVELS[1]))
     far_err = float(np.max(np.abs(finer - fine))) * (far[-1] - far[0])
     tails = [finer[-1] * far[-1] / (p - 1.0) for p in (2.5, 3.5)]

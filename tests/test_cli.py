@@ -29,8 +29,7 @@ FLAG_TABLE = {
     "bipartite": {},
     "eigenvalues": {"--abs-tol": "1e-15", "--n-max": "3"},
     "wigner": {"--r-max": "2", "--state": "fock0", "--points": "11", "--format": "csv"},
-    "sigma-curve": {"--r-max": "5", "--sigma-step": "0.25", "--sigma-max": "1.8",
-                    "--format": "csv"},
+    "sigma-curve": {"--sigma-step": "0.25", "--sigma-max": "1.8", "--format": "csv"},
 }
 # flags the package no longer declares, still refused by name on every
 # command: chsh, the last to take --truncation, is qubit algebra
@@ -62,6 +61,18 @@ def test_flag_table_matches_the_package():
     # a flag the package declares but no command takes would be a dead row
     declared = {flag for flags in FLAG_TABLE.values() for flag in flags}
     assert declared | {"--out"} == set(cli._FLAGS)
+
+
+@pytest.mark.parametrize("command", list(FLAG_TABLE))
+def test_document_echoes_only_its_own_flags(capsys, command):
+    # the config holds the command and the value of each flag it takes: a
+    # setting its route never reads is not echoed as if it had been
+    assert main([command]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    dests = {cli._FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+             for flag in [*FLAG_TABLE[command], "--out"]}
+    assert set(config) == {"command"} | dests
+    assert config["command"] == command
 
 
 @pytest.mark.parametrize("command", list(FLAG_TABLE))
@@ -129,6 +140,8 @@ def test_usage_errors_exit_one(capsys):
         ("--sigma-max", "nan", "sigma_max"),
         ("--r-max", "inf", "r_max"),
         ("--r-max", "nan", "r_max"),
+        ("--r-max", "0", "r_max"),
+        ("--r-max", "-1", "r_max"),
         ("--abs-tol", "nan", "abs_tol"),
         ("--seed", "-1", "seed"),
         ("--sigma-max", "0.1", "sigma_max"),
@@ -137,8 +150,8 @@ def test_usage_errors_exit_one(capsys):
     ],
 )
 def test_invalid_spec_values_exit_one(capsys, flag, value, field):
-    # eigenvalues is the one command that takes --abs-tol
-    command = "eigenvalues" if flag == "--abs-tol" else "sigma-curve"
+    # eigenvalues is the one command that takes --abs-tol, wigner --r-max
+    command = {"--abs-tol": "eigenvalues", "--r-max": "wigner"}.get(flag, "sigma-curve")
     assert main([command, flag, value]) == 1
     err = capsys.readouterr().err
     assert field in err
@@ -152,8 +165,8 @@ def test_invalid_spec_values_exit_one(capsys, flag, value, field):
         # error bar; neither route reads r_max or a cutoff, so both refuse the flag
         (["single-particle", "--r-max", "0.01"], "r_max"),
         (["bipartite", "--r-max", "4.5"], "r_max"),
-        # the sigma curve's separation rule ends at r_max, which keeps its floor
-        (["sigma-curve", "--r-max", "4.5"], "r_max"),
+        # the sigma curve's separation rule ends a fixed reach past the jump
+        (["sigma-curve", "--r-max", "6"], "r_max"),
         (["bipartite", "--truncation", "33"], "truncation"),
         (["single-particle", "--truncation", "1025"], "truncation"),
         # a grid of points^2 values: 10^7 per axis would need 1.42 PiB
@@ -254,8 +267,7 @@ def test_chsh_document(tmp_path):
     assert set(doc) == DOC_KEYS
     assert doc["command"] == "chsh"
     assert doc["tool_version"] == bellbound.__version__
-    assert doc["config"]["truncation"] == 2
-    assert "seed" not in doc["config"]
+    assert doc["config"] == {"command": "chsh", "output_path": str(out)}
     res = doc["results"]
     assert abs(res["hv_bound"] - 4.0) < 1e-10
     assert res["reconstruction_residual"] < 1e-10
@@ -390,12 +402,8 @@ def test_sigma_curve_round_trip(tmp_path):
     assert vals == da["components"]["values"]
     assert len(vals) == 7
     # the mass beyond the grid is measured against the bipartite signed disc
-    # integral of the same configuration, with its error
-    cfg = da["config"]
-    assert cfg["abs_tol"] == 1e-9  # the default document keeps the echoed default
-    case = bellbound.BipartiteCase(
-        spec=bellbound.IntegrationSpec(r_max=cfg["r_max"], abs_tol=cfg["abs_tol"]))
-    disc, disc_err = bellbound.sign_disc(bellbound.bp_hv_bound(case))
+    # integral, which reads no grid, with its error
+    disc, disc_err = bellbound.sign_disc(bellbound.bp_hv_bound(bellbound.BipartiteCase()))
     assert da["results"]["beyond_grid"] == disc - da["results"]["integral"]
     assert da["errors"]["beyond_grid"] == disc_err + da["errors"]["integral"]
 
@@ -407,12 +415,6 @@ def test_sigma_curve_fails_non_finite_points(capsys):
     assert main(["sigma-curve", "--sigma-step", "1e299", "--sigma-max", "1e300"]) == 2
     err = capsys.readouterr().err
     assert "not finite: sigma_max 1e+300" in err and "Traceback" not in err
-    # the separation rule ends where the arc table vanishes, so an r_max past
-    # float64 range gives a finite curve
-    assert main(["sigma-curve", "--r-max", "1e300", "--sigma-step", "0.3",
-                 "--sigma-max", "1.5"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert all(math.isfinite(v) for v in doc["components"]["values"])
 
 
 def test_bipartite_refuses_sigma_flags(capsys):

@@ -13,6 +13,7 @@ from bellbound.phasespace import (
     _COLLAPSE_LEVELS,
     _SIGMA_G_MAX,
     _SIGMA_LEVELS,
+    _SIGMA_REACH,
     SEPARATION_STEP,
     BipartiteCase,
     SigmaCurve,
@@ -96,19 +97,15 @@ def test_single_particle_case_defaults():
 
 
 def test_truncating_r_max_is_refused():
-    # the sigma curve's separation rule and the generic route's disc cut end
-    # at r_max and count no mass beyond it; the case classes keep the floor
-    # for every route they feed
+    # the generic route's disc cut ends at r_max and counts no mass beyond
+    # it, so it keeps the floor; no route the case classes feed reads r_max,
+    # so they take any
     short = IntegrationSpec(r_max=4.5)
     state = SingleParticleCase().state
-    for build in (
-        lambda: SingleParticleCase(spec=short),
-        lambda: BipartiteCase(spec=short),
-        lambda: sp_hv_bound_generic(state, sign_step(0.5), spec=short),
-    ):
-        with pytest.raises(ValueError, match="r_max"):
-            build()
-    assert SingleParticleCase(spec=IntegrationSpec(r_max=5.0)).spec.r_max == 5.0
+    assert SingleParticleCase(spec=short).spec is short
+    assert BipartiteCase(spec=short).spec is short
+    with pytest.raises(ValueError, match="r_max"):
+        sp_hv_bound_generic(state, sign_step(0.5), spec=short)
     # the coarse parity bound counts its own tail past r_max: 4.5 is exact to
     # rounding, while at 3.0 the tail passes abs_tol and is refused by name
     assert abs(coarse_parity_bound(state, sign_step(0.5), spec=short) - QM * QM) < 1e-12
@@ -560,8 +557,8 @@ def test_bipartite_case_validation():
     assert [f.name for f in fields(BipartiteCase)] == ["symbol", "spec"]
     with pytest.raises(TypeError):
         BipartiteCase(state=bell_pair_state(8))
-    with pytest.raises(ValueError, match="r_max"):
-        BipartiteCase(spec=IntegrationSpec(r_max=4.0))
+    # no pair route reads r_max, so the case takes any
+    assert BipartiteCase(spec=IntegrationSpec(r_max=4.0)).spec.r_max == 4.0
 
 
 def test_pair_routes_build_no_fock_state(monkeypatch):
@@ -693,31 +690,36 @@ def test_sigma_curve_refuses_non_finite_points():
     spec = IntegrationSpec(sigma_step=1e299, sigma_max=1e300)
     with pytest.raises(QuadratureError, match="not finite: sigma_max"):
         sigma_curve(BipartiteCase(spec=spec))
-    # the separation rule ends where the arc table vanishes, so an r_max past
-    # float64 range gives a finite curve
-    far = sigma_curve(BipartiteCase(spec=replace(PINNED_SPEC, r_max=1e300)))
-    assert np.all(np.isfinite(far.values)) and np.all(np.isfinite(far.errors))
 
 
-def test_sigma_curve_separation_rule_ends_where_the_arc_table_vanishes():
-    # inside the joint cut g1^2 + g2^2 <= _SIGMA_G_MAX^2 the two displacements
-    # move the separation by at most g1 + g2 <= sqrt(2) _SIGMA_G_MAX, so past
-    # j + sqrt(2) _SIGMA_G_MAX the cut table is exactly 0 and a larger r_max
-    # changes no bit; a rule spread to r_max 1e10 once missed the Gaussian
-    # support at both levels alike (f(0.6) = 0.0152 against 0.0824)
-    j = SEPARATION_STEP
+def test_sigma_curve_reads_no_r_max():
+    # the separation rule ends at j + _SIGMA_REACH, whatever r_max: a short
+    # r_max and one past float64 range change no bit of the curve
+    assert SEPARATION_STEP + _SIGMA_REACH == 6.0
+    default = sigma_curve(BipartiteCase(spec=PINNED_SPEC))
+    for r_max in (4.5, 1e300):
+        curve = sigma_curve(BipartiteCase(spec=replace(PINNED_SPEC, r_max=r_max)))
+        for name in ("points", "values", "errors"):
+            assert np.array_equal(getattr(curve, name), getattr(default, name))
+
+
+@pytest.mark.parametrize("jump", [0.3, SEPARATION_STEP, 1.5, 3.0])
+def test_sigma_curve_error_covers_the_uncut_separation_end(monkeypatch, jump):
+    # the displacements move the separation by at most g1 + g2, which the
+    # joint cut g1^2 + g2^2 <= _SIGMA_G_MAX^2 holds to sqrt(2) _SIGMA_G_MAX:
+    # past j + sqrt(2) _SIGMA_G_MAX the cut table is exactly 0, while the
+    # uncut one still reaches that far
+    end = jump + math.sqrt(2.0) * _SIGMA_G_MAX
     g = np.linspace(1e-3, _SIGMA_G_MAX, 200)
-    end = j + math.sqrt(2.0) * _SIGMA_G_MAX
-    assert np.all(_pair_arc_table(np.array([end, 12.0]), g, j, 24) == 0.0)
-    # off the kept pairs the uncut table still reaches that far
-    assert np.any(_arc_table(np.array(end), g[:, None], g[None, :], j, 24) > 0.0)
-    near, far = (sigma_curve(BipartiteCase(spec=replace(PINNED_SPEC, r_max=r)))
-                 for r in (20.0, 1e10))
-    for name in ("points", "values", "errors"):
-        assert np.array_equal(getattr(near, name), getattr(far, name))
-    # and its error covers the gap to the default r_max
-    values, _ = PINNED_CURVES[(0.3, 1.5)]
-    assert np.all(np.abs(far.values - values) <= far.errors)
+    assert np.all(_pair_arc_table(np.array([end, end + 6.0]), g, jump, 24) == 0.0)
+    assert np.any(_arc_table(np.array(end), g[:, None], g[None, :], jump, 24) > 0.0)
+    # the rule ends short of it, at j + _SIGMA_REACH: every point lies within
+    # its reported error of the fine level run out to the uncut end
+    case = BipartiteCase(symbol=sign_step(jump), spec=PINNED_SPEC)
+    curve = sigma_curve(case)
+    monkeypatch.setattr(phasespace, "_SIGMA_REACH", math.sqrt(2.0) * _SIGMA_G_MAX)
+    uncut = _sigma_level(curve.points, _SIGMA_LEVELS[1], case.symbol, jump)
+    assert np.all(np.abs(curve.values - uncut) <= curve.errors)
 
 
 @pytest.mark.parametrize("jump", [SEPARATION_STEP, 0.4])
@@ -747,7 +749,7 @@ def test_sigma_joint_cut_drops_negligible_weight(level):
     # theta and pi - theta pair off, so the angle rule needs an even count
     assert level[3] % 2 == 0
     with pytest.raises(ValueError, match="even node count"):
-        _sigma_level(PINNED_SPEC, np.zeros(1), level[:3] + (level[3] + 1,), disc_profile,
+        _sigma_level(np.zeros(1), level[:3] + (level[3] + 1,), disc_profile,
                      SEPARATION_STEP)
 
 
@@ -762,15 +764,16 @@ def test_sigma_curve_gate_message_reads_sigma():
 def test_sigma_curve_error_gate():
     # a jump radius far below the node spacing leaves the indicator
     # unresolved: the 15 percent gate must refuse the curve and name the
-    # point, not return a noise curve
-    case = BipartiteCase(symbol=sign_step(0.02), spec=IntegrationSpec(sigma_max=1.0))
+    # point, not return a noise curve; at 0.003 the worst point's error is
+    # 0.83 of its scale (0.04 at a jump of 0.02, 0.18 at 0.005)
+    case = BipartiteCase(symbol=sign_step(0.003), spec=IntegrationSpec(sigma_max=1.0))
     with pytest.raises(QuadratureError, match=r"at sigma = 0\.05 is "):
         sigma_curve(case)
 
 
 def _level_arc_table(level):
-    spec = BipartiteCase().spec
-    dn = _gl_segmented(0.0, spec.r_max, level[0], (SEPARATION_STEP,))[0]
+    # the separation nodes of the default jump's rule
+    dn = _gl_segmented(0.0, SEPARATION_STEP + _SIGMA_REACH, level[0], (SEPARATION_STEP,))[0]
     gn = _gl_segmented(0.0, _SIGMA_G_MAX, level[1], ())[0]
     return dn, gn, _pair_arc_table(dn, gn, SEPARATION_STEP, level[2])
 
@@ -823,7 +826,7 @@ def test_sigma_curve_error_covers_finer_level(default_curve):
     # the node levels converge unevenly, so check the reported error against
     # a level finer in every direction at every point of the default grid
     case = BipartiteCase()
-    finer = _sigma_level(case.spec, default_curve.points, (192, 96, 32, 16), case.symbol,
+    finer = _sigma_level(default_curve.points, (192, 96, 32, 16), case.symbol,
                          SEPARATION_STEP)
     assert default_curve.points.size == 55
     gap = np.abs(default_curve.values - finer)
@@ -836,7 +839,7 @@ def test_sigma_curve_error_covers_finer_level_at_other_jumps(jump):
     case = BipartiteCase(symbol=sign_step(jump),
                          spec=IntegrationSpec(sigma_step=0.3, sigma_max=1.5))
     curve = sigma_curve(case)
-    finer = _sigma_level(case.spec, curve.points, (192, 96, 32, 16), case.symbol, jump)
+    finer = _sigma_level(curve.points, (192, 96, 32, 16), case.symbol, jump)
     assert np.all(np.abs(curve.values - finer) <= curve.errors)
 
 
@@ -863,6 +866,16 @@ def test_sigma_curve_container():
         SigmaCurve(pts, vals, -errs)
     with pytest.raises(ValueError):
         SigmaCurve(pts[:4], vals[:4], errs[:4])
+
+
+def test_sigma_curve_container_refuses_nan():
+    # a NaN once passed every check, and the curve's integral read (nan, nan)
+    pts, zeros = np.arange(6.0), np.zeros(6)
+    bad = np.array([0.0, math.nan, 2.0, 3.0, 4.0, 5.0])
+    for name, args in (("points", (bad, zeros, zeros)), ("values", (pts, bad, zeros)),
+                       ("errors", (pts, zeros, bad))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SigmaCurve(*args)
 
 
 def test_sigma_curve_integral():
@@ -957,7 +970,7 @@ def test_disc_disc_component_matches_curve_route():
     value = rep.notes["components"]["core2_core"]
     case = BipartiteCase(symbol=piecewise_symbol((0.4,), (1.0, 0.0)))
     s = 0.2 * np.arange(41)
-    fine, finer = (_sigma_level(case.spec, s, level, case.symbol, 0.9)
+    fine, finer = (_sigma_level(s, level, case.symbol, 0.9)
                    for level in (_SIGMA_LEVELS[1], (192, 96, 32, 16)))
     tails = [finer[-1] * s[-1] / (p - 1.0) for p in (2.5, 3.5)]
     rule = simpson(finer, 0.2)

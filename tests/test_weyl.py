@@ -51,6 +51,11 @@ def test_radial_symbol_factories():
     two = lambda r: np.select([r < 0.3, r < 0.8], [-1.0, 0.5], 1.0)
     with pytest.raises(ValueError, match="far_radius"):
         RadialSymbol(two, "two steps", (0.3, 0.8), 1.0, 0.5)
+    # a far value that is not a number is refused where it is declared, not
+    # after 20,057 evaluations of a quadrature that stops at error nan
+    for far in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="far_value"):
+            RadialSymbol(two, "x", (0.5,), far, 0.5)
 
 
 def test_piecewise_symbol_declares_its_levels():
