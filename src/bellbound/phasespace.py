@@ -52,14 +52,6 @@ _DEFAULT_SP_DIM = 64
 _N_TAIL_TOL = 5e-3
 
 
-def _check_r_max(spec):
-    # the two routes that end at r_max and count no mass beyond it:
-    # sp_hv_bound_generic's disc cut, and coarse_parity_bound's integral of
-    # a symbol without a far value
-    if spec.r_max < 5.0:
-        raise ValueError(f"r_max must be at least 5, got {spec.r_max}")
-
-
 def _panel_edges(symbol):
     """The radii where a quadrature of the symbol starts a new panel: its
     jumps, and its far radius when positive."""
@@ -79,8 +71,8 @@ class SingleParticleCase:
 
     Defaults reproduce the flagship setup: the sign step at radius 1/2 on
     the first excited state. The case keeps the spec it is given; every
-    quadrature downstream takes its panel edges from the symbol's jumps,
-    and no route it feeds reads r_max.
+    quadrature downstream takes its panel edges and its range from the
+    symbol.
     """
 
     symbol: RadialSymbol = field(default_factory=lambda: sign_step(0.5))
@@ -101,8 +93,7 @@ class BipartiteCase:
     The profile is a radial symbol of the separation |alpha_1 - alpha_2|;
     the default steps from -1 to +1 at SEPARATION_STEP, and bp_hv_bound takes
     any profile with declared levels. The state is fixed, (|0,1> - |1,0>)/sqrt 2:
-    every pair route is a closed reduction for it and holds no Fock matrix,
-    and none reads r_max.
+    every pair route is a closed reduction for it and holds no Fock matrix.
     """
 
     symbol: RadialSymbol = field(
@@ -270,8 +261,7 @@ def sp_hv_bound(case):
             "sp_hv_bound_generic handles other number-diagonal states"
         )
     return _bilinear_report("single-particle", case, _excited_component, lambda s: s,
-                            "; sp_hv_bound_generic takes any symbol with a declared "
-                            "far value")
+                            "; sp_hv_bound_generic takes any symbol")
 
 
 def _diagonal_weights(rho):
@@ -355,7 +345,7 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
     state, which is far_value sum_m p_m lam_m with lam_m the eigenvalues of
     quantize_radial and their errors, so no level truncation touches it;
     only the disc where the symbol departs from its far value is expanded
-    over collapse levels n <= n_max.
+    over collapse levels n <= n_max, at centers r < far_radius + 3.4.
 
     Each disc part is K_n(r) = sum_m (-1)^(m+n) exp(-2 r^2) L_m(4 r^2) M_mn
     with M_mn = 2 pi int rho (B - far_value) |<m|D(rho)|n>|^2 d rho, the
@@ -370,12 +360,9 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
     """
     if spec is None:
         spec = IntegrationSpec()
-    _check_r_max(spec)
     levels, probs = _diagonal_weights(rho)
     if not 1 <= n_max <= rho.dim // 2:
         raise ValueError(f"n_max must lie in [1, {rho.dim // 2}] for dim {rho.dim}")
-    if symbol.far_value is None:
-        raise ValueError("generic route needs a symbol with a declared far value")
     spectrum = quantize_radial(symbol, max(levels) + 1, spec)
     value = symbol.far_value * float(np.dot(probs, spectrum.eigenvalues[levels]))
     quad_err = abs(symbol.far_value) * float(np.dot(probs, spectrum.error_estimates[levels]))
@@ -383,12 +370,11 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
     tail = 0.0
     R0 = float(symbol.far_radius)
     if R0 > 0.0:
-        # the disc correction decays like exp(-2 (r - R0)^2) in the center
-        # radius, so the integration range can stop well short of r_max
-        r_hi = min(spec.r_max, R0 + 3.4)
 
         def disc_terms(n_outer, n_rho):
-            nodes, w = _gl_segmented(0.0, r_hi, n_outer, _panel_edges(symbol))
+            # the disc correction decays like exp(-2 (r - R0)^2) in the
+            # center radius, so the range stops 3.4 past the disc
+            nodes, w = _gl_segmented(0.0, R0 + 3.4, n_outer, _panel_edges(symbol))
             c = _displaced_level_weights(levels, probs, n_max, nodes)
             k, m_tail, disc_area = _kernel_moments_inner(symbol, n_max, nodes, n_rho)
             outer = (8.0 / math.pi) * w * nodes * symbol(nodes)
@@ -427,18 +413,6 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
     return float(value)
 
 
-def _parity_tail(n, r_max):
-    """(1/2) int_X^inf e^{-x/2} L_n(-x) dx, X = 4 r_max^2, summed in logarithms:
-    as |L_n(x)| <= L_n(-x) = sum_k C(n, k) x^k / k!, it bounds the tail of |n>'s
-    displaced parity integral; x^k / k! gives 2^k e^{-X/2} sum_{i<=k} (X/2)^i / i!."""
-    y = 2.0 * r_max * r_max
-    k = np.arange(n + 1)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))))
-    log_poisson = np.logaddexp.accumulate(k * math.log(y) - y - log_fact)
-    log_binom = log_fact[n] - log_fact - log_fact[::-1]
-    return float(np.exp(log_binom + k * math.log(2.0) + log_poisson).sum())
-
-
 def coarse_parity_bound(rho, symbol, spec=None):
     """Bound from parity-resolved collapses instead of level-resolved ones.
 
@@ -456,29 +430,25 @@ def coarse_parity_bound(rho, symbol, spec=None):
     p_n lam_n^2: collapses this coarse can never produce a violation, for
     any radial symbol, and this function exists to exhibit that.
 
-    The integral is one integrate_1d call on [0, r_max]. Past r_max a
-    declared symbol is its far value, so the dropped tail is at most
-    |far_value| sum_n p_n |lam_n| _parity_tail(n, r_max); above abs_tol it
-    raises QuadratureError naming r_max. A symbol without a far value has no
-    tail to count, so it keeps the r_max >= 5 floor of the generic route.
+    Every level's displaced parity integrates to its unit-symbol eigenvalue,
+    int 4r (-1)^n exp(-2r^2) L_n(4r^2) dr = 1 over [0, inf), so the far value
+    contributes far_value sum_n p_n lam_n in closed form, and one
+    integrate_1d call takes 4r (B - far_value) <Pi>(r) over [0, far_radius],
+    panelled at the jumps.
     """
     if spec is None:
         spec = IntegrationSpec()
-    counted = symbol.far_value is not None
-    if not counted:
-        _check_r_max(spec)
     levels, probs = _diagonal_weights(rho)
     weights = probs * quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]
-    tail = 0.0 if not counted else abs(symbol.far_value) * sum(
-        abs(w) * _parity_tail(n, spec.r_max) for n, w in zip(levels, weights))
-    if not tail <= spec.abs_tol:
-        raise QuadratureError(f"the tail past r_max {spec.r_max} is up to {tail:.2e}, "
-                              f"above {spec.abs_tol}", knob="r_max")
+    value = symbol.far_value * float(weights.sum())
+    if symbol.far_radius > 0.0:
 
-    def integrand(r):
-        return 4.0 * r * symbol(r) * _displaced_parity(levels, weights, r)
+        def integrand(r):
+            return 4.0 * r * (symbol(r) - symbol.far_value) * _displaced_parity(
+                levels, weights, r)
 
-    return integrate_1d(integrand, 0.0, spec.r_max, spec, _panel_edges(symbol)).value
+        value += integrate_1d(integrand, 0.0, symbol.far_radius, spec, symbol.jumps).value
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,10 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Cutoffs, tolerances and the sigma grid for all integration.
+    """Tolerances and the sigma grid for all integration.
+
+    No field sets where a radial integral ends: each route reads its range
+    off the symbol it integrates.
 
     mc_samples and seed drive only the Monte Carlo cross-check of the sigma
     curve, which lives with the tests; no production path reads them. They
@@ -50,7 +53,6 @@ class IntegrationSpec:
     valid.
     """
 
-    r_max: float = 6.0
     abs_tol: float = 1e-9
     mc_samples: int = 2_000_000
     seed: int = 42
@@ -58,7 +60,7 @@ class IntegrationSpec:
     sigma_max: float = 2.7
 
     def __post_init__(self):
-        for name in ("r_max", "abs_tol", "sigma_step", "sigma_max"):
+        for name in ("abs_tol", "sigma_step", "sigma_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")

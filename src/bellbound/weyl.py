@@ -44,17 +44,15 @@ class RadialSymbol:
     """Rotation-invariant phase-space profile r -> B(r).
 
     jumps lists the radii of step discontinuities, positive and increasing,
-    so quadratures can split there; far_value, when set, is the exact
-    constant value for all r >= far_radius (at or past the last jump), which
-    lets the quantizer trade the infinite tail for a closed-form
+    so quadratures can split there; far_value, which every symbol declares,
+    is the exact constant value for all r >= far_radius (at or past the last
+    jump), which lets each route trade the infinite tail for a closed-form
     contribution. levels, declared by piecewise_symbol, are the values on
     [0, r_1), [r_1, r_2), ..., [r_k, inf).
 
-    The far declaration is trusted, not probed: quantize_radial and
-    sp_hv_bound_generic take far_value from far_radius on without reading
-    the function there, while coarse_parity_bound reads the function on
-    [0, r_max]. A declaration the function contradicts therefore makes
-    those routes disagree.
+    The far declaration is trusted, not probed: every route takes far_value
+    from far_radius on without reading the function there, so a declaration
+    the function contradicts moves all of them alike.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -71,15 +69,20 @@ class RadialSymbol:
         # 0 < r_1 < ... < r_k < inf, which no NaN passes
         if not all(a < b for a, b in zip((0.0, *jumps), (*jumps, math.inf))):
             raise ValueError(f"jumps must be finite, positive and increasing: {jumps}")
-        if self.far_value is not None and not math.isfinite(self.far_value):
-            raise ValueError(f"far_value must be finite, got {self.far_value}")
-        if self.far_value is not None and not self.far_radius >= last:
+        if self.far_value is None or not math.isfinite(self.far_value):
+            raise ValueError(f"far_value must be declared and finite, got {self.far_value}")
+        # the routes integrate in s = r^2 up to far_radius^2
+        if not math.isfinite(self.far_radius * self.far_radius):
+            raise ValueError(f"far_radius must be finite with a finite square, "
+                             f"got {self.far_radius}")
+        if not self.far_radius >= last:
             raise ValueError(f"far_radius {self.far_radius} is short of the last jump")
         if self.levels is not None:
             object.__setattr__(self, "levels", tuple(map(float, self.levels)))
             if (len(self.levels) != len(jumps) + 1 or self.far_radius != last
-                    or self.far_value != self.levels[-1]):
-                raise ValueError("levels need one value per region, the last "
+                    or self.far_value != self.levels[-1]
+                    or not all(map(math.isfinite, self.levels))):
+                raise ValueError("levels need one finite value per region, the last "
                                  "one far_value from far_radius = the last jump")
 
     def __call__(self, r):
@@ -212,10 +215,9 @@ def quantize_radial(symbol, dim, spec=None):
     (-1)^j b_j(X_k) + (-1)^n b_n(X_k))], c_k the drop at jump r_k and
     X_k = 4 r_k^2, with the rounding bound eps (2 (n + 1) sum_k |c_k| +
     |lam_n|) as its error; an abs_tol below it is refused. Other symbols
-    take one quadrature per level: with an exact far value, lam_n = far_value
-    + 2 (-1)^n integral (B - far_value) e^{-2s} L_n(4s) ds over the bounded
-    support, which reads no r_max; otherwise cut at r_max^2, where the
-    e^{-2s} weight buries the remainder.
+    take one quadrature per level: lam_n = far_value + 2 (-1)^n integral
+    (B - far_value) e^{-2s} L_n(4s) ds over [0, far_radius^2], the bounded
+    support of B - far_value.
     """
     if spec is None:
         spec = IntegrationSpec()
@@ -233,10 +235,7 @@ def quantize_radial(symbol, dim, spec=None):
                 f"the closed-form spectrum stopped at error {errors.max():.2e}, its "
                 f"rounding bound, above {spec.abs_tol}", knob="abs_tol")
         return SpectralExpansion(values, errors, symbol)
-    if symbol.far_value is None:
-        base, upper = 0.0, spec.r_max**2
-    else:
-        base, upper = symbol.far_value, symbol.far_radius**2
+    base, upper = symbol.far_value, symbol.far_radius**2
     splits = [j * j for j in symbol.jumps]
     values = np.empty(dim)
     errors = np.empty(dim)

@@ -24,6 +24,10 @@ from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
 from bellbound.specfun import bessel_j
 from bellbound.weyl import wigner
 
+# where the oracles' radial ranges end, in |alpha|, far out on the Gaussian
+# envelopes they integrate
+R_MAX = 6.0
+
 
 def laguerre(n, x):
     """Laguerre polynomial L_n(x), three-term recurrence upward in n."""
@@ -432,7 +436,7 @@ def sigma_point(case, j, s, index=0):
     """
     spec = case.spec
     two_pi = 2.0 * math.pi
-    bounds = [(0.0, spec.r_max), (0.0, two_pi), (0.0, 1.0), (0.0, 1.0),
+    bounds = [(0.0, R_MAX), (0.0, two_pi), (0.0, 1.0), (0.0, 1.0),
               (0.0, two_pi), (0.0, two_pi)]
     res = mc_integrate(lambda x: sigma_integrand(s, j, case.symbol, x), 6,
                        bounds, spec, strata=SIGMA_STRATA, stream_key=(index,))
@@ -478,10 +482,10 @@ def sigma_level_full_square(spec, pts, level, profile, j):
     pi - theta. The separation rule ends where the route's does, at
     j + _SIGMA_REACH. The two differ by the Gaussian weight outside the cut
     and by rounding. A j of None sets A = 1, the route's closed mode, whose
-    curve has a closed form; its rule ends at spec.r_max.
+    curve has a closed form; its rule ends at R_MAX.
     """
     n_d, n_g, n_win, n_theta = level
-    d_max = spec.r_max if j is None else j + _SIGMA_REACH
+    d_max = R_MAX if j is None else j + _SIGMA_REACH
     dn, dw = _gl_segmented(0.0, d_max, n_d, _panel_edges(profile))
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
@@ -513,23 +517,23 @@ def sigma_level_full_square(spec, pts, level, profile, j):
 
 def relative_sweep(f, spec, r1_max=None, splits=()):
     """(value, gap) of int d^2 alpha int d^2 alpha' f(|alpha|, |alpha - alpha'|)
-    over |alpha| < r1_max (spec.r_max when None) and the full alpha' plane.
+    over |alpha| < r1_max (R_MAX when None) and the full alpha' plane.
 
     In relative coordinates alpha' = alpha + delta the separation is the
     inner radius and both angles integrate exactly to 2 pi, so the value is
-    (2 pi)^2 int r1 dr1 int d dd f(r1, d), with d cut at spec.r_max. Both
+    (2 pi)^2 int r1 dr1 int d dd f(r1, d), with d cut at R_MAX. Both
     radial axes take the Gauss-Legendre rules of quad._PAIR_LEVELS, panelled
     at the splits. The sweep stops at the first level within
     max(spec.abs_tol, 1e-8) of the one before, as integrate_radial_pair
     does, or at the last level; the value is that level's and the gap is
     its distance to the level before.
     """
-    r1_max = spec.r_max if r1_max is None else float(r1_max)
+    r1_max = R_MAX if r1_max is None else float(r1_max)
     tol = max(spec.abs_tol, 1e-8)
     prev = None
     for n1, n2, _ in _PAIR_LEVELS:
         rn, rw = _gl_segmented(0.0, r1_max, n1, splits)
-        sn, sw = _gl_segmented(0.0, spec.r_max, n2, splits)
+        sn, sw = _gl_segmented(0.0, R_MAX, n2, splits)
         r1, d = rn[:, None], sn[None, :]
         vals = np.asarray(f(r1, d), dtype=float)
         value = (2.0 * np.pi) ** 2 * float(np.sum(rw[:, None] * r1 * sw * d * vals))

@@ -359,7 +359,7 @@ def test_criterion_09_wigner_properties():
     # trace in the (q, p) plane: d q d p = 2 d^2 alpha
     norm = integrate_1d(
         lambda r: 4.0 * np.pi * r * wigner(excited, r + 0j),
-        0.0, 8.0, IntegrationSpec(r_max=8.0))
+        0.0, 8.0, IntegrationSpec())
     norm_ok = abs(norm.value - 1.0) < 1e-8
     pair = bell_pair_state(8)
     origin = float(wigner(pair, np.array([[0j, 0j]]))[0])

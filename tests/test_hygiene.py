@@ -190,3 +190,12 @@ def test_every_spec_field_is_read():
     fields = {f.name for f in dataclasses.fields(IntegrationSpec)} - {"mc_samples", "seed"}
     read = set().union(*(spec_reads(ast.parse(path.read_text())) for path in SOURCES))
     assert fields <= read, f"spec fields no module reads: {sorted(fields - read)}"
+
+
+def test_every_spec_read_is_a_field():
+    # a read of a field the spec no longer has fails only on the branch that
+    # runs it, such as an error message no test reaches
+    fields = {f.name for f in dataclasses.fields(IntegrationSpec)}
+    for path in SOURCES:
+        stale = spec_reads(ast.parse(path.read_text())) - fields
+        assert not stale, f"{path.name} reads spec fields that do not exist: {sorted(stale)}"

@@ -3,7 +3,6 @@
 import math
 from dataclasses import fields, replace
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +29,6 @@ from bellbound.phasespace import (
     _kernel_moments_inner,
     _level_transitions,
     _pair_arc_table,
-    _parity_tail,
     _reduced_pair_integral,
     _relative_profile,
     _sigma_level,
@@ -47,9 +45,10 @@ from bellbound.quad import (IntegrationSpec, QuadratureError, _gl_segmented,
 from bellbound.specfun import bessel_j, laguerre_scaled
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
-from oracles import (arc_fraction, coarse_parity_integrand, displacement_element,
-                     kernel_moments_inner, pair_qm_quadrature, radial_eigenvalues,
-                     relative_sweep, sigma_level_full_square, sigma_point)
+from oracles import (R_MAX, arc_fraction, coarse_parity_integrand,
+                     displacement_element, kernel_moments_inner, pair_qm_quadrature,
+                     radial_eigenvalues, relative_sweep, sigma_level_full_square,
+                     sigma_point)
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -66,7 +65,8 @@ TWO_STEP = RadialSymbol(
 # a separation profile: -1 inside 0.4, 1/2 up to 0.9, 1 beyond
 PAIR_TWO_STEP = piecewise_symbol((0.4, 0.9), (-1.0, 0.5, 1.0), "two steps")
 # structure a symbol leaves undeclared: -1 on a ring behind the unit
-# profile's far value, and a dip to -1 on (1.5, 1.75) past a declared step
+# profile's far value, and a dip to -1 on (1.5, 1.75) past a declared step;
+# every route takes the far value from far_radius on, so none sees either
 RING = RadialSymbol(lambda r: np.where((1.0 < r) & (r < 1.5), -1.0, 1.0), "ring",
                     (), 1.0, 0.0)
 
@@ -90,31 +90,30 @@ def test_single_particle_case_defaults():
     assert case.state.dim == 64
     assert abs(case.state.entries[1, 1] - 1.0) < 1e-12
     # the case keeps the spec it is given: panel edges come from the symbol
-    spec = IntegrationSpec(r_max=7.0)
+    spec = IntegrationSpec(abs_tol=1e-10)
     assert SingleParticleCase(spec=spec).spec is spec
     with pytest.raises(ValueError):
         SingleParticleCase(state=bell_pair_state(8))
 
 
 def test_truncating_r_max_is_refused():
-    # the generic route's disc cut ends at r_max and counts no mass beyond
-    # it, so it keeps the floor; no route the case classes feed reads r_max,
-    # so they take any
-    short = IntegrationSpec(r_max=4.5)
+    # no route ends at a global cutoff: each reads its range off the symbol,
+    # so a symbol that declares no far value, which would need one, is
+    # refused where it is built
+    with pytest.raises(ValueError, match="far_value"):
+        RadialSymbol(lambda r: np.exp(-r * r))
+    with pytest.raises(TypeError, match="r_max"):
+        IntegrationSpec(r_max=6.0)
+
+
+def test_routes_agree_past_the_far_radius():
+    # RING is the unit profile's declaration over a ring it leaves
+    # undeclared: every route trusts the declaration, so on |1> all three
+    # give the unit symbol's 1
     state = SingleParticleCase().state
-    assert SingleParticleCase(spec=short).spec is short
-    assert BipartiteCase(spec=short).spec is short
-    with pytest.raises(ValueError, match="r_max"):
-        sp_hv_bound_generic(state, sign_step(0.5), spec=short)
-    # the coarse parity bound counts its own tail past r_max: 4.5 is exact to
-    # rounding, while at 3.0 the tail passes abs_tol and is refused by name
-    assert abs(coarse_parity_bound(state, sign_step(0.5), spec=short) - QM * QM) < 1e-12
-    with pytest.raises(QuadratureError, match="r_max") as info:
-        coarse_parity_bound(state, sign_step(0.5), spec=IntegrationSpec(r_max=3.0))
-    assert info.value.knob == "r_max"
-    # a symbol without a far value has no tail to count and keeps the floor
-    with pytest.raises(ValueError, match="r_max"):
-        coarse_parity_bound(state, RadialSymbol(lambda r: np.exp(-r * r)), spec=short)
+    assert np.array_equal(quantize_radial(RING, 4).eigenvalues, np.ones(4))
+    assert sp_hv_bound_generic(state, RING) == 1.0
+    assert coarse_parity_bound(state, RING) == 1.0
 
 
 def test_kernel_route_components():
@@ -195,7 +194,7 @@ def test_kernel_route_closed_components_match_quadrature(symbol):
             value, error = relative_sweep(_excited_kernel, case.spec, radii[a],
                                           splits=symbol.jumps)
         else:
-            got = integrate_radial_pair(_excited_kernel, case.spec, case.spec.r_max, radii[b],
+            got = integrate_radial_pair(_excited_kernel, case.spec, R_MAX, radii[b],
                                         splits=symbol.jumps)
             value, error = got.value, got.error_estimate
         name = f"{a}_{b}"
@@ -251,16 +250,13 @@ def test_undeclared_symbols_are_refused():
 
 
 def test_refusal_hints_fit_their_route():
-    # only the single-particle refusal points at the generic route
-    with pytest.raises(ValueError, match="sp_hv_bound_generic"):
+    # only the single-particle refusal points at the generic route, which
+    # takes any symbol: one without a declared far value is refused where it
+    # is built, before any route sees it
+    with pytest.raises(ValueError, match="sp_hv_bound_generic takes any symbol"):
         sp_hv_bound(SingleParticleCase(symbol=RING))
-    # and the hint names what that route needs: a symbol without a declared
-    # far value is refused by both, each saying so
-    bare = RadialSymbol(lambda r: np.sign(r - 0.5))
-    with pytest.raises(ValueError, match="declared far value"):
-        sp_hv_bound(SingleParticleCase(symbol=bare))
-    with pytest.raises(ValueError, match="declared far value"):
-        sp_hv_bound_generic(SingleParticleCase().state, bare)
+    with pytest.raises(ValueError, match="far_value"):
+        RadialSymbol(lambda r: np.sign(r - 0.5))
     with pytest.raises(ValueError, match="levels") as info:
         bp_hv_bound(BipartiteCase(symbol=RING))
     assert "sp_hv_bound_generic" not in str(info.value)
@@ -474,9 +470,8 @@ def test_generic_route_error_control():
         sp_hv_bound_generic(
             DensityMatrix(FockOperator(tilted, hermitian=True)), case.symbol
         )
-    open_symbol = RadialSymbol(lambda r: np.sign(r - 0.5))
-    with pytest.raises(ValueError, match="far value"):
-        sp_hv_bound_generic(case.state, open_symbol)
+    with pytest.raises(ValueError, match="far_value"):
+        RadialSymbol(lambda r: np.sign(r - 0.5))
 
 
 def test_coarse_parity_reproduces_second_moment():
@@ -509,11 +504,12 @@ def test_coarse_parity_matches_second_moment_past_low_levels(symbol):
 
 
 def test_coarse_parity_high_level_stays_finite():
-    # the displaced parity of |300> reads e^{-x/2} L_300(x) out to r_max 30,
-    # where the unscaled L_300 overflowed (the bound ended in "stopped at
-    # error nan"); the bound is lam_300^2, 0.99034427243970667 to 17 digits
+    # |300> reaches out to r = 17, where the unscaled L_300 overflowed (the
+    # bound ended in "stopped at error nan"); with the far share in closed
+    # form the quadrature ends at the jump, and the bound is lam_300^2,
+    # 0.99034427243970667 to 17 digits
     rho = diagonal_state([0.0] * 300 + [1.0], dim=700)
-    got = coarse_parity_bound(rho, sign_step(0.5), IntegrationSpec(r_max=30.0))
+    got = coarse_parity_bound(rho, sign_step(0.5))
     assert abs(got - 0.99034427243970667) < 1e-13
 
 
@@ -531,34 +527,15 @@ def test_coarse_parity_integrand_matches_dense_oracle():
         assert np.max(np.abs(dense - fast)) < 1e-12
 
 
-def test_coarse_parity_tail_names_r_max():
-    # |L_n(x)| <= L_n(-x) bounds the integral past r_max; for |20> it is
-    # 5.1e-6 at r_max 6 and 6.3e-15 at 7
-    assert abs(_parity_tail(1, 6.0) / 7.9088736552e-30 - 1.0) < 1e-9
-    for n, r_max in ((3, 2.0), (20, 6.0)):
-        x = mpmath.mpf(4 * r_max * r_max)
-        want = mpmath.quad(lambda t: mpmath.exp(-t / 2) * mpmath.laguerre(n, 0, -t) / 2,
-                           [x, mpmath.inf])
-        assert abs(_parity_tail(n, r_max) / float(want) - 1.0) < 1e-12
-    state = diagonal_state([0.0] * 20 + [1.0])
-    with pytest.raises(QuadratureError, match="r_max") as err:
-        coarse_parity_bound(state, unit_symbol())
-    assert err.value.knob == "r_max"
-    got = coarse_parity_bound(state, unit_symbol(), IntegrationSpec(r_max=7.0))
-    assert abs(got - 1.0) < 1e-12
-
-
 def test_bipartite_case_validation():
     case = BipartiteCase()
     assert case.symbol.jumps == (SEPARATION_STEP,)
-    spec = IntegrationSpec(r_max=7.0)
+    spec = IntegrationSpec(abs_tol=1e-10)
     assert BipartiteCase(spec=spec).spec is spec
     # the pair state is fixed: the case holds a profile and a spec only
     assert [f.name for f in fields(BipartiteCase)] == ["symbol", "spec"]
     with pytest.raises(TypeError):
         BipartiteCase(state=bell_pair_state(8))
-    # no pair route reads r_max, so the case takes any
-    assert BipartiteCase(spec=IntegrationSpec(r_max=4.0)).spec.r_max == 4.0
 
 
 def test_pair_routes_build_no_fock_state(monkeypatch):
@@ -690,17 +667,6 @@ def test_sigma_curve_refuses_non_finite_points():
     spec = IntegrationSpec(sigma_step=1e299, sigma_max=1e300)
     with pytest.raises(QuadratureError, match="not finite: sigma_max"):
         sigma_curve(BipartiteCase(spec=spec))
-
-
-def test_sigma_curve_reads_no_r_max():
-    # the separation rule ends at j + _SIGMA_REACH, whatever r_max: a short
-    # r_max and one past float64 range change no bit of the curve
-    assert SEPARATION_STEP + _SIGMA_REACH == 6.0
-    default = sigma_curve(BipartiteCase(spec=PINNED_SPEC))
-    for r_max in (4.5, 1e300):
-        curve = sigma_curve(BipartiteCase(spec=replace(PINNED_SPEC, r_max=r_max)))
-        for name in ("points", "values", "errors"):
-            assert np.array_equal(getattr(curve, name), getattr(default, name))
 
 
 @pytest.mark.parametrize("jump", [0.3, SEPARATION_STEP, 1.5, 3.0])

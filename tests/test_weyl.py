@@ -52,10 +52,27 @@ def test_radial_symbol_factories():
     with pytest.raises(ValueError, match="far_radius"):
         RadialSymbol(two, "two steps", (0.3, 0.8), 1.0, 0.5)
     # a far value that is not a number is refused where it is declared, not
-    # after 20,057 evaluations of a quadrature that stops at error nan
-    for far in (math.nan, math.inf, -math.inf):
+    # after 20,057 evaluations of a quadrature that stops at error nan; every
+    # route ends where it holds, so a symbol must declare one
+    for far in (math.nan, math.inf, -math.inf, None):
         with pytest.raises(ValueError, match="far_value"):
             RadialSymbol(two, "x", (0.5,), far, 0.5)
+
+
+def test_radial_symbol_refuses_non_finite_levels():
+    # levels feed the closed-form spectrum and the pair routes' bilinear
+    # form, so a NaN or infinite one is refused where it is declared
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="levels"):
+            RadialSymbol(lambda r: r, "x", (0.5,), 1.0, 0.5, (bad, 1.0))
+
+
+def test_radial_symbol_refuses_a_far_radius_past_float_range():
+    # every route integrates in s = r^2 up to far_radius^2, so the far radius
+    # and its square must both be finite
+    for far_radius in (math.inf, 1e200, math.nan):
+        with pytest.raises(ValueError, match="far_radius"):
+            RadialSymbol(lambda r: np.exp(-r * r), "x", (), 0.0, far_radius)
 
 
 def test_piecewise_symbol_declares_its_levels():
@@ -264,7 +281,7 @@ def test_quantize_radial_gaussian():
     # B(r) = e^{-r^2} has eigenvalues 2 / 3^{n+1} exactly; absolute accuracy
     # reaches machine level, relative accuracy only down to the quadrature
     # floor, which the 2 / 3^25 tail sits below
-    sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian")
+    sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian", far_value=0.0, far_radius=6.0)
     exp = quantize_radial(sym, 25, IntegrationSpec(abs_tol=1e-13))
     want = 2.0 / 3.0 ** (np.arange(25) + 1.0)
     assert np.max(np.abs(exp.eigenvalues - want)) < 1e-13
@@ -274,7 +291,7 @@ def test_quantize_radial_gaussian():
 def test_gaussian_round_trip():
     # quantize then take the symbol back: e^{-r^2} maps to itself, out to
     # radii where a trace against the truncated quantizer loses 6e-9
-    sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian")
+    sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian", far_value=0.0, far_radius=6.0)
     op = quantize_radial(sym, 48).operator()
     radii = np.array([0.0, 0.4, 0.9, 1.5, 2.0, 2.5, 3.0])
     got = symbol_of(op, radii.astype(complex))
@@ -293,13 +310,7 @@ def test_generating_function_route():
 
 
 def test_quantize_radial_custom_spec():
-    spec = IntegrationSpec(r_max=5.0, abs_tol=1e-10)
+    spec = IntegrationSpec(abs_tol=1e-10)
     exp = quantize_radial(sign_step(0.5), 4, spec)
     assert abs(exp.eigenvalues[1] - STEP_EV1) < 1e-9
     assert np.all(exp.error_estimates <= 1e-8)
-    # a symbol with a far value reads no r_max: one short of the step gives
-    # the default spectrum
-    short = quantize_radial(sign_step(0.5), 4, IntegrationSpec(r_max=0.3))
-    default = quantize_radial(sign_step(0.5), 4)
-    assert np.array_equal(short.eigenvalues, default.eigenvalues)
-    assert np.array_equal(short.error_estimates, default.error_estimates)
