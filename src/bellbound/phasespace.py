@@ -8,6 +8,9 @@ bilinear form over pairs of regions of the declared levels
 (_bilinear_report), each setup passing its own pair integral of collapse
 probabilities; they are compared against the quantum mean of the quantized
 symbol, and the quantum mean squared exceeding the bound is the violation.
+The generic route takes any symbol on a number-diagonal state, and the
+coarse parity bound, sum_n p_n lam_n^2, shows that parity-resolved
+collapses never violate.
 
 Conventions follow the rest of the package: hbar = 1, alpha = (q + ip)/sqrt 2,
 and all integrals over phase space carry d^2 alpha.
@@ -24,7 +27,6 @@ from .quad import (
     IntegrationSpec,
     QuadratureError,
     _gl_segmented,
-    integrate_1d,
     integrate_radial_pair,
 )
 from .specfun import bessel_j, laguerre_scaled
@@ -291,16 +293,6 @@ def _displaced_level_weights(levels, probs, n_max, r):
     return np.tensordot(probs, terms, 1)
 
 
-def _displaced_parity(levels, probs, r):
-    """<Pi>_{D(r)^dag rho D(r)} = sum_m p_m (-1)^m exp(-2r^2) L_m(4r^2)."""
-    x4 = 4.0 * np.asarray(r, dtype=float) ** 2
-    lag = laguerre_scaled(max(levels), x4)
-    out = np.zeros_like(x4)
-    for m, pm in zip(levels, probs):
-        out += pm * (-1.0) ** m * lag[m]
-    return out
-
-
 def _kernel_moments_inner(symbol, n_max, r, n_rho):
     """(K, tail, weight): the disc part of the kernel moments and its bounds.
 
@@ -361,8 +353,10 @@ def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
     if spec is None:
         spec = IntegrationSpec()
     levels, probs = _diagonal_weights(rho)
-    if not 1 <= n_max <= rho.dim // 2:
-        raise ValueError(f"n_max must lie in [1, {rho.dim // 2}] for dim {rho.dim}")
+    if (not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool)
+            or not 1 <= n_max <= rho.dim // 2):
+        raise ValueError(f"n_max must be an integer in [1, {rho.dim // 2}] for dim "
+                         f"{rho.dim}, got {n_max!r}")
     spectrum = quantize_radial(symbol, max(levels) + 1, spec)
     value = symbol.far_value * float(np.dot(probs, spectrum.eigenvalues[levels]))
     quad_err = abs(symbol.far_value) * float(np.dot(probs, spectrum.error_estimates[levels]))
@@ -426,29 +420,15 @@ def coarse_parity_bound(rho, symbol, spec=None):
     where tr_even keeps the even-even block of both factors. That sandwich
     is tr(Pi {rho~, B~}) / 2: for a number-diagonal rho (p_n), the only kind
     taken, and the symbol's eigenvalues lam_n, the displaced parity sum_n p_n
-    lam_n (-1)^n exp(-2r^2) L_n(4r^2). The integral is tr(rho B^2) = sum_n
-    p_n lam_n^2: collapses this coarse can never produce a violation, for
-    any radial symbol, and this function exists to exhibit that.
-
-    Every level's displaced parity integrates to its unit-symbol eigenvalue,
-    int 4r (-1)^n exp(-2r^2) L_n(4r^2) dr = 1 over [0, inf), so the far value
-    contributes far_value sum_n p_n lam_n in closed form, and one
-    integrate_1d call takes 4r (B - far_value) <Pi>(r) over [0, far_radius],
-    panelled at the jumps.
+    lam_n (-1)^n exp(-2r^2) L_n(4r^2). Against 4 r B(r) each level's parity
+    integrates to lam_n, so the bound is tr(rho B^2) = sum_n p_n lam_n^2, which
+    this returns from quantize_radial's eigenvalues: collapses this coarse can
+    never produce a violation, for any radial symbol, and this function
+    exists to exhibit that.
     """
-    if spec is None:
-        spec = IntegrationSpec()
     levels, probs = _diagonal_weights(rho)
-    weights = probs * quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]
-    value = symbol.far_value * float(weights.sum())
-    if symbol.far_radius > 0.0:
-
-        def integrand(r):
-            return 4.0 * r * (symbol(r) - symbol.far_value) * _displaced_parity(
-                levels, weights, r)
-
-        value += integrate_1d(integrand, 0.0, symbol.far_radius, spec, symbol.jumps).value
-    return value
+    lam = quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]
+    return float(np.dot(probs, lam * lam))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,17 @@
-"""Integration engines.
+"""Integration rules and the radial-pair engine.
 
-Adaptive 1D Gauss-Legendre quadrature with panel edges at given jumps and
-iterated radial quadrature for phase-space double integrals. Every routine
-is deterministic: the same IntegrationSpec gives the same bits, and no
-production path draws a random number.
+Every quadrature is Gauss-Legendre at fixed node levels, with the gap
+between two levels as its error: _gl_segmented sizes one rule per panel
+from a node count, _gl_panels cuts panels of a given width, and
+integrate_radial_pair sweeps phase-space double integrals over a ladder of
+levels. Every routine is deterministic: the same IntegrationSpec gives the
+same bits, and no production path draws a random number.
 
-Each engine takes one vectorized integrand shape:
-
-- integrate_1d: f(x) maps an array of nodes to an array of the same shape;
-- integrate_radial_pair: f(r1, d) of the state-side radius and the
-  separation, on arrays that broadcast against each other.
+integrate_radial_pair takes f(r1, d) of the state-side radius and the
+separation, on arrays that broadcast against each other.
 """
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -23,7 +21,6 @@ __all__ = [
     "IntegrationSpec",
     "QuadResult",
     "QuadratureError",
-    "integrate_1d",
     "integrate_radial_pair",
 ]
 
@@ -93,79 +90,6 @@ def _gauss_legendre(n):
     return x, w
 
 
-_GL_COARSE = _gauss_legendre(10)
-_GL_FINE = _gauss_legendre(21)
-_BUDGET_1D = 1_000_000
-# evaluations without a new low of the summed error after which bisection
-# is taken to be reshuffling rounding noise
-_STALL_1D = 20_000
-
-
-def _eval_vec(f, xs):
-    ys = np.asarray(f(xs), dtype=float)
-    if ys.shape != xs.shape:
-        raise ValueError(
-            f"integrand returned shape {ys.shape} for nodes of shape {xs.shape}"
-        )
-    return ys
-
-
-def _panel(f, a, b):
-    mid = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    coarse = h * np.dot(_GL_COARSE[1], _eval_vec(f, mid + h * _GL_COARSE[0]))
-    fine = h * np.dot(_GL_FINE[1], _eval_vec(f, mid + h * _GL_FINE[0]))
-    return float(fine), abs(float(fine) - float(coarse)), 31
-
-
-def integrate_1d(f, a, b, spec, splits=()):
-    """Adaptive quadrature of f on [a, b], with panel edges at the splits.
-
-    f maps an array of nodes to an array of values of the same shape; any
-    other result raises ValueError. splits are the points where f jumps,
-    as a symbol declares them; those inside (a, b) start panels of their
-    own, so no panel straddles a jump. Each panel carries a 21-point
-    Gauss-Legendre value and the difference against a 10-point rule as its
-    error; the worst panel is bisected until the summed error reaches
-    spec.abs_tol; it raises once the evaluation budget runs out, or once the
-    summed error has set no new low for _STALL_1D evaluations, as happens
-    when it sits at its rounding floor.
-    """
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError("need a < b")
-    cuts = sorted({a, b, *(float(s) for s in splits if a < s < b)})
-    heap = []
-    evals = 0
-    counter = 0
-    low, low_at = math.inf, 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        fine, err, n = _panel(f, lo, hi)
-        evals += n
-        counter += 1
-        heapq.heappush(heap, (-err, counter, lo, hi, fine))
-    while True:
-        total_err = sum(-item[0] for item in heap)
-        if total_err <= spec.abs_tol:
-            value = sum(item[4] for item in sorted(heap, key=lambda t: t[2]))
-            return QuadResult(value, total_err, evals)
-        if total_err < low:
-            low, low_at = total_err, evals
-        if evals >= _BUDGET_1D or evals - low_at >= _STALL_1D:
-            raise QuadratureError(
-                f"1d quadrature spent {evals} evaluations on [{a}, {b}] and stopped "
-                f"at error {total_err:.2e}, above {spec.abs_tol}", knob="abs_tol"
-            )
-        _, _, lo, hi, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            fine, err, n = _panel(f, *seg)
-            evals += n
-            counter += 1
-            heapq.heappush(heap, (-err, counter, seg[0], seg[1], fine))
-
-
 def _gl_segmented(a, b, n, splits):
     """Gauss-Legendre nodes/weights on [a, b], panelled at interior splits."""
     cuts = sorted({a, b, *(s for s in splits if a < s < b)})
@@ -179,6 +103,19 @@ def _gl_segmented(a, b, n, splits):
         h = 0.5 * (hi - lo)
         nodes.append(mid + h * x)
         weights.append(h * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _gl_panels(cuts, width):
+    """(nodes, weights) of 21-node Gauss-Legendre panels at most width wide,
+    cut at every point of the sorted cuts."""
+    x, w = _gauss_legendre(21)
+    nodes, weights = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / width))
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes.append((edges[:-1, None] + half * (1.0 + x)).ravel())
+        weights.append((half * w).ravel())
     return np.concatenate(nodes), np.concatenate(weights)
 
 

@@ -12,18 +12,20 @@ the trace is exact on the block of levels the operator occupies.
 
 A rotation-invariant symbol quantizes to an operator diagonal in the number
 basis; its eigenvalues are Laguerre transforms of the radial profile, in
-closed form for declared levels, and for the sign-step profile coefficients
-of an explicit generating function too.
+closed form for declared levels, from one Laguerre sweep over fixed
+Gauss-Legendre panels for a profile given by its function alone, and for
+the sign-step profile coefficients of an explicit generating function too.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .fock import FockOperator, _displacement_entries
-from .quad import IntegrationSpec, QuadratureError, integrate_1d
+from .quad import IntegrationSpec, QuadratureError, _gl_panels
 from .specfun import laguerre_scaled
 
 __all__ = [
@@ -37,6 +39,16 @@ __all__ = [
     "unit_symbol",
     "wigner",
 ]
+
+
+def _real(name, value):
+    """value as a float, or a ValueError naming the field it was given for."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} takes real numbers within float64's range")
 
 
 @dataclass(frozen=True)
@@ -63,25 +75,29 @@ class RadialSymbol:
     levels: Optional[tuple] = None
 
     def __post_init__(self):
-        jumps = tuple(map(float, self.jumps))
+        jumps = tuple(_real("jumps", j) for j in self.jumps)
         object.__setattr__(self, "jumps", jumps)
         last = max(jumps, default=0.0)
         # 0 < r_1 < ... < r_k < inf, which no NaN passes
         if not all(a < b for a, b in zip((0.0, *jumps), (*jumps, math.inf))):
             raise ValueError(f"jumps must be finite, positive and increasing: {jumps}")
-        if self.far_value is None or not math.isfinite(self.far_value):
-            raise ValueError(f"far_value must be declared and finite, got {self.far_value}")
+        far_value = _real("far_value", self.far_value)
+        if not math.isfinite(far_value):
+            raise ValueError(f"far_value must be declared and finite, got {far_value}")
+        far_radius = _real("far_radius", self.far_radius)
         # the routes integrate in s = r^2 up to far_radius^2
-        if not math.isfinite(self.far_radius * self.far_radius):
+        if not math.isfinite(far_radius * far_radius):
             raise ValueError(f"far_radius must be finite with a finite square, "
-                             f"got {self.far_radius}")
-        if not self.far_radius >= last:
-            raise ValueError(f"far_radius {self.far_radius} is short of the last jump")
+                             f"got {far_radius}")
+        if not far_radius >= last:
+            raise ValueError(f"far_radius {far_radius} is short of the last jump")
+        object.__setattr__(self, "far_value", far_value)
+        object.__setattr__(self, "far_radius", far_radius)
         if self.levels is not None:
-            object.__setattr__(self, "levels", tuple(map(float, self.levels)))
-            if (len(self.levels) != len(jumps) + 1 or self.far_radius != last
-                    or self.far_value != self.levels[-1]
-                    or not all(map(math.isfinite, self.levels))):
+            levels = tuple(_real("levels", v) for v in self.levels)
+            object.__setattr__(self, "levels", levels)
+            if (len(levels) != len(jumps) + 1 or far_radius != last
+                    or far_value != levels[-1] or not all(map(math.isfinite, levels))):
                 raise ValueError("levels need one finite value per region, the last "
                                  "one far_value from far_radius = the last jump")
 
@@ -95,7 +111,8 @@ def piecewise_symbol(jumps, levels, description=""):
     The one place a declared symbol is built: its function, far value (the
     last level) and far radius (the last jump, 0 with none) share the levels.
     """
-    edges, table = np.array(jumps, dtype=float), np.array(levels, dtype=float)
+    edges = np.array([_real("jumps", j) for j in jumps], dtype=float)
+    table = np.array([_real("levels", v) for v in levels], dtype=float)
     if table.shape != (edges.size + 1,) or not np.all(np.isfinite(table)):
         raise ValueError(f"{edges.size} jumps need {edges.size + 1} finite "
                          f"levels, got {levels}")
@@ -206,6 +223,49 @@ class SpectralExpansion:
                             hermitian=True)
 
 
+# the top level's phase 2 sqrt(nu s), nu = 4 dim - 2, is widest across a first
+# panel [0, w]; 21 nodes resolve about 40 radians of it, so the coarse
+# panels, 2w wide, need dim w <= 50
+_DIM_WIDTH = 50.0
+# nodes x levels per block of the Laguerre sweep (2 MB of table)
+_SWEEP_BLOCK = 1 << 18
+
+
+def _laguerre_reach(dim, upper):
+    """min(upper, s_cut): past s_cut every |e^{-2s} L_n(4s)|, n < dim, stays
+    below 1e-17 (s_cut is 22, 33, 103 and 254 at dims 2, 8, 64 and 200).
+
+    Past its largest zero, below s = n + 1/2, each factor has one hump and
+    then decays, so s_cut is one past the last whole s, scanned up to
+    2 dim + 40, where one still reaches 1e-17.
+    """
+    s = np.arange(math.ceil(min(upper, 2.0 * dim + 40.0)) + 1.0)
+    reached = np.max(np.abs(laguerre_scaled(dim - 1, 4.0 * s)), axis=0) >= 1e-17
+    return min(upper, s[reached][-1] + 1.0)
+
+
+def _swept_spectrum(symbol, dim):
+    """(lam, gap, mass) of a symbol given by its function alone: lam at panel
+    width w, its gap to width 2 w, and the fine rule's integral of
+    |B - far_value|, all from one Laguerre sweep over both node sets."""
+    base = symbol.far_value
+    upper = _laguerre_reach(dim, symbol.far_radius**2)
+    cuts = sorted({0.0, upper, *(j * j for j in symbol.jumps if j * j < upper)})
+    width = min(0.5, _DIM_WIDTH / dim)
+    (fine, w_fine), (coarse, w_coarse) = (_gl_panels(cuts, h) for h in (width, 2 * width))
+    s = np.concatenate((fine, coarse))
+    drop = symbol(np.sqrt(s)) - base
+    weights = np.zeros((s.size, 2))
+    weights[: fine.size, 0] = w_fine * drop[: fine.size]
+    weights[fine.size :, 1] = w_coarse * drop[fine.size :]
+    sums = np.zeros((dim, 2))
+    step = max(1, _SWEEP_BLOCK // dim)
+    for lo in range(0, s.size, step):
+        sums += laguerre_scaled(dim - 1, 4.0 * s[lo : lo + step]) @ weights[lo : lo + step]
+    sums *= 2.0 * (-1.0) ** np.arange(dim)[:, None]
+    return base + sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]), np.abs(weights[:, 0]).sum()
+
+
 def quantize_radial(symbol, dim, spec=None):
     """Operator eigenvalues of a radial symbol.
 
@@ -214,43 +274,38 @@ def quantize_radial(symbol, dim, spec=None):
     Declared levels close it: lam_n = levels[-1] + sum_k c_k [1 - (2 sum_{j<n}
     (-1)^j b_j(X_k) + (-1)^n b_n(X_k))], c_k the drop at jump r_k and
     X_k = 4 r_k^2, with the rounding bound eps (2 (n + 1) sum_k |c_k| +
-    |lam_n|) as its error; an abs_tol below it is refused. Other symbols
-    take one quadrature per level: lam_n = far_value + 2 (-1)^n integral
-    (B - far_value) e^{-2s} L_n(4s) ds over [0, far_radius^2], the bounded
-    support of B - far_value.
+    |lam_n|) as its error. Other symbols take lam_n = far_value + 2 (-1)^n
+    integral (B - far_value) b_n(4s) ds, for every n from one sweep
+    (_swept_spectrum): 21-node panels cut at the squared jumps, on
+    [0, far_radius^2] up to where every b_n has decayed (_laguerre_reach),
+    at widths w = min(1/2, 50 / dim) and 2 w. Their error is the width gap
+    plus the rounding bound eps (4 (n + 1) M + |lam_n|), M the integral of
+    |B - far_value|. Either route refuses an abs_tol below its error.
     """
     if spec is None:
         spec = IntegrationSpec()
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+    n = np.arange(dim)
+    eps = np.finfo(float).eps
     if symbol.levels is not None:
         levels = np.array(symbol.levels)
         drops = levels[:-1] - levels[1:]
-        n = np.arange(dim)
         lag = (-1.0) ** n[:, None] * laguerre_scaled(dim - 1, 4.0 * np.square(symbol.jumps))
         values = levels[-1] + (1.0 - (2.0 * np.cumsum(lag, axis=0) - lag)) @ drops
-        errors = np.finfo(float).eps * (2.0 * (n + 1) * np.abs(drops).sum() + np.abs(values))
-        if not errors.max() <= spec.abs_tol:
-            raise QuadratureError(
-                f"the closed-form spectrum stopped at error {errors.max():.2e}, its "
-                f"rounding bound, above {spec.abs_tol}", knob="abs_tol")
-        return SpectralExpansion(values, errors, symbol)
-    base, upper = symbol.far_value, symbol.far_radius**2
-    splits = [j * j for j in symbol.jumps]
-    values = np.empty(dim)
-    errors = np.empty(dim)
-    for n in range(dim):
-        if upper <= 0.0:
-            values[n], errors[n] = base, 0.0
-            continue
-        sign = -1.0 if n % 2 else 1.0
-
-        def integrand(s, n=n):
-            return (symbol(np.sqrt(s)) - base) * laguerre_scaled(n, 4 * s)[n]
-
-        res = integrate_1d(integrand, 0.0, upper, spec, splits)
-        values[n] = base + 2.0 * sign * res.value
-        errors[n] = 2.0 * res.error_estimate
+        errors = eps * (2.0 * (n + 1) * np.abs(drops).sum() + np.abs(values))
+        route = "closed-form spectrum", "its rounding bound"
+    elif symbol.far_radius == 0.0:
+        # B is far_value everywhere, and so is every eigenvalue
+        return SpectralExpansion(np.full(dim, symbol.far_value), np.zeros(dim), symbol)
+    else:
+        values, gap, mass = _swept_spectrum(symbol, dim)
+        errors = gap + eps * (4.0 * (n + 1) * mass + np.abs(values))
+        route = "swept spectrum", "its width gap and rounding bound"
+    if not errors.max() <= spec.abs_tol:
+        raise QuadratureError(
+            f"the {route[0]} stopped at error {errors.max():.2e}, {route[1]}, "
+            f"above {spec.abs_tol}", knob="abs_tol")
     return SpectralExpansion(values, errors, symbol)
 
 

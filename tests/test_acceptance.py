@@ -18,7 +18,6 @@ import pytest
 from bellbound import (
     BipartiteCase,
     Decomposition,
-    IntegrationSpec,
     SingleParticleCase,
     bell_eigenvalue_generating,
     bell_pair_state,
@@ -39,7 +38,7 @@ from bellbound import (
 from bellbound.cli import _resolve_config, build_parser, run
 from bellbound.fock import DensityMatrix, FockOperator
 from bellbound.phasespace import _SIGMA_LEVELS, SEPARATION_STEP, _sigma_level
-from bellbound.quad import integrate_1d
+from bellbound.quad import _gl_segmented
 from bellbound.specfun import _j_asymptotic, bessel_j, laguerre_scaled
 
 from oracles import j_series, laguerre_sum, random_family
@@ -357,10 +356,9 @@ def test_criterion_09_wigner_properties():
     off_ring = np.abs(radii - 0.5) > 1e-9
     sign_match = bool(np.all((w[off_ring] < 0.0) == (radii[off_ring] < 0.5)))
     # trace in the (q, p) plane: d q d p = 2 d^2 alpha
-    norm = integrate_1d(
-        lambda r: 4.0 * np.pi * r * wigner(excited, r + 0j),
-        0.0, 8.0, IntegrationSpec())
-    norm_ok = abs(norm.value - 1.0) < 1e-8
+    r, w = _gl_segmented(0.0, 8.0, 96, ())
+    norm = float(w @ (4.0 * np.pi * r * wigner(excited, r + 0j)))
+    norm_ok = abs(norm - 1.0) < 1e-8
     pair = bell_pair_state(8)
     origin = float(wigner(pair, np.array([[0j, 0j]]))[0])
     origin_ok = abs(origin + 1.0 / math.pi**2) < 1e-8
@@ -369,7 +367,7 @@ def test_criterion_09_wigner_properties():
     no_violation = not (QM * QM > coarse + 1e-6)
     elapsed = time.perf_counter() - t0
     announce("9", sign_match and norm_ok and origin_ok and no_violation,
-             f"sign pattern ok, norm {norm.value:.10f}, W(0,0) "
+             f"sign pattern ok, norm {norm:.10f}, W(0,0) "
              f"{origin:.10f}, coarse parity bound {coarse:.6f} >= qm^2 "
              f"{QM * QM:.6f} - 1e-6, {elapsed:.2f}s")
 

@@ -190,7 +190,7 @@ def sizes(low, high, limit):
 
 
 # plausible values as often as any float at all; a positive tolerance below
-# the 1d quadrature's rounding floor exits 2 once its error stops shrinking
+# the closed-form spectrum's rounding bound exits 2
 REALS = st.floats(1e-3, 1e3) | st.floats()
 TOLERANCES = st.one_of(st.floats(1e-30, 1e-3), st.floats(min_value=0.0, exclude_min=True),
                        st.floats(max_value=0.0), st.just(math.nan))
@@ -438,15 +438,15 @@ def test_unreachable_tolerance_exits_two_at_once(capsys):
 
 
 @pytest.mark.parametrize("argv, budget", [
-    # eigenvalues takes its spectrum in closed form and reads no 1d budget: at
-    # 3e-16 its rounding bound refuses the tolerance, by the same exit and hint
-    (["eigenvalues", "--abs-tol", "3e-16"], ("_BUDGET_1D", 31)),
+    # eigenvalues takes its spectrum in closed form and reads no node ladder:
+    # at 3e-16 its rounding bound refuses the tolerance, by the same exit and
+    # hint
+    (["eigenvalues", "--abs-tol", "3e-16"], ("_PAIR_LEVELS", ((8, 8, 2), (8, 8, 3)))),
     (["single-particle"], ("_PAIR_LEVELS", ((8, 8, 2), (8, 8, 3)))),
 ])
 def test_engine_exhaustion_names_abs_tol(capsys, monkeypatch, argv, budget):
-    # a budget or node ladder too small to converge fails as an unreachable
-    # tolerance does, without spending the default budget's seconds; the hint
-    # names --abs-tol only where the command takes it
+    # a node ladder too small to converge fails as an unreachable tolerance
+    # does; the hint names --abs-tol only where the command takes it
     monkeypatch.setattr(bellbound.quad, *budget)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -20,9 +20,7 @@ from bellbound.phasespace import (
     _arc_table,
     _collapsed_arc,
     _collapsed_cells,
-    _diagonal_weights,
     _displaced_level_weights,
-    _displaced_parity,
     _excited_component,
     _excited_kernel,
     _full_disc_mean,
@@ -460,8 +458,9 @@ def test_generic_route_error_control():
     case = SingleParticleCase()
     with pytest.raises(QuadratureError, match="n_max"):
         sp_hv_bound_generic(case.state, case.symbol, n_max=8)
-    with pytest.raises(ValueError, match="n_max"):
-        sp_hv_bound_generic(case.state, case.symbol, n_max=40)
+    for bad in (40, 2.5, True):
+        with pytest.raises(ValueError, match="n_max"):
+            sp_hv_bound_generic(case.state, case.symbol, n_max=bad)
     tilted = np.zeros((16, 16), dtype=complex)
     tilted[1, 1] = 0.9
     tilted[0, 0] = 0.1
@@ -513,18 +512,18 @@ def test_coarse_parity_high_level_stays_finite():
     assert abs(got - 0.99034427243970667) < 1e-13
 
 
-def test_coarse_parity_integrand_matches_dense_oracle():
-    # tr_even(rho~ B~) - tr_odd(rho~ B~) = tr(Pi {rho~, B~}) / 2 is the
-    # displaced parity of the weights p_n lam_n, while the dim-64 truncation
-    # holds the displaced state (about 1e-15 to r = 3.2, 6e-12 at r = 4)
+def test_coarse_parity_bound_matches_dense_oracle_integral():
+    # the dense route conjugates the state and the quantized symbol at each
+    # center and traces the even and odd blocks; its integral over r checks
+    # the identity bound = sum_n p_n lam_n^2 independently, while the dim-96
+    # truncation holds the displaced state out to r = 4.5
     symbol = sign_step(0.5)
-    lam = quantize_radial(symbol, 64).eigenvalues
-    r = np.linspace(0.0, 3.0, 61)
-    for state in (SingleParticleCase().state, diagonal_state([0.3, 0.2, 0.5])):
-        levels, probs = _diagonal_weights(state)
-        fast = 4.0 * r * symbol(r) * _displaced_parity(levels, probs * lam[levels], r)
-        dense = coarse_parity_integrand(state, symbol, lam, r)
-        assert np.max(np.abs(dense - fast)) < 1e-12
+    lam = quantize_radial(symbol, 96).eigenvalues
+    r, w = _gl_segmented(0.0, 4.5, 300, symbol.jumps)
+    for weights in ([0.0, 1.0], [0.3, 0.2, 0.5]):
+        state = diagonal_state(weights, dim=96)
+        dense = float(w @ coarse_parity_integrand(state, symbol, lam, r).real)
+        assert abs(dense - coarse_parity_bound(state, symbol)) < 1e-13
 
 
 def test_bipartite_case_validation():

@@ -9,16 +9,15 @@ import scipy.special
 
 from bellbound.phasespace import SingleParticleCase, _excited_component
 from bellbound.quad import (
-    _STALL_1D,
     IntegrationSpec,
-    QuadratureError,
     QuadResult,
     _gauss_legendre,
-    integrate_1d,
+    _gl_panels,
     integrate_radial_pair,
 )
 from bellbound.specfun import bessel_j
-from oracles import R_MAX, assoc_laguerre_seq, laguerre, mc_integrate, relative_sweep
+from bellbound.weyl import RadialSymbol, piecewise_symbol, quantize_radial
+from oracles import R_MAX, mc_integrate, radial_eigenvalues_exact, relative_sweep
 
 SPEC = IntegrationSpec()
 
@@ -46,25 +45,35 @@ def test_spec_validation():
         QuadResult(1.0, -1e-3, 10)
 
 
+def panel_integral(f, cuts, width):
+    """f integrated by the fixed 21-node panels of _gl_panels."""
+    x, w = _gl_panels(cuts, width)
+    return float(w @ f(x))
+
+
 def test_integrate_1d_closed_forms():
-    got = integrate_1d(lambda u: np.exp(-u / 2), 0.0, 1.0, SPEC)
-    assert abs(got.value - 2 * (1 - math.exp(-0.5))) < 1e-12
+    got = panel_integral(lambda u: np.exp(-u / 2), (0.0, 1.0), 0.5)
+    assert abs(got - 2 * (1 - math.exp(-0.5))) < 1e-15
     # normalization of 2 e^{-2s} with the tail beyond the cutoff < 1e-30
-    got = integrate_1d(lambda s: 2 * np.exp(-2 * s), 0.0, 36.0, SPEC)
-    assert abs(got.value - 1.0) < 1e-10
+    got = panel_integral(lambda s: 2 * np.exp(-2 * s), (0.0, 36.0), 0.5)
+    assert abs(got - 1.0) < 1e-14
 
 
 def test_integrate_1d_split_additivity():
+    # a cut makes a jump a panel edge, so the step integrates exactly
     f = lambda x: np.where(x < 0.3, 1.0, 2.0)
-    whole = integrate_1d(f, 0.0, 1.0, SPEC, (0.3,)).value
-    left = integrate_1d(f, 0.0, 0.3, SPEC, (0.3,)).value
-    right = integrate_1d(f, 0.3, 1.0, SPEC, (0.3,)).value
-    assert abs(whole - 1.7) < 1e-12
-    assert abs(whole - (left + right)) < 1e-12
+    whole = panel_integral(f, (0.0, 0.3, 1.0), 0.5)
+    left = panel_integral(f, (0.0, 0.3), 0.5)
+    right = panel_integral(f, (0.3, 1.0), 0.5)
+    assert abs(whole - 1.7) < 1e-15
+    assert abs(whole - (left + right)) < 1e-15
+    x, _ = _gl_panels((0.0, 0.3, 1.0), 0.5)
+    assert x.size == 3 * 21 and np.all(np.diff(x) > 0)
 
 
 def test_integrate_1d_error_estimate_honest():
-    # oscillatory and peaked integrands with known antiderivatives
+    # oscillatory and peaked integrands with known antiderivatives: the gap
+    # between panel widths 0.5 and 1 covers the error at width 0.5
     cases = []
     for k in range(1, 11):
         cases.append((lambda x, k=k: np.sin(k * x), (1 - math.cos(2.0 * k)) / k))
@@ -77,47 +86,29 @@ def test_integrate_1d_error_estimate_honest():
         )
     for p in (2, 3, 4, 5, 6):
         cases.append((lambda x, p=p: x**p, 2.0 ** (p + 1) / (p + 1)))
-    spec = IntegrationSpec(abs_tol=1e-10)
     assert len(cases) == 20
     for f, exact in cases:
-        got = integrate_1d(f, 0.0, 2.0, spec)
-        true_err = abs(got.value - exact)
-        assert got.error_estimate <= 1e-10
-        assert true_err <= max(3 * got.error_estimate, 5e-13)
+        fine = panel_integral(f, (0.0, 2.0), 0.5)
+        gap = abs(fine - panel_integral(f, (0.0, 2.0), 1.0))
+        assert gap <= 1e-10
+        assert abs(fine - exact) <= max(3 * gap, 5e-15)
 
 
 @pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
 @pytest.mark.parametrize("a", [0.01, 0.25, 2.25, 9.0])
 def test_integrate_1d_error_covers_laguerre_closed_form(a, abs_tol):
-    # int_0^a e^{-2s} L_n(4s) ds = (-1)^n [1 - e^{-2a} (2 sum_{j<n} (-1)^j
-    # L_j(4a) + (-1)^n L_n(4a))] / 2, the integral behind every eigenvalue
-    spec = IntegrationSpec(abs_tol=abs_tol)
-    signs = (-1.0) ** np.arange(64)
-    lag = signs * assoc_laguerre_seq(63, 0, 4.0 * a)
-    below = np.concatenate(([0.0], np.cumsum(lag)[:-1]))
-    exact = signs * (1.0 - math.exp(-2.0 * a) * (2.0 * below + lag)) / 2.0
-    for n in range(64):
-        got = integrate_1d(lambda s: np.exp(-2.0 * s) * laguerre(n, 4.0 * s), 0.0, a, spec)
-        assert abs(got.value - exact[n]) <= got.error_estimate + 1e-14, n
-
-
-def test_integrate_1d_slow_progress_is_no_stall():
-    # sin(1/x) down to 1e-4 takes about 50,000 evaluations, and its summed
-    # error keeps setting new lows on the way: only a stalled error stops
-    lo = 1e-4
-    res = integrate_1d(lambda x: np.sin(1.0 / x), lo, 1.0, IntegrationSpec(abs_tol=1e-10))
-    u = 1.0 / lo
-    _, ci = scipy.special.sici([1.0, u])
-    exact = math.sin(1.0) - math.sin(u) / u + ci[1] - ci[0]
-    assert res.evaluations > 2 * _STALL_1D
-    assert abs(res.value - exact) <= res.error_estimate
-
-
-def test_integrate_1d_budget_raises():
-    # ~3e7 oscillations near the left end cannot be resolved in the budget
-    spec = IntegrationSpec(abs_tol=1e-12)
-    with pytest.raises(QuadratureError):
-        integrate_1d(lambda x: np.sin(1.0 / x), 1e-8, 1.0, spec)
+    # the 1-D integrals behind a spectrum: 1{r < sqrt a} given by its function
+    # alone takes quantize_radial's swept quadrature, lam_n = 2 (-1)^n
+    # int_0^a e^{-2s} L_n(4s) ds, and its reported error covers the gap to
+    # the closed form, the jump's Laguerre partial sums in 80 digits
+    jump = math.sqrt(a)
+    disc = RadialSymbol(lambda r: np.where(r < jump, 1.0, 0.0), jumps=(jump,),
+                        far_value=0.0, far_radius=jump)
+    got = quantize_radial(disc, 64, IntegrationSpec(abs_tol=abs_tol))
+    exact = radial_eigenvalues_exact(piecewise_symbol((jump,), (1.0, 0.0)), 64)
+    gap = np.array([abs(float(g - e)) for g, e in zip(got.eigenvalues, exact)])
+    assert np.all(gap <= got.error_estimates)
+    assert np.all(got.error_estimates <= abs_tol)
 
 
 def kernel(r1, d):
@@ -202,11 +193,6 @@ def test_radial_pair_counts_evaluations():
 
         got = integrate_radial_pair(counted, SPEC, R_MAX, r2_max)
         assert got.evaluations == sum(seen)
-
-
-def test_integrate_1d_rejects_scalar_integrand():
-    with pytest.raises(ValueError, match="shape"):
-        integrate_1d(lambda x: 1.0, 0.0, 1.0, SPEC)
 
 
 def test_mc_constant():

@@ -14,7 +14,7 @@ from bellbound.fock import (
     number_projector,
     trace_product,
 )
-from bellbound.quad import IntegrationSpec
+from bellbound.quad import IntegrationSpec, QuadratureError
 from bellbound.weyl import (
     RadialSymbol,
     bell_eigenvalue_generating,
@@ -45,16 +45,16 @@ def test_radial_symbol_factories():
     # jumps out of order or past float range, and a far radius short of the
     # last jump, which would fold [0.5, 0.8] of this profile into the far
     # value when quantized
-    for jumps in ((0.8, 0.3), (0.3, 0.3), (0.3, math.inf), (math.nan,)):
+    for jumps in ((0.8, 0.3), (0.3, 0.3), (0.3, math.inf), (math.nan,), (10**400,),
+                  ("0.5",)):
         with pytest.raises(ValueError, match="jumps"):
             RadialSymbol(lambda r: r, jumps=jumps)
     two = lambda r: np.select([r < 0.3, r < 0.8], [-1.0, 0.5], 1.0)
     with pytest.raises(ValueError, match="far_radius"):
         RadialSymbol(two, "two steps", (0.3, 0.8), 1.0, 0.5)
-    # a far value that is not a number is refused where it is declared, not
-    # after 20,057 evaluations of a quadrature that stops at error nan; every
-    # route ends where it holds, so a symbol must declare one
-    for far in (math.nan, math.inf, -math.inf, None):
+    # a far value that is not a finite float is refused where it is declared;
+    # every route ends where it holds, so a symbol must declare one
+    for far in (math.nan, math.inf, -math.inf, None, 10**400, "1"):
         with pytest.raises(ValueError, match="far_value"):
             RadialSymbol(two, "x", (0.5,), far, 0.5)
 
@@ -69,8 +69,8 @@ def test_radial_symbol_refuses_non_finite_levels():
 
 def test_radial_symbol_refuses_a_far_radius_past_float_range():
     # every route integrates in s = r^2 up to far_radius^2, so the far radius
-    # and its square must both be finite
-    for far_radius in (math.inf, 1e200, math.nan):
+    # and its square must both be finite, and it must be a number
+    for far_radius in (math.inf, 1e200, math.nan, 10**400, "1"):
         with pytest.raises(ValueError, match="far_radius"):
             RadialSymbol(lambda r: np.exp(-r * r), "x", (), 0.0, far_radius)
 
@@ -84,8 +84,7 @@ def test_piecewise_symbol_declares_its_levels():
     assert sign_step(0.5).levels == (-1.0, 1.0)
     assert unit_symbol().levels == (1.0,) and unit_symbol().far_radius == 0.0
     # the declared profile takes the closed form and the same function given
-    # alone the quadrature; they agree within their two reported errors (the
-    # quadrature's panel differences hold no rounding, here under 3e-16)
+    # alone the swept quadrature; they agree within their two reported errors
     plain = RadialSymbol(two.fn, jumps=(0.3, 0.8), far_value=1.0, far_radius=0.8)
     closed, quadrature = quantize_radial(two, 8), quantize_radial(plain, 8)
     gap = np.abs(closed.eigenvalues - quadrature.eigenvalues)
@@ -93,8 +92,9 @@ def test_piecewise_symbol_declares_its_levels():
     assert np.all(gap < 1e-13)
     with pytest.raises(ValueError, match="levels"):
         piecewise_symbol((0.3, 0.8), (-1.0, 1.0))
-    with pytest.raises(ValueError, match="levels"):
-        piecewise_symbol((0.3,), (-1.0, math.inf))
+    for levels in ((-1.0, math.inf), (10**400, 1.0), ("-1", 1.0)):
+        with pytest.raises(ValueError, match="levels"):
+            piecewise_symbol((0.3,), levels)
     with pytest.raises(ValueError, match="positive"):
         piecewise_symbol((0.0,), (-1.0, 1.0))
     # levels given directly must agree with the far fields
@@ -257,11 +257,24 @@ def test_quantize_radial_matches_closed_form(symbol):
     assert np.max(np.abs(got - radial_eigenvalues(symbol, 64))) < 1e-13
 
 
-@pytest.mark.parametrize("symbol", [
+EXACT_SYMBOLS = [
     *(sign_step(r0) for r0 in (0.5, 2.0, 3.0, 4.0)),
     piecewise_symbol((0.3, 0.8), (-1.0, 0.5, 1.0)),
     piecewise_symbol((0.4, 1.1, 2.0), (2.0, -1.0, 0.25, -0.5)),
-], ids=lambda sym: sym.description or f"{len(sym.jumps)} steps")
+]
+
+
+def symbol_id(sym):
+    return sym.description or f"{len(sym.jumps)} steps"
+
+
+def function_only(symbol):
+    """The same profile given by its function alone, without its levels."""
+    return RadialSymbol(symbol.fn, jumps=symbol.jumps, far_value=symbol.far_value,
+                        far_radius=symbol.far_radius)
+
+
+@pytest.mark.parametrize("symbol", EXACT_SYMBOLS, ids=symbol_id)
 def test_closed_form_error_covers_exact_spectrum(symbol):
     # the declared symbol's rounding bound covers its gap to an 80-digit
     # evaluation, and the quadrature of the same profile, given without its
@@ -271,21 +284,67 @@ def test_closed_form_error_covers_exact_spectrum(symbol):
     gap = np.array([abs(float(g - e)) for g, e in zip(got.eigenvalues, exact)])
     assert np.all(gap <= got.error_estimates)
     assert np.all(got.error_estimates <= 1e-12)
-    plain = RadialSymbol(symbol.fn, jumps=symbol.jumps, far_value=symbol.far_value,
-                         far_radius=symbol.far_radius)
-    quadrature = quantize_radial(plain, 64).eigenvalues
+    quadrature = quantize_radial(function_only(symbol), 64).eigenvalues
     assert np.max(np.abs(quadrature - got.eigenvalues)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+@pytest.mark.parametrize("symbol", EXACT_SYMBOLS, ids=symbol_id)
+def test_swept_error_covers_exact_spectrum(symbol, dim):
+    # given by its function alone, the profile takes the swept quadrature,
+    # whose own error, width gap plus rounding bound, covers its gap to the
+    # 80-digit evaluation of the closed form
+    got = quantize_radial(function_only(symbol), dim)
+    exact = radial_eigenvalues_exact(symbol, dim)
+    gap = np.array([abs(float(g - e)) for g, e in zip(got.eigenvalues, exact)])
+    assert np.all(gap <= got.error_estimates)
+    assert np.all(got.error_estimates <= 1e-11)
+
+
+def test_swept_panels_narrow_with_dim():
+    # L_{dim-1}(4s) turns faster with dim, so the panels narrow with it: a
+    # fixed width of 1/2 leaves the dim-300 levels 6.5e-5 apart from width 1
+    for dim in (200, 300):
+        closed = quantize_radial(sign_step(2.0), dim)
+        swept = quantize_radial(function_only(sign_step(2.0)), dim)
+        assert np.max(np.abs(swept.eigenvalues - closed.eigenvalues)) < 1e-13
+        assert np.max(swept.error_estimates) < 1e-11
+
+
+def test_swept_spectrum_refuses_a_tolerance_below_its_error():
+    plain = function_only(EXACT_SYMBOLS[-1])
+    worst = float(np.max(quantize_radial(plain, 64).error_estimates))
+    assert quantize_radial(plain, 64, IntegrationSpec(abs_tol=worst)).dim == 64
+    with pytest.raises(QuadratureError, match="swept spectrum stopped at error") as exc:
+        quantize_radial(plain, 64, IntegrationSpec(abs_tol=worst / 2))
+    assert exc.value.knob == "abs_tol"
+
+
+def test_quantize_radial_refuses_a_dim_that_is_no_count():
+    # a float or a bool is refused by name on both routes, not run as the
+    # integer it rounds to or raised from inside numpy
+    for symbol in (sign_step(0.5), function_only(sign_step(0.5))):
+        for dim in (2.5, 4.0, True, 0, "3"):
+            with pytest.raises(ValueError, match="dim"):
+                quantize_radial(symbol, dim)
+        assert quantize_radial(symbol, np.int64(4)).dim == 4
 
 
 def test_quantize_radial_gaussian():
     # B(r) = e^{-r^2} has eigenvalues 2 / 3^{n+1} exactly; absolute accuracy
     # reaches machine level, relative accuracy only down to the quadrature
-    # floor, which the 2 / 3^25 tail sits below
-    sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian", far_value=0.0, far_radius=6.0)
-    exp = quantize_radial(sym, 25, IntegrationSpec(abs_tol=1e-13))
-    want = 2.0 / 3.0 ** (np.arange(25) + 1.0)
-    assert np.max(np.abs(exp.eigenvalues - want)) < 1e-13
-    assert np.max(np.abs(exp.eigenvalues - want)[:11] / want[:11]) < 1e-9
+    # floor, which the 2 / 3^25 tail sits below. At far radius 100 or 1e3
+    # the Gaussian fills a sliver of [0, far_radius^2]; the sweep ends where
+    # every Laguerre factor has fallen below 1e-17, so its nodes stay on it
+    for far_radius in (6.0, 100.0, 1e3):
+        sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian", far_value=0.0,
+                           far_radius=far_radius)
+        for dim in (25, 48, 64):
+            exp = quantize_radial(sym, dim, IntegrationSpec(abs_tol=1e-13))
+            want = 2.0 / 3.0 ** (np.arange(dim) + 1.0)
+            gap = np.abs(exp.eigenvalues - want)
+            assert np.max(gap) < 1e-13 and np.all(gap <= exp.error_estimates)
+            assert np.max(gap[:11] / want[:11]) < 1e-9
 
 
 def test_gaussian_round_trip():
