@@ -72,16 +72,6 @@ class FockOperator:
         live.setflags(write=False)
         return live
 
-    def dagger(self):
-        return FockOperator(self.entries.conj().T, self.modes, self.hermitian)
-
-    def trace(self):
-        return complex(np.trace(self.entries))
-
-    def is_projector(self, tol=1e-10):
-        p = self.entries
-        return bool(np.max(np.abs(p @ p - p)) < tol)
-
     def __matmul__(self, other):
         self._compatible(other)
         return FockOperator(self.entries @ other.entries, self.modes)

@@ -478,6 +478,12 @@ _SIGMA_G_MAX = 4.5
 _SIGMA_REACH = 6.0 - SEPARATION_STEP
 # grids longer than this are refused instead of left running
 _SIGMA_MAX_POINTS = 10_000
+# separation nodes per block of _sigma_level: only the block's arc table,
+# (block, n_g, n_g), and each point's Bessel and bilinear-form arrays on it
+# are live at once. A multiple of _ARC_BLOCK, so every arc sub-block, and
+# with it every value, keeps its bits; smaller blocks pay more in Python
+# overhead per bessel_j call than they save
+_SIGMA_BLOCK = 32
 # separation nodes per block of the arc table, which bounds its temporaries
 # (the window buffers hold n_win times the block's live cells); a single
 # pass per level over the crossing angles and gathers is no faster
@@ -583,6 +589,10 @@ def _sigma_level(pts, level, profile, j):
     displacements move the separation by at most g1 + g2, so A is exactly 0
     past d = j + g1 + g2; the separation rule ends at j + _SIGMA_REACH,
     which drops only the pairs of negligible weight that reach farther.
+
+    The separation nodes stream in blocks of _SIGMA_BLOCK, each with its own
+    arc table, so no whole-grid table or Bessel array is ever live; kern is
+    kept per (point, node) and summed over d at the end, as in one block.
     """
     n_d, n_g, n_win, n_theta = level
     if n_theta % 2:
@@ -592,36 +602,38 @@ def _sigma_level(pts, level, profile, j):
     gn, gw = _gl_segmented(0.0, _SIGMA_G_MAX, n_g, ())
     g_sq = gn * gn
     m = gw * 4.0 * gn * np.exp(-2.0 * g_sq)
-    arc = _pair_arc_table(dn, gn, j, n_win)
     wd = dw * dn * profile(dn)
     cos_t = np.cos((np.arange(n_theta) + 0.5) * (math.pi / n_theta))
-    # the three right-hand blocks u and their products u^T A_d, reused per point
-    rhs = np.empty((dn.size, 3 * half, gn.size))
-    lhs = np.empty_like(rhs)
-    values = np.zeros(pts.size)
-    for i, s in enumerate(pts):
-        if s == 0.0:
-            continue
-        # y = 4 a1 g with a1 = |s + d e^{i theta}| / 2; the second slot's
-        # a2(theta) = a1(pi - theta) is the first slot reversed along theta
-        a1 = np.multiply.outer(2.0 * s * dn, cos_t)
-        a1 += (s * s + dn * dn)[:, None]
-        y = np.multiply.outer(2.0 * np.sqrt(a1), gn)
-        j0, rat = bessel_j((0, 1), y)
-        j0 *= m
-        rat /= y
-        rat *= g_sq * m
-        rhs[:, :half] = j0[:, ::-1][:, :half]
-        np.multiply(rhs[:, :half], 2.0 * g_sq, out=rhs[:, half:-half])
-        rhs[:, -half:] = rat[:, ::-1][:, :half]
-        np.matmul(rhs, arc, out=lhs)
-        lhs0, lhs1, lhs2 = np.split(lhs, 3, axis=1)
-        lhs0 *= 1.0 - 2.0 * g_sq
-        lhs0 -= lhs1
-        kern = (np.einsum("dtg,dtg->d", lhs0, j0[:, :half])
-                - 16.0 * (s * s - dn * dn) * np.einsum("dtg,dtg->d", lhs2, rat[:, :half]))
-        values[i] = 8.0 * s / n_theta * float(wd @ kern)
-    return values
+    kern = np.zeros((pts.size, dn.size))
+    for start in range(0, dn.size, _SIGMA_BLOCK):
+        d = dn[start:start + _SIGMA_BLOCK]
+        arc = _pair_arc_table(d, gn, j, n_win)
+        # the three right-hand blocks u and their products u^T A_d, reused per point
+        rhs = np.empty((d.size, 3 * half, gn.size))
+        lhs = np.empty_like(rhs)
+        for i, s in enumerate(pts):
+            if s == 0.0:
+                continue
+            # y = 4 a1 g with a1 = |s + d e^{i theta}| / 2; the second slot's
+            # a2(theta) = a1(pi - theta) is the first slot reversed along theta
+            a1 = np.multiply.outer(2.0 * s * d, cos_t)
+            a1 += (s * s + d * d)[:, None]
+            y = np.multiply.outer(2.0 * np.sqrt(a1), gn)
+            j0, rat = bessel_j((0, 1), y)
+            j0 *= m
+            rat /= y
+            rat *= g_sq * m
+            rhs[:, :half] = j0[:, ::-1][:, :half]
+            np.multiply(rhs[:, :half], 2.0 * g_sq, out=rhs[:, half:-half])
+            rhs[:, -half:] = rat[:, ::-1][:, :half]
+            np.matmul(rhs, arc, out=lhs)
+            lhs0, lhs1, lhs2 = np.split(lhs, 3, axis=1)
+            lhs0 *= 1.0 - 2.0 * g_sq
+            lhs0 -= lhs1
+            kern[i, start:start + d.size] = (
+                np.einsum("dtg,dtg->d", lhs0, j0[:, :half])
+                - 16.0 * (s * s - d * d) * np.einsum("dtg,dtg->d", lhs2, rat[:, :half]))
+    return np.array([8.0 * s / n_theta * float(wd @ k) for s, k in zip(pts, kern)])
 
 
 def sigma_curve(case):

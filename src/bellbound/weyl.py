@@ -229,6 +229,9 @@ class SpectralExpansion:
 _DIM_WIDTH = 50.0
 # nodes x levels per block of the Laguerre sweep (2 MB of table)
 _SWEEP_BLOCK = 1 << 18
+# the last whole s the reach scan takes: x = 4s stays below 1500, where
+# laguerre_scaled refuses levels >= x/5
+_REACH_S_MAX = 374
 
 
 def _laguerre_reach(dim, upper):
@@ -237,10 +240,19 @@ def _laguerre_reach(dim, upper):
 
     Past its largest zero, below s = n + 1/2, each factor has one hump and
     then decays, so s_cut is one past the last whole s, scanned up to
-    2 dim + 40, where one still reaches 1e-17.
+    2 dim + 40, where one still reaches 1e-17. The scan stops at
+    _REACH_S_MAX, short of x = 4s = 1500, where laguerre_scaled refuses
+    levels >= x/5: a dim whose levels still reach 1e-17 there, and whose
+    symbol reaches farther, is refused with ValueError naming dim.
     """
-    s = np.arange(math.ceil(min(upper, 2.0 * dim + 40.0)) + 1.0)
+    top = math.ceil(min(upper, 2.0 * dim + 40.0))
+    s = np.arange(min(top, _REACH_S_MAX) + 1.0)
     reached = np.max(np.abs(laguerre_scaled(dim - 1, 4.0 * s)), axis=0) >= 1e-17
+    if top > _REACH_S_MAX and reached[-1]:
+        raise ValueError(
+            f"dim {dim} is too large for this symbol's far radius: its Laguerre "
+            f"factors still reach 1e-17 at s = {_REACH_S_MAX}, and past x = 4s = 1500 "
+            "they leave float64's normal range")
     return min(upper, s[reached][-1] + 1.0)
 
 
@@ -280,7 +292,9 @@ def quantize_radial(symbol, dim, spec=None):
     [0, far_radius^2] up to where every b_n has decayed (_laguerre_reach),
     at widths w = min(1/2, 50 / dim) and 2 w. Their error is the width gap
     plus the rounding bound eps (4 (n + 1) M + |lam_n|), M the integral of
-    |B - far_value|. Either route refuses an abs_tol below its error.
+    |B - far_value|. Either route refuses an abs_tol below its error; the
+    sweep raises ValueError naming dim where its levels would reach past
+    x = 4s = 1500.
     """
     if spec is None:
         spec = IntegrationSpec()

@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use.
 
 Each one is an independent route to a quantity the package computes
-another way; none sits on a production path.
+another way; none sits on a production path. peak_traced, the one
+measuring helper, reads a call's peak traced memory.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +29,16 @@ from bellbound.weyl import wigner
 # where the oracles' radial ranges end, in |alpha|, far out on the Gaussian
 # envelopes they integrate
 R_MAX = 6.0
+
+
+def peak_traced(fn, *args):
+    """The peak memory, in bytes, that tracemalloc traces during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def laguerre(n, x):

@@ -236,6 +236,6 @@ def test_joint_distribution_rejects_noncommuting():
 
 def test_qm_mean_guard():
     rho = random_density(3, 1)
-    upper = FockOperator(np.triu(np.ones((3, 3), dtype=complex), 1))
-    val = qm_mean(rho, upper + upper.dagger())
+    upper = np.triu(np.ones((3, 3), dtype=complex), 1)
+    val = qm_mean(rho, FockOperator(upper + upper.conj().T))
     assert isinstance(val, float)

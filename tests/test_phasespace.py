@@ -45,8 +45,8 @@ from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sig
                             unit_symbol)
 from oracles import (R_MAX, arc_fraction, coarse_parity_integrand,
                      displacement_element, kernel_moments_inner, pair_qm_quadrature,
-                     radial_eigenvalues, relative_sweep, sigma_level_full_square,
-                     sigma_point)
+                     peak_traced, radial_eigenvalues, relative_sweep,
+                     sigma_level_full_square, sigma_point)
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -647,8 +647,9 @@ def test_sigma_curve_pinned(grid):
     assert np.array_equal(curve.errors, again.errors)
 
 
-def test_sigma_curve_takes_one_bessel_call_per_point_and_level(monkeypatch):
-    # J0 and J1 of each point's arguments share one band split
+def test_sigma_curve_takes_one_bessel_call_per_point_level_and_block(monkeypatch):
+    # J0 and J1 of each point's arguments on a block of separation nodes
+    # share one band split
     calls = []
 
     def counted(order, x):
@@ -656,8 +657,29 @@ def test_sigma_curve_takes_one_bessel_call_per_point_and_level(monkeypatch):
         return bessel_j(order, x)
 
     monkeypatch.setattr(phasespace, "bessel_j", counted)
-    curve = sigma_curve(BipartiteCase(spec=IntegrationSpec(sigma_step=0.3, sigma_max=1.5)))
-    assert calls == [(0, 1)] * (len(_SIGMA_LEVELS) * np.count_nonzero(curve.points))
+    curve = sigma_curve(BipartiteCase(spec=PINNED_SPEC))
+    blocks = sum(-(-level[0] // phasespace._SIGMA_BLOCK) for level in _SIGMA_LEVELS)
+    assert blocks == 6
+    assert calls == [(0, 1)] * (blocks * np.count_nonzero(curve.points))
+
+
+@pytest.mark.parametrize("level", _SIGMA_LEVELS)
+def test_sigma_level_blocks_keep_every_bit(monkeypatch, level):
+    # a block only bounds what is live at once: blocks of 8 and 32 nodes,
+    # and one block of the whole rule, give the same bits
+    pts = PINNED_SPEC.sigma_step * np.arange(6)
+    runs = []
+    for block in (8, 32, 2 * level[0]):
+        monkeypatch.setattr(phasespace, "_SIGMA_BLOCK", block)
+        runs.append(_sigma_level(pts, level, sign_step(SEPARATION_STEP), SEPARATION_STEP))
+    assert all(np.array_equal(runs[0], run) for run in runs[1:])
+
+
+def test_sigma_curve_memory_is_bounded():
+    # the separation nodes stream in blocks, so neither the fine level's
+    # 4.2 MB arc table nor a whole-grid Bessel array is ever live: a default
+    # curve peaks at 6.1 MB, where whole-grid tables took 14.7 MB
+    assert peak_traced(sigma_curve, BipartiteCase()) < 10e6
 
 
 def test_sigma_curve_refuses_non_finite_points():

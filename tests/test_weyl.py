@@ -1,7 +1,6 @@
 """Symbol maps, Wigner functions and radial quantization."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +24,8 @@ from bellbound.weyl import (
     unit_symbol,
     wigner,
 )
-from oracles import laguerre, quantizer, radial_eigenvalues, radial_eigenvalues_exact
+from oracles import (laguerre, peak_traced, quantizer, radial_eigenvalues,
+                     radial_eigenvalues_exact)
 
 STEP_EV0 = 2.0 * math.exp(-0.5) - 1.0
 STEP_EV1 = 4.0 * math.exp(-0.5) - 1.0
@@ -218,13 +218,7 @@ def test_symbol_memory_is_bounded():
     a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
     op = FockOperator(a + a.conj().T, hermitian=True)
     pts = rng.uniform(-2, 2, 4000) + 1j * rng.uniform(-2, 2, 4000)
-    tracemalloc.start()
-    try:
-        symbol_of(op, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+    assert peak_traced(symbol_of, op, pts) < 64e6
 
 
 def test_quantize_radial_unit():
@@ -345,6 +339,19 @@ def test_quantize_radial_gaussian():
             gap = np.abs(exp.eigenvalues - want)
             assert np.max(gap) < 1e-13 and np.all(gap <= exp.error_estimates)
             assert np.max(gap[:11] / want[:11]) < 1e-9
+
+
+def test_quantize_radial_refuses_a_reach_past_the_recurrence_range_by_dim():
+    # the reach scan stops at s = 374, short of x = 4s = 1500, where the
+    # Laguerre recurrence refuses levels >= x/5: dim 310 still computes at
+    # far radius 100, while dim 320's factors reach 1e-17 there and the
+    # refusal names dim instead of the recurrence
+    sym = RadialSymbol(lambda r: np.exp(-r * r), "gaussian", far_value=0.0, far_radius=100.0)
+    exp = quantize_radial(sym, 310)
+    gap = np.abs(exp.eigenvalues - 2.0 / 3.0 ** (np.arange(310) + 1.0))
+    assert np.max(gap) < 1e-13 and np.all(gap <= exp.error_estimates)
+    with pytest.raises(ValueError, match="dim 320 "):
+        quantize_radial(sym, 320)
 
 
 def test_gaussian_round_trip():
