@@ -76,17 +76,6 @@ class FockOperator:
         self._compatible(other)
         return FockOperator(self.entries @ other.entries, self.modes)
 
-    def __add__(self, other):
-        self._compatible(other)
-        return FockOperator(self.entries + other.entries, self.modes)
-
-    def __sub__(self, other):
-        self._compatible(other)
-        return FockOperator(self.entries - other.entries, self.modes)
-
-    def __rmul__(self, scalar):
-        return FockOperator(np.asarray(self.entries) * scalar, self.modes)
-
     def _compatible(self, other):
         if not isinstance(other, FockOperator):
             raise TypeError("expected a FockOperator")

@@ -63,14 +63,6 @@ class Decomposition:
         if not gap < 1e-8:
             raise ValueError(f"terms reconstruct the target only to {gap:.2e}")
 
-    @property
-    def weights(self):
-        return np.array([w for w, _ in self.terms])
-
-    @property
-    def projectors(self):
-        return tuple(p for _, p in self.terms)
-
 
 def qm_mean(rho, op):
     """Tr(rho B) with a guard on the imaginary residue."""

@@ -8,9 +8,9 @@ bilinear form over pairs of regions of the declared levels
 (_bilinear_report), each setup passing its own pair integral of collapse
 probabilities; they are compared against the quantum mean of the quantized
 symbol, and the quantum mean squared exceeding the bound is the violation.
-The generic route takes any symbol on a number-diagonal state, and the
-coarse parity bound, sum_n p_n lam_n^2, shows that parity-resolved
-collapses never violate.
+The generic route takes any symbol on any single-mode state, through its
+number distribution p_n, and the coarse parity bound, sum_n p_n lam_n^2,
+shows that parity-resolved collapses never violate.
 
 Conventions follow the rest of the package: hbar = 1, alpha = (q + ip)/sqrt 2,
 and all integrals over phase space carry d^2 alpha.
@@ -260,21 +260,24 @@ def sp_hv_bound(case):
     if state.dim < 2 or abs(state.entries[1, 1] - 1.0) > 1e-9:
         raise ValueError(
             "kernel route needs the first excited state; "
-            "sp_hv_bound_generic handles other number-diagonal states"
+            "sp_hv_bound_generic handles any other single-mode state"
         )
     return _bilinear_report("single-particle", case, _excited_component, lambda s: s,
                             "; sp_hv_bound_generic takes any symbol")
 
 
 def _diagonal_weights(rho):
-    """(levels, probabilities) of a number-diagonal state, or raise."""
+    """(levels, probabilities) of a single-mode state's number distribution.
+
+    Coherences between levels move no radial bound. With R(phi) =
+    exp(i phi a^dag a), R D(alpha) R^dag = D(alpha e^{i phi}), so the
+    collapse weights at the rotated center are those of R^dag rho R, and
+    their mean over the angle of alpha is the dephased state's: every
+    route here integrates that angle against a radial symbol.
+    """
     if rho.modes != 1:
         raise ValueError("need a single-mode state")
-    ent = rho.entries
-    off = float(np.max(np.abs(ent - np.diag(np.diag(ent)))))
-    if off > 1e-10:
-        raise ValueError(f"state must be number-diagonal, off-diagonal {off:.2e}")
-    p = np.real(np.diag(ent))
+    p = np.real(np.diag(rho.entries))
     keep = np.nonzero(p > 1e-14)[0]
     return [int(m) for m in keep], [float(p[m]) for m in keep]
 
@@ -287,7 +290,7 @@ def _level_transitions(x, m, n):
 
 
 def _displaced_level_weights(levels, probs, n_max, r):
-    """c_n(r) = <n| D(r)^dag rho D(r) |n> for a number-diagonal rho, n <= n_max."""
+    """c_n(r) = <n| D(r)^dag rho D(r) |n> for rho = sum_m p_m |m><m|, n <= n_max."""
     x = np.asarray(r, dtype=float) ** 2
     terms = _level_transitions(x, np.array(levels)[:, None], np.arange(n_max + 1))
     return np.tensordot(probs, terms, 1)
@@ -328,7 +331,10 @@ def _kernel_moments_inner(symbol, n_max, r, n_rho):
 
 
 def sp_hv_bound_generic(rho, symbol, n_max=24, spec=None, details=False):
-    """Collapse-sum bound for any number-diagonal single-mode state.
+    """Collapse-sum bound for any single-mode state.
+
+    Only the state's number distribution p_m enters (_diagonal_weights), so
+    a state with coherences gets its dephased state's bound.
 
     The bound is (8/pi) int r B(r) sum_n c_n(r) K_n(r) dr with c_n the
     collapse weights of the displaced state and K_n the kernel moments of
@@ -418,13 +424,15 @@ def coarse_parity_bound(rho, symbol, spec=None):
         bound = 4 int r B(r) [tr_even(rho~ B~) - tr_odd(rho~ B~)] dr,
 
     where tr_even keeps the even-even block of both factors. That sandwich
-    is tr(Pi {rho~, B~}) / 2: for a number-diagonal rho (p_n), the only kind
-    taken, and the symbol's eigenvalues lam_n, the displaced parity sum_n p_n
-    lam_n (-1)^n exp(-2r^2) L_n(4r^2). Against 4 r B(r) each level's parity
-    integrates to lam_n, so the bound is tr(rho B^2) = sum_n p_n lam_n^2, which
-    this returns from quantize_radial's eigenvalues: collapses this coarse can
-    never produce a violation, for any radial symbol, and this function
-    exists to exhibit that.
+    is tr(Pi {rho~, B~}) / 2. The angle of the center dephases rho
+    (_diagonal_weights), so with its number distribution p_n and the
+    symbol's eigenvalues lam_n the sandwich is the displaced parity
+    sum_n p_n lam_n (-1)^n exp(-2r^2) L_n(4r^2). Against 4 r B(r) each
+    level's parity integrates to lam_n, so the bound is
+    tr(rho B^2) = sum_n p_n lam_n^2, which this returns from
+    quantize_radial's eigenvalues: collapses this coarse can never produce
+    a violation, for any radial symbol, and this function exists to
+    exhibit that.
     """
     levels, probs = _diagonal_weights(rho)
     lam = quantize_radial(symbol, max(levels) + 1, spec).eigenvalues[levels]

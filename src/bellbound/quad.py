@@ -3,9 +3,11 @@
 Every quadrature is Gauss-Legendre at fixed node levels, with the gap
 between two levels as its error: _gl_segmented sizes one rule per panel
 from a node count, _gl_panels cuts panels of a given width, and
-integrate_radial_pair sweeps phase-space double integrals over a ladder of
-levels. Every routine is deterministic: the same IntegrationSpec gives the
-same bits, and no production path draws a random number.
+integrate_radial_pair sweeps phase-space double integrals up a ladder of
+levels, returning the first within spec.abs_tol of the one before and
+refusing by abs_tol past the last. Every routine is deterministic: the same
+IntegrationSpec gives the same bits, and no production path draws a random
+number.
 
 integrate_radial_pair takes f(r1, d) of the state-side radius and the
 separation, on arrays that broadcast against each other.
@@ -155,30 +157,22 @@ def integrate_radial_pair(f, spec, r1_max, r2_max, splits=()):
     integrand or a symbol behind it jumps. The inner radius is
     |alpha'|, and a midpoint rule in the angle between the points supplies
     the separation.
+
+    The first level of _PAIR_LEVELS within spec.abs_tol of the level before
+    is returned, with that gap as its error; past the last level the ladder
+    is refused with QuadratureError naming abs_tol.
     """
-    tol = max(spec.abs_tol, 1e-8)
-    prev = None
-    prev_err = None
-    value = math.nan
-    evals = 0
+    prev, gap, evals = None, math.inf, 0
     for n1, n2, n_ang in _PAIR_LEVELS:
         rn, rw = _gl_segmented(0.0, float(r1_max), n1, splits)
         sn, sw = _gl_segmented(0.0, float(r2_max), n2, splits)
         value = _sweep_direct(f, rn, rw, sn, sw, n_ang)
         evals += rn.size * sn.size * n_ang
         if prev is not None:
-            err = abs(value - prev)
-            if err <= tol:
-                return QuadResult(value, err, evals)
-            if prev_err is not None and err >= prev_err:
-                raise QuadratureError(
-                    f"radial pair quadrature stalled at error {err:.3e}", knob="abs_tol"
-                )
-            prev_err = err
+            gap = abs(value - prev)
+            if gap <= spec.abs_tol:
+                return QuadResult(value, gap, evals)
         prev = value
-    if prev_err is not None and prev_err <= 10 * tol:
-        return QuadResult(value, prev_err, evals)
     raise QuadratureError(
-        f"radial pair quadrature did not reach {tol:.1e} (last error {prev_err})",
-        knob="abs_tol",
-    )
+        f"the radial pair quadrature stopped at error {gap:.2e}, its last level "
+        f"gap, above {spec.abs_tol}", knob="abs_tol")

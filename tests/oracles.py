@@ -350,7 +350,7 @@ def padded_chsh_decomposition(dim):
         for s, ps in zip((1.0, -1.0), proj[left]):
             for t, qt in zip((1.0, -1.0), proj[right]):
                 terms.append((eps * s * t, tensor(ps, qt)))
-        obs = [(up - down).entries for up, down in (proj[left], proj[right])]
+        obs = [up.entries - down.entries for up, down in (proj[left], proj[right])]
         target += eps * np.kron(*obs)
     return Decomposition(tuple(terms), FockOperator(target, modes=2, hermitian=True))
 
@@ -535,10 +535,12 @@ def relative_sweep(f, spec, r1_max=None, splits=()):
     inner radius and both angles integrate exactly to 2 pi, so the value is
     (2 pi)^2 int r1 dr1 int d dd f(r1, d), with d cut at R_MAX. Both
     radial axes take the Gauss-Legendre rules of quad._PAIR_LEVELS, panelled
-    at the splits. The sweep stops at the first level within
-    max(spec.abs_tol, 1e-8) of the one before, as integrate_radial_pair
-    does, or at the last level; the value is that level's and the gap is
-    its distance to the level before.
+    at the splits. The oracle's own rule stops the sweep at the first level
+    within max(spec.abs_tol, 1e-8) of the one before, or at the last level,
+    and never refuses. Its callers check within the returned gap, or against
+    closed forms at fixed bounds, so the 1e-8 floor only spares them the
+    finest levels. The value is that level's and the gap is its distance to
+    the level before.
     """
     r1_max = R_MAX if r1_max is None else float(r1_max)
     tol = max(spec.abs_tol, 1e-8)

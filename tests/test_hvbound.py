@@ -54,8 +54,8 @@ def test_decomposition_validation():
     p2 = number_projector(2, 3)
     target = FockOperator(np.diag([1.0, -2.0, 0.5]).astype(complex), hermitian=True)
     dec = Decomposition(((1.0, p0), (-2.0, p1), (0.5, p2)), target, label="diag")
-    assert np.allclose(dec.weights, [1.0, -2.0, 0.5])
-    assert len(dec.projectors) == 3
+    assert [w for w, _ in dec.terms] == [1.0, -2.0, 0.5]
+    assert all(p is q for (_, p), q in zip(dec.terms, (p0, p1, p2), strict=True))
     not_proj = FockOperator(0.5 * np.eye(3, dtype=complex), hermitian=True)
     with pytest.raises(ValueError):
         Decomposition(((1.0, not_proj),), target)
@@ -67,7 +67,8 @@ def test_decomposition_validation():
     oblique = FockOperator([[1.0, 1.0], [0.0, 0.0]])
     rest = FockOperator([[0.0, -1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="term 0 projector is not hermitian"):
-        Decomposition(((1.0, oblique), (-1.0, rest)), oblique - rest)
+        Decomposition(((1.0, oblique), (-1.0, rest)),
+                      FockOperator(oblique.entries - rest.entries))
 
 
 def test_commuting_decomposition_closes_gap():

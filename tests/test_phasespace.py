@@ -454,6 +454,50 @@ def test_kernel_moments_build_one_table_per_level_count(monkeypatch):
         assert counts == {"table": tables, "sweep": 1}
 
 
+def coherent_states():
+    """(|0> + (0.6 + 0.8i)|1>)/sqrt 2, and a mixture of two superpositions."""
+    pure = np.zeros(64, dtype=complex)
+    pure[:2] = np.array([1.0, 0.6 + 0.8j]) / math.sqrt(2.0)
+    a = np.zeros(64, dtype=complex)
+    a[[0, 2]] = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    b = np.zeros(64, dtype=complex)
+    b[1:4] = np.array([1.0, -0.5, 0.5j]) / math.sqrt(1.5)
+    mixed = 0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj())
+    return (DensityMatrix.from_state(pure),
+            DensityMatrix(FockOperator(mixed, hermitian=True)))
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["pure", "mixed"])
+def test_collapse_weights_angle_mean_is_dephased(index):
+    # R(phi) = exp(i phi a^dag a) takes D(alpha) to D(alpha e^{i phi}), so
+    # the angle mean of c_n(alpha) = <n|D(alpha)^dag rho D(alpha)|n> is the
+    # dephased state's; 16 nodes average the phases e^{i (j - k) phi} of
+    # these coherences exactly
+    rho = coherent_states()[index]
+    low = rho.entries[:4, :4]
+    p = np.real(np.diag(low))
+    n_max, radii = 10, np.array([0.3, 0.9, 1.7, 2.6])
+    dephased = _displaced_level_weights([0, 1, 2, 3], p, n_max, radii)
+    for i, r in enumerate(radii):
+        mean = np.zeros(n_max + 1)
+        for phi in 2.0 * math.pi * np.arange(16) / 16:
+            d = np.array([[displacement_element(j, n, r * np.exp(1j * phi))
+                           for n in range(n_max + 1)] for j in range(4)])
+            mean += np.real(np.einsum("jn,jk,kn->n", d.conj(), low, d)) / 16
+        assert np.max(np.abs(mean - dephased[:, i])) < 1e-15, r
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["pure", "mixed"])
+def test_generic_and_coarse_bounds_read_the_number_distribution(index):
+    rho = coherent_states()[index]
+    p = np.real(np.diag(rho.entries))
+    dephased = DensityMatrix(FockOperator(np.diag(p).astype(complex), hermitian=True))
+    symbol = sign_step(0.5)
+    assert sp_hv_bound_generic(rho, symbol) == sp_hv_bound_generic(dephased, symbol)
+    lam = radial_eigenvalues(symbol, 64)
+    assert abs(coarse_parity_bound(rho, symbol) - float(p @ (lam * lam))) < 1e-12
+
+
 def test_generic_route_error_control():
     case = SingleParticleCase()
     with pytest.raises(QuadratureError, match="n_max"):
@@ -461,14 +505,14 @@ def test_generic_route_error_control():
     for bad in (40, 2.5, True):
         with pytest.raises(ValueError, match="n_max"):
             sp_hv_bound_generic(case.state, case.symbol, n_max=bad)
-    tilted = np.zeros((16, 16), dtype=complex)
+    # a coherence between levels is no refusal: the state's dephased bound
+    tilted = np.zeros((64, 64), dtype=complex)
     tilted[1, 1] = 0.9
     tilted[0, 0] = 0.1
     tilted[0, 1] = tilted[1, 0] = 0.05
-    with pytest.raises(ValueError, match="diagonal"):
-        sp_hv_bound_generic(
-            DensityMatrix(FockOperator(tilted, hermitian=True)), case.symbol
-        )
+    assert sp_hv_bound_generic(
+        DensityMatrix(FockOperator(tilted, hermitian=True)), case.symbol
+    ) == sp_hv_bound_generic(diagonal_state([0.1, 0.9]), case.symbol)
     with pytest.raises(ValueError, match="far_value"):
         RadialSymbol(lambda r: np.sign(r - 0.5))
 

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bellbound.phasespace import SingleParticleCase, _excited_component
+from bellbound import quad
+from bellbound.phasespace import (SingleParticleCase, _excited_component, _excited_kernel,
+                                  sp_hv_bound)
 from bellbound.quad import (
     IntegrationSpec,
+    QuadratureError,
     QuadResult,
     _gauss_legendre,
     _gl_panels,
     integrate_radial_pair,
 )
 from bellbound.specfun import bessel_j
-from bellbound.weyl import RadialSymbol, piecewise_symbol, quantize_radial
+from bellbound.weyl import RadialSymbol, piecewise_symbol, quantize_radial, sign_step
 from oracles import R_MAX, mc_integrate, radial_eigenvalues_exact, relative_sweep
 
 SPEC = IntegrationSpec()
@@ -193,6 +196,69 @@ def test_radial_pair_counts_evaluations():
 
         got = integrate_radial_pair(counted, SPEC, R_MAX, r2_max)
         assert got.evaluations == sum(seen)
+
+
+@pytest.mark.parametrize("radius, abs_tol, refused", [
+    (0.5, 1e-13, False),
+    (2.0, 1e-12, False),
+    # level 2's gap is 1.1e-10 here, so the ladder takes level 3
+    (4.2, 1e-12, False),
+    # below the rounding of every level
+    (1.5, 1e-17, True),
+])
+def test_radial_pair_error_within_abs_tol_or_refused(radius, abs_tol, refused):
+    # the ladder's one rule: a returned error is within abs_tol, at whatever
+    # level; otherwise the tolerance is refused by name
+    spec = IntegrationSpec(abs_tol=abs_tol)
+    args = (_excited_kernel, spec, radius, radius)
+    if refused:
+        with pytest.raises(QuadratureError, match="its last level gap, above") as exc:
+            integrate_radial_pair(*args, splits=(radius,))
+        assert exc.value.knob == "abs_tol"
+    else:
+        got = integrate_radial_pair(*args, splits=(radius,))
+        assert got.error_estimate <= abs_tol
+
+
+def test_kernel_route_keeps_the_default_tolerance():
+    # level 2's gap on core_core is 2.8e-9, above the default 1e-9
+    rep = sp_hv_bound(SingleParticleCase(symbol=sign_step(4.3)))
+    assert rep.notes["component_errors"]["core_core"] <= SPEC.abs_tol
+
+
+def test_radial_pair_short_ladder_refuses(monkeypatch):
+    monkeypatch.setattr(quad, "_PAIR_LEVELS", ((8, 8, 2), (8, 8, 3)))
+    with pytest.raises(QuadratureError, match=r"stopped at error \S+, its last level "
+                       r"gap, above 1e-09") as exc:
+        integrate_radial_pair(_excited_kernel, SPEC, 1.0, 1.0, splits=(1.0,))
+    assert exc.value.knob == "abs_tol"
+
+
+@pytest.mark.parametrize("values, stop", [
+    # a gap in (abs_tol, 1e-8] takes the next level
+    ((0.0, 5e-9, 5e-9 + 1e-12, 7.0), 3),
+    # a last gap within ten times abs_tol is refused
+    ((0.0, 1.0, 0.5, 0.5 + 5e-9), None),
+    # growing gaps run on up the ladder
+    ((0.0, 1e-3, 1e-2, 1e-2 + 1e-10), 4),
+    ((0.0, 1e-3, 1e-2, 1e-1), None),
+], ids=["refines", "no_grace", "growing_gaps_converge", "growing_gaps_refused"])
+def test_radial_pair_stops_at_first_gap_within_abs_tol(monkeypatch, values, stop):
+    # each level's value is scripted; the ladder stops at the first gap
+    # within abs_tol and returns that level, or runs every level and refuses
+    sweeps = iter(values)
+    monkeypatch.setattr(quad, "_sweep_direct", lambda *args: next(sweeps))
+    if stop is None:
+        with pytest.raises(QuadratureError) as exc:
+            integrate_radial_pair(kernel, SPEC, 1.0, 1.0)
+        assert exc.value.knob == "abs_tol"
+        assert f"{abs(values[3] - values[2]):.2e}" in str(exc.value)
+        assert next(sweeps, None) is None
+    else:
+        got = integrate_radial_pair(kernel, SPEC, 1.0, 1.0)
+        assert got.value == values[stop - 1]
+        assert got.error_estimate == abs(values[stop - 1] - values[stop - 2])
+        assert len(list(sweeps)) == len(values) - stop
 
 
 def test_mc_constant():
