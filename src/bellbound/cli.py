@@ -214,9 +214,8 @@ def _run_wigner(cfg):
         "negative_points": int(np.sum(flat < 0.0)),
         "grid_points": int(flat.size),
     }
-    components = {}
-    rows = np.column_stack([grid.real.ravel(), grid.imag.ravel(), flat])
-    return results, components, {}, (("re_alpha", "im_alpha", "w"), rows)
+    columns = (grid.real, grid.imag, values)
+    return results, {}, {}, (("re_alpha", "im_alpha", "w"), columns)
 
 
 def _run_sigma_curve(cfg):
@@ -237,7 +236,7 @@ def _run_sigma_curve(cfg):
     columns = (curve.points, curve.values, curve.errors)
     components = dict(zip(("points", "values", "errors"), (c.tolist() for c in columns)))
     errors = {"integral": err, "beyond_grid": disc_err + err}
-    return results, components, errors, (("s", "f", "error"), np.column_stack(columns))
+    return results, components, errors, (("s", "f", "error"), columns)
 
 
 _RUNNERS = {
@@ -250,9 +249,10 @@ _RUNNERS = {
 }
 
 
-def _render_csv(header, rows):
+def _render_csv(header, columns):
+    # the rows are built here, so a JSON document never allocates them
     lines = [",".join(header)]
-    for row in rows:
+    for row in zip(*map(np.ravel, columns)):
         lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
@@ -263,8 +263,7 @@ def run(cfg: RunConfig) -> str:
     results, components, errors, grid = _RUNNERS[cfg.command](cfg)
     elapsed = time.perf_counter() - start
     if cfg.output_format == "csv":
-        header, rows = grid
-        return _render_csv(header, rows)
+        return _render_csv(*grid)
     dests = [_dest(flag) for flag in _COMMANDS[cfg.command][1]]
     doc = {
         "command": cfg.command,

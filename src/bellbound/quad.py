@@ -5,9 +5,11 @@ between two levels as its error: _gl_segmented sizes one rule per panel
 from a node count, _gl_panels cuts panels of a given width, and
 integrate_radial_pair sweeps phase-space double integrals up a ladder of
 levels, returning the first within spec.abs_tol of the one before and
-refusing by abs_tol past the last. Every routine is deterministic: the same
-IntegrationSpec gives the same bits, and no production path draws a random
-number.
+refusing by abs_tol past the last. The ladder starts at a coarse rung that
+is never returned: where the first production level already agrees with it,
+that level is certified without the next level's sweep. Every routine is
+deterministic: the same IntegrationSpec gives the same bits, and no
+production path draws a random number.
 
 integrate_radial_pair takes f(r1, d) of the state-side radius and the
 separation, on arrays that broadcast against each other.
@@ -121,8 +123,10 @@ def _gl_panels(cuts, width):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-# (n1, n2, n_ang) per refinement level
-_PAIR_LEVELS = ((96, 96, 64), (144, 144, 96), (216, 216, 144), (320, 320, 216))
+# (n1, n2, n_ang) per refinement level; the first, a quarter of the next on
+# each radial axis, is never returned: it only certifies (96, 96, 64)
+_PAIR_LEVELS = ((24, 24, 16), (96, 96, 64), (144, 144, 96), (216, 216, 144),
+                (320, 320, 216))
 # r1 rows per block of the sweep: a block's arrays stay in cache
 _PAIR_BLOCK = 4
 
@@ -160,7 +164,11 @@ def integrate_radial_pair(f, spec, r1_max, r2_max, splits=()):
 
     The first level of _PAIR_LEVELS within spec.abs_tol of the level before
     is returned, with that gap as its error; past the last level the ladder
-    is refused with QuadratureError naming abs_tol.
+    is refused with QuadratureError naming abs_tol. The first level, a
+    quarter of the second on each radial axis, has no level before it and
+    is never returned: where the second level lies within abs_tol of it,
+    two sweeps certify the second, and any other integrand goes on up the
+    ladder for 0.36 % more evaluations than without the rung.
     """
     prev, gap, evals = None, math.inf, 0
     for n1, n2, n_ang in _PAIR_LEVELS:

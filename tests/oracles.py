@@ -21,10 +21,17 @@ from bellbound.fock import (
     trace_product,
 )
 from bellbound.hvbound import TSIRELSON_SETTINGS, Decomposition, _spin_projectors, qm_mean
-from bellbound.phasespace import _SIGMA_G_MAX, _SIGMA_REACH, _arc_table, _panel_edges
-from bellbound.quad import _PAIR_LEVELS, QuadResult, _gl_segmented
+from bellbound.phasespace import (
+    _SIGMA_G_MAX,
+    _SIGMA_REACH,
+    _arc_table,
+    _displaced_level_weights,
+    _kernel_moments_inner,
+    _panel_edges,
+)
+from bellbound.quad import QuadResult, _gl_segmented
 from bellbound.specfun import bessel_j
-from bellbound.weyl import wigner
+from bellbound.weyl import piecewise_symbol, wigner
 
 # where the oracles' radial ranges end, in |alpha|, far out on the Gaussian
 # envelopes they integrate
@@ -527,6 +534,10 @@ def sigma_level_full_square(spec, pts, level, profile, j):
     return values
 
 
+# the relative sweep's node count per radial axis, one per level
+SWEEP_LEVELS = (96, 144, 216, 320)
+
+
 def relative_sweep(f, spec, r1_max=None, splits=()):
     """(value, gap) of int d^2 alpha int d^2 alpha' f(|alpha|, |alpha - alpha'|)
     over |alpha| < r1_max (R_MAX when None) and the full alpha' plane.
@@ -534,7 +545,7 @@ def relative_sweep(f, spec, r1_max=None, splits=()):
     In relative coordinates alpha' = alpha + delta the separation is the
     inner radius and both angles integrate exactly to 2 pi, so the value is
     (2 pi)^2 int r1 dr1 int d dd f(r1, d), with d cut at R_MAX. Both
-    radial axes take the Gauss-Legendre rules of quad._PAIR_LEVELS, panelled
+    radial axes take Gauss-Legendre rules of SWEEP_LEVELS nodes, panelled
     at the splits. The oracle's own rule stops the sweep at the first level
     within max(spec.abs_tol, 1e-8) of the one before, or at the last level,
     and never refuses. Its callers check within the returned gap, or against
@@ -545,9 +556,9 @@ def relative_sweep(f, spec, r1_max=None, splits=()):
     r1_max = R_MAX if r1_max is None else float(r1_max)
     tol = max(spec.abs_tol, 1e-8)
     prev = None
-    for n1, n2, _ in _PAIR_LEVELS:
-        rn, rw = _gl_segmented(0.0, r1_max, n1, splits)
-        sn, sw = _gl_segmented(0.0, R_MAX, n2, splits)
+    for n in SWEEP_LEVELS:
+        rn, rw = _gl_segmented(0.0, r1_max, n, splits)
+        sn, sw = _gl_segmented(0.0, R_MAX, n, splits)
         r1, d = rn[:, None], sn[None, :]
         vals = np.asarray(f(r1, d), dtype=float)
         value = (2.0 * np.pi) ** 2 * float(np.sum(rw[:, None] * r1 * sw * d * vals))
@@ -555,6 +566,22 @@ def relative_sweep(f, spec, r1_max=None, splits=()):
             break
         prev = value
     return value, abs(value - prev)
+
+
+def level_pair(r1, r2, splits=()):
+    """I(r1, r2) of the first excited state's kernel by the level route.
+
+    The kernel over |alpha| < r1, |alpha'| < r2 is the generic route's sum
+    with the outer symbol 1{r < r1} and the inner symbol 1{|b| < r2}:
+    (8/pi) int_0^r1 r sum_n c_n(r) K_n(r) dr, with c_n the collapse weights
+    of |1> displaced to r and K_n the kernel moments of the inner disc,
+    whose far value 0 adds no full-plane moment. No Bessel function and no
+    ladder: 192 outer nodes panelled at the splits, 48 disc nodes, n <= 32.
+    """
+    nodes, weights = _gl_segmented(0.0, float(r1), 192, splits)
+    c = _displaced_level_weights([1], [1.0], 32, nodes)
+    k, _, _ = _kernel_moments_inner(piecewise_symbol([r2], (1.0, 0.0)), 32, nodes, 48)
+    return (8.0 / math.pi) * float((weights * nodes) @ np.sum(c * k, axis=0))
 
 
 def pair_qm_quadrature(state, case):

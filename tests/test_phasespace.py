@@ -44,9 +44,9 @@ from bellbound.specfun import bessel_j, laguerre_scaled
 from bellbound.weyl import (RadialSymbol, piecewise_symbol, quantize_radial, sign_step,
                             unit_symbol)
 from oracles import (R_MAX, arc_fraction, coarse_parity_integrand,
-                     displacement_element, kernel_moments_inner, pair_qm_quadrature,
-                     peak_traced, radial_eigenvalues, relative_sweep,
-                     sigma_level_full_square, sigma_point)
+                     displacement_element, kernel_moments_inner, level_pair,
+                     pair_qm_quadrature, peak_traced, radial_eigenvalues,
+                     relative_sweep, sigma_level_full_square, sigma_point)
 
 QM = 4.0 * math.exp(-0.5) - 1.0
 CORE_FULL = 1.0 - 2.0 * math.exp(-0.5)
@@ -198,6 +198,16 @@ def test_kernel_route_closed_components_match_quadrature(symbol):
         name = f"{a}_{b}"
         assert abs(comps[name] - value) <= errs[name] + error + 1e-14
     assert comps["full_full"] == 1.0 and errs["full_full"] == 0.0
+
+
+@pytest.mark.parametrize("r1", [0.2, 0.45, 0.55, 1.0, 1.8, 2.4])
+def test_level_route_matches_radial_pair_engine(r1):
+    # the disc-disc component by collapse weights and kernel moments, with
+    # no Bessel function and no ladder, against the radial pair engine
+    for r2 in (0.2, 0.5, 1.0, 1.8, 2.4):
+        got = integrate_radial_pair(_excited_kernel, IntegrationSpec(), r1, r2,
+                                    splits=(r1, r2))
+        assert abs(level_pair(r1, r2, (r1, r2)) - got.value) <= 1e-13
 
 
 @pytest.mark.parametrize("R", [0.05, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

@@ -1,7 +1,9 @@
 """Integration engine checks against closed forms."""
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from bellbound.weyl import RadialSymbol, piecewise_symbol, quantize_radial, sign
 from oracles import R_MAX, mc_integrate, radial_eigenvalues_exact, relative_sweep
 
 SPEC = IntegrationSpec()
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_gauss_legendre_rules_shared_and_read_only():
@@ -201,7 +204,7 @@ def test_radial_pair_counts_evaluations():
 @pytest.mark.parametrize("radius, abs_tol, refused", [
     (0.5, 1e-13, False),
     (2.0, 1e-12, False),
-    # level 2's gap is 1.1e-10 here, so the ladder takes level 3
+    # level 144's gap is 1.1e-10 here, so the ladder takes level 216
     (4.2, 1e-12, False),
     # below the rounding of every level
     (1.5, 1e-17, True),
@@ -221,9 +224,46 @@ def test_radial_pair_error_within_abs_tol_or_refused(radius, abs_tol, refused):
 
 
 def test_kernel_route_keeps_the_default_tolerance():
-    # level 2's gap on core_core is 2.8e-9, above the default 1e-9
+    # level 144's gap on core_core is 2.8e-9, above the default 1e-9
     rep = sp_hv_bound(SingleParticleCase(symbol=sign_step(4.3)))
     assert rep.notes["component_errors"]["core_core"] <= SPEC.abs_tol
+
+
+def test_radial_pair_rung_certifies_the_first_level(monkeypatch):
+    # the (24, 24, 16) rung is swept first and never returned: the default
+    # core_core agrees with it at level 96 and stops there, while a disc
+    # that level 96 does not resolve is certified at level 144 as before
+    sweeps = []
+    sweep = quad._sweep_direct
+
+    def counted(f, rn, rw, sn, sw, n_ang):
+        sweeps.append(n_ang)
+        return sweep(f, rn, rw, sn, sw, n_ang)
+
+    monkeypatch.setattr(quad, "_sweep_direct", counted)
+    sp_hv_bound(SingleParticleCase())
+    assert sweeps == [16, 64]
+    flagship = integrate_radial_pair(_excited_kernel, SPEC, 0.5, 0.5, splits=(0.5,))
+    assert flagship.evaluations == 599_040
+    sweeps.clear()
+    wide = integrate_radial_pair(_excited_kernel, SPEC, 2.0, 2.0, splits=(2.0,))
+    assert sweeps == [16, 64, 96]
+    assert wide.evaluations == 24 * 24 * 16 + 96 * 96 * 64 + 144 * 144 * 96
+
+
+def test_pair_ladder_levels_script_marks_the_returned_level(capsys):
+    # the per-level tool sweeps every level and marks the one the ladder
+    # returns; it exits 1 unless integrate_radial_pair agrees with the mark
+    loader = importlib.util.spec_from_file_location(
+        "pair_ladder_levels", REPO / "scripts" / "pair_ladder_levels.py")
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    assert script.main(["0.5,0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == len(quad._PAIR_LEVELS)
+    assert all(str(level) in line for level, line in zip(quad._PAIR_LEVELS, lines))
+    marked = [line for line in lines if "returned" in line]
+    assert len(marked) == 1 and "(96, 96, 64)" in marked[0] and "599,040" in marked[0]
 
 
 def test_radial_pair_short_ladder_refuses(monkeypatch):
@@ -238,21 +278,22 @@ def test_radial_pair_short_ladder_refuses(monkeypatch):
     # a gap in (abs_tol, 1e-8] takes the next level
     ((0.0, 5e-9, 5e-9 + 1e-12, 7.0), 3),
     # a last gap within ten times abs_tol is refused
-    ((0.0, 1.0, 0.5, 0.5 + 5e-9), None),
+    ((2.0, 0.0, 1.0, 0.5, 0.5 + 5e-9), None),
     # growing gaps run on up the ladder
     ((0.0, 1e-3, 1e-2, 1e-2 + 1e-10), 4),
-    ((0.0, 1e-3, 1e-2, 1e-1), None),
+    ((0.0, 1e-4, 1e-3, 1e-2, 1e-1), None),
 ], ids=["refines", "no_grace", "growing_gaps_converge", "growing_gaps_refused"])
 def test_radial_pair_stops_at_first_gap_within_abs_tol(monkeypatch, values, stop):
-    # each level's value is scripted; the ladder stops at the first gap
-    # within abs_tol and returns that level, or runs every level and refuses
+    # each level's value is scripted, the rung's first; the ladder stops at
+    # the first gap within abs_tol and returns that level, or runs every
+    # level and refuses
     sweeps = iter(values)
     monkeypatch.setattr(quad, "_sweep_direct", lambda *args: next(sweeps))
     if stop is None:
         with pytest.raises(QuadratureError) as exc:
             integrate_radial_pair(kernel, SPEC, 1.0, 1.0)
         assert exc.value.knob == "abs_tol"
-        assert f"{abs(values[3] - values[2]):.2e}" in str(exc.value)
+        assert f"{abs(values[-1] - values[-2]):.2e}" in str(exc.value)
         assert next(sweeps, None) is None
     else:
         got = integrate_radial_pair(kernel, SPEC, 1.0, 1.0)
